@@ -1,9 +1,17 @@
 """End-to-end index build pipeline (SURVEY.md §3.1 flagship trace, build side).
 
+One build path, the two-phase spill build of stages/twophase.py:
+
     read_parquet(pages)
-      -> map_batches(extract + doc_id + partition)   [stateless, Arrow]
-      -> groupby(partition).map_groups(build_partition)  [the ONE wide shuffle]
-      -> per-partition segment/docmap files + manifests  [atomic, resumable]
+      -> map_batches(map_partial_spill)   [extract + doc_id + partition +
+                                           within-batch dedup + tokenize;
+                                           one packed partial per partition,
+                                           spilled as a meta/post file pair]
+      -> count()                          [the map barrier]
+      -> merge_spilled_partition per partition, as raw Ray tasks
+                                          [recrawl winners across partials,
+                                           k-way run merge, encode; atomic
+                                           segment/docmap/manifest, resumable]
       -> term_stats: column-pruned read over segments -> groupby(term).sum(df)
       -> stats.json (n_docs, avgdl, fingerprint)
 
@@ -27,7 +35,6 @@ import ray.data
 from ..config import IndexConfig
 from ..functions.extract import extract_text_batch
 from ..functions.hashes import doc_ids_for_urls
-from ..stages.build import build_partitions_block
 from ..state.manifest import completed_partitions, manifest_dir, read_manifest
 from ..state.stats import save_stats, term_stats_dir
 
@@ -118,193 +125,60 @@ def build_index(
     index_dir: str,
     cfg: IndexConfig | None = None,
     resume: bool = True,
-    mode: str = "twophase",
 ) -> BuildResult:
     """Build (or resume) the partitioned inverted index from a pages Dataset.
 
-    mode="twophase" (default): map-side partial segments pipelined with the
-    read, compact blobs shuffle, cheap per-partition merge (stages/twophase.py)
-    — the scale path. mode="onephase": raw pages shuffle then full build in
-    the reducer — simpler, kept for comparison/tests."""
+    Map side (`map_partial_spill`, pipelined with the read): extract,
+    within-batch dedup, tokenize and pack one partial per partition, spilled
+    to `_pick_spill_dir`. After the map barrier, one raw Ray task per
+    partition (`merge_spilled_partition`) resolves recrawl winners across
+    partials, merges the sorted runs, encodes and writes the segment, docmap
+    and manifest. Partitions whose manifest already matches the config
+    fingerprint are skipped when `resume` is set."""
+    import shutil
+    import sys
+    import time
+
+    from ..stages.twophase import MERGE_NUM_CPUS, map_partial_spill, merge_spilled_partition
+
     cfg = cfg or IndexConfig()
     os.makedirs(index_dir, exist_ok=True)
     fingerprint = cfg.fingerprint()
     done = completed_partitions(index_dir, fingerprint) if resume else set()
 
-    # key-based repartition needs the hash shuffle strategy (no global sort);
-    # the planner reads the context snapshot captured by the dataset, so set
-    # it there (scoped to this pipeline — other datasets are unaffected).
-    # Aggregator actors would otherwise RESERVE 0.5 CPU × num_partitions for
-    # the whole pipeline (half the cluster, mostly idle) — their combining
-    # work is light, so shrink the reservation and let map tasks have the cores
-    pages.context.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    pages.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    pages.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
+    timing = os.environ.get("FLATNAV_BUILD_TIMING")
+    spill_dir = _pick_spill_dir(index_dir)
+    shutil.rmtree(spill_dir, ignore_errors=True)
+    t0 = time.perf_counter()
+    mapped = pages.map_batches(
+        map_partial_spill,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        # big enough that each partial row covers many docs per partition
+        # (tiny batches would fragment dictionaries and bloat the merge)
+        batch_size=4096,
+        fn_kwargs={
+            "num_partitions": cfg.num_partitions,
+            "langs": cfg.langs,
+            "spill_dir": spill_dir,
+        },
+    )
+    mapped.count()  # the map barrier: drives the map phase, partials land on disk
+    t1 = time.perf_counter()
 
-    if mode == "twophase":
-        import shutil as _shutil
-        import sys as _sys
-        import time as _time
-
-        import ray as _ray
-
-        from ..stages.twophase import map_partial_spill, merge_spilled_partition
-
-        _timing = os.environ.get("FLATNAV_BUILD_TIMING")
-        spill_dir = _pick_spill_dir(index_dir)
-        _shutil.rmtree(spill_dir, ignore_errors=True)
-        _t0 = _time.perf_counter()
-        mapped = pages.map_batches(
-            map_partial_spill,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            # big enough that each partial row covers many docs per partition
-            # (tiny batches would fragment dictionaries and bloat the merge)
-            batch_size=4096,
-            fn_kwargs={
-                "num_partitions": cfg.num_partitions,
-                "langs": cfg.langs,
-                "spill_dir": spill_dir,
-            },
+    merge_cpus = max(1, min(MERGE_NUM_CPUS, int(ray.cluster_resources().get("CPU", 1))))
+    merge_task = ray.remote(num_cpus=merge_cpus)(merge_spilled_partition)
+    futs = [
+        merge_task.remote(p, spill_dir, index_dir, cfg, done)
+        for p in range(cfg.num_partitions)
+    ]
+    mt = pa.concat_tables(ray.get(futs))
+    shutil.rmtree(spill_dir, ignore_errors=True)
+    if timing:
+        print(
+            f"[build timing] map={t1 - t0:.1f}s merge={time.perf_counter() - t1:.1f}s",
+            file=sys.stderr,
         )
-        # Drive the map phase. With FLATNAV_CONSOLIDATE=1, merge-type work
-        # OVERLAPS the map phase: partition P's final merge legally needs
-        # every map task's spill, but consolidating P's already-landed runs
-        # into one bigger pre-sorted run (combine_partials is associative)
-        # is valid at any time — background bandwidth-slot tasks fold
-        # batches of raw partials into consolidated runs while the map is
-        # still producing, so the post-barrier merge sees a few big runs
-        # instead of hundreds of small ones. Default OFF on this single-bus
-        # box: the interleaved A/B (tools/ab_consolidate.py, recorded in
-        # BENCH/metrics.json) measured it neutral at 8 cpus and ~9% net
-        # SLOWER at 32 — the extra read+write pass over every posting costs
-        # more than the overlap buys when map and consolidation share one
-        # memory controller. On a real multi-node cluster each node folds
-        # its own spill against its own bus, which is the case the knob is
-        # kept for. iter_batches() is the streaming driver loop (one tiny
-        # partition-ids table per map task); count() is the plain barrier
-        # when consolidation is off.
-        consolidate = os.environ.get("FLATNAV_CONSOLIDATE", "0") == "1"
-        if consolidate:
-            from ..stages.twophase import consolidate_spilled_runs
-
-            min_run = int(os.environ.get("FLATNAV_CONSOLIDATE_MIN_FILES", "48"))
-            cons_remote = _ray.remote(num_cpus=2)(consolidate_spilled_runs)
-            # each task holds a ~2-core bandwidth slot (same sizing rationale
-            # as the merge); cap the pool so map tasks keep most of the node
-            max_inflight = max(1, int(_ray.cluster_resources().get("CPU", 8)) // 8)
-            inflight: dict = {}   # ObjectRef -> partition
-            skip: set[int] = set()  # partitions whose pack widths overflowed
-
-            def _harvest(block: bool = False) -> None:
-                while inflight:
-                    ready, _ = _ray.wait(
-                        list(inflight), num_returns=1, timeout=None if block else 0
-                    )
-                    if not ready:
-                        return
-                    p = inflight.pop(ready[0])
-                    try:
-                        if _ray.get(ready[0]) < 0:  # -1 = width overflow
-                            skip.add(p)
-                    except Exception:
-                        skip.add(p)  # originals remain; the merge reads them
-
-            def _kick() -> None:
-                busy = set(inflight.values())
-                for p in range(cfg.num_partitions):
-                    if len(inflight) >= max_inflight:
-                        return
-                    if p in busy or p in skip:
-                        continue
-                    d = os.path.join(spill_dir, f"part={p:05d}")
-                    if not os.path.isdir(d):
-                        continue
-                    # meta files only — the commit markers of completed
-                    # spill pairs; consolidate derives the post- paths.
-                    # meta-cons- pairs (prior fold outputs) never re-enter
-                    # a snapshot: re-folding the ever-growing consolidated
-                    # run each round is O(N^2) posting I/O; the final merge
-                    # k-ways raw and cons pairs alike.
-                    fs = sorted(
-                        os.path.join(d, f)
-                        for f in os.listdir(d)
-                        if f.startswith("meta-")
-                        and not f.startswith("meta-cons-")
-                        and f.endswith(".arrows")
-                    )
-                    if len(fs) >= min_run:
-                        inflight[cons_remote.remote(p, spill_dir, fs)] = p
-
-            for _ in mapped.iter_batches(batch_size=None, batch_format="pyarrow"):
-                _harvest()
-                _kick()
-            _harvest(block=True)
-        else:
-            mapped.count()  # drives the map phase; partials land on disk
-        _t1 = _time.perf_counter()
-
-        # merge tasks are DRAM-bandwidth-bound, not core-bound: running one
-        # per core queues the memory controller superlinearly (measured on
-        # the 1M-doc spill: 32 concurrent merges 65-82s, 16 concurrent
-        # 24-25s, 8 concurrent 32s — cores/2 is the saturation point).
-        # num_cpus=2 reserves a bandwidth slot of ~2 cores per merge on any
-        # node size, which also holds per-node on a real multi-node cluster
-        # (each node schedules its own merges against its own memory bus).
-        merge_cpus = int(os.environ.get("FLATNAV_MERGE_NUM_CPUS", "2"))
-        merge_cpus = max(1, min(merge_cpus, int(_ray.cluster_resources().get("CPU", 1))))
-        merge_task = _ray.remote(num_cpus=merge_cpus)(merge_spilled_partition)
-        futs = [
-            merge_task.remote(p, spill_dir, index_dir, cfg, done)
-            for p in range(cfg.num_partitions)
-        ]
-        mt = pa.concat_tables(_ray.get(futs))
-        _shutil.rmtree(spill_dir, ignore_errors=True)
-        if _timing:
-            print(
-                f"[build timing] map={_t1 - _t0:.1f}s merge={_time.perf_counter() - _t1:.1f}s",
-                file=_sys.stderr,
-            )
-    elif mode == "exchange":
-        from ..stages.twophase import map_partial, merge_partials_block
-
-        partials = pages.map_batches(
-            map_partial,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=4096,
-            fn_kwargs={"num_partitions": cfg.num_partitions, "langs": cfg.langs},
-        )
-        manifest_rows = partials.repartition(
-            num_blocks=cfg.num_partitions, keys=["partition"], sort=False
-        ).map_batches(
-            merge_partials_block,
-            batch_format="pyarrow",
-            batch_size=None,
-            # zero-copy matters for scheduling too: the batch copy would be
-            # charged to the executor's heap budget and throttle concurrency
-            zero_copy_batch=True,
-            fn_kwargs={"index_dir": index_dir, "cfg": cfg, "resume": done},
-        )
-    else:
-        prepared = pages.map_batches(
-            prepare_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            fn_kwargs={"num_partitions": cfg.num_partitions, "langs": cfg.langs},
-        )
-        manifest_rows = prepared.repartition(
-            num_blocks=cfg.num_partitions, keys=["partition"], sort=False
-        ).map_batches(
-            build_partitions_block,
-            batch_format="pyarrow",
-            batch_size=None,  # one batch per hash-partitioned block
-            zero_copy_batch=True,
-            fn_kwargs={"index_dir": index_dir, "cfg": cfg, "resume": done},
-        )
-    if mode != "twophase":
-        # tiny (num_partitions rows): safe to materialize; drives execution
-        mt = pa.concat_tables(manifest_rows.iter_batches(batch_format="pyarrow"))
     built = mt.filter(pa.compute.equal(mt.column("skipped_resume"), False)) if len(mt) else mt
 
     # authoritative stats come from the on-disk manifests (includes resumed parts)

@@ -3,12 +3,14 @@
 765-834 `connectNeighbors`).
 
 Where the reference mutates a shared arena under per-node locks
-(Index.h:73,664,769,780), we shuffle-then-own: `groupby(partition)` delivers
-every document of a partition to exactly one task, which builds that
-partition's complete segment (posting lists) and docmap with NO shared state
-and NO locks (SURVEY.md §4 'build mutual exclusion: designed away').
-
-One map_groups task per partition does:
+(Index.h:73,664,769,780), we partition-then-own: every document of a
+partition reaches exactly one merge task, which builds that partition's
+complete segment (posting lists) and docmap with NO shared state and NO
+locks (SURVEY.md §4 'build mutual exclusion: designed away'). The engine's
+build runs that as the two-phase spill build (stages/twophase.py); this
+module holds what it shares — segment/docmap schemas and paths, the atomic
+writer, the url dedup rule — and `build_partition`, the straight one-task
+build of a partition that tests hold the two-phase build equal to:
     dedup by url (keep latest warc_ts)  -> D4
     sort by doc_id                       (build-time ordering invariant §2.9)
     tokenize -> (term, doc_id, tf)       -> M4
@@ -27,6 +29,7 @@ import pyarrow.parquet as pq
 
 from ..config import IndexConfig
 from ..functions.codec import encode_segment_table
+from ..functions.hashes import stable_hash64
 from ..functions.tokenize import term_frequencies
 from ..state.manifest import PartitionManifest, write_manifest
 
@@ -73,14 +76,23 @@ def docmap_path(index_dir: str, partition: int) -> str:
     return os.path.join(index_dir, "docmap", f"part-{partition:05d}.parquet")
 
 
+def text_tie_hash(texts) -> np.ndarray:
+    """Recrawl tie key: among versions of one url with the same warc_ts, the
+    greatest 63-bit stable_hash64(text) wins. Every winner rule uses this one
+    key (dedup_latest, the two-phase map and merge, the positions sidecar),
+    so all build paths and layouts keep the same version."""
+    return (stable_hash64(texts) & np.uint64(2**63 - 1)).astype(np.int64)
+
+
 def dedup_latest(group: pa.Table) -> pa.Table:
-    """Exact dedup by url, keep the latest warc_ts (ties: lexicographically
-    greatest text hash — fully deterministic). SURVEY.md §2.7 D4."""
+    """Exact dedup by url, keep the latest warc_ts (ties: greatest
+    text_tie_hash — fully deterministic). SURVEY.md §2.7 D4."""
     import pyarrow.compute as pc
 
+    tie = pa.array(text_tie_hash(group.column("text")), type=pa.int64())
     order = pc.sort_indices(
-        group,
-        sort_keys=[("url", "ascending"), ("warc_ts", "descending"), ("text", "descending")],
+        group.append_column("_tie", tie),
+        sort_keys=[("url", "ascending"), ("warc_ts", "descending"), ("_tie", "descending")],
     )
     sorted_t = group.take(order)
     urls = sorted_t.column("url").to_numpy(zero_copy_only=False)
@@ -112,31 +124,12 @@ def _clamp_worker_threads() -> None:
         _threads_clamped = True
 
 
-def build_partitions_block(
-    block: pa.Table, index_dir: str, cfg: IndexConfig, resume: set[int] | None = None
-) -> pa.Table:
-    """map_batches fn over a hash-repartitioned block (repartition(keys=
-    ["partition"], sort=False) co-locates each partition's rows in one block
-    WITHOUT a global sort — cheaper than the sort-based groupby and exactly
-    the ownership transfer the build needs). A block may carry several
-    partitions; loop them."""
-    if len(block) == 0:
-        return MANIFEST_ROW_SCHEMA.empty_table()
-    _clamp_worker_threads()
-    import pyarrow.compute as pc
-
-    parts = pc.unique(block.column("partition")).to_pylist()
-    outs = []
-    for p in sorted(parts):
-        grp = block.filter(pc.equal(block.column("partition"), p))
-        outs.append(build_partition(grp, index_dir, cfg, resume))
-    return pa.concat_tables(outs)
-
-
 def build_partition(
     group: pa.Table, index_dir: str, cfg: IndexConfig, resume: set[int] | None = None
 ) -> pa.Table:
-    """All pages of one partition -> segment files + manifest row."""
+    """All pages of one partition -> segment files + manifest row, in one
+    task with no spill or merge: the reference the two-phase build
+    (stages/twophase.py) must match segment for segment."""
     if len(group) == 0:
         return pa.table([[-1], [0], [0], [0], [0], [False]], schema=MANIFEST_ROW_SCHEMA)
     partition = int(group.column("partition")[0].as_py())
@@ -172,7 +165,7 @@ def build_partition(
     hasher = hashlib.blake2b(digest_size=16)
     if len(p_terms):
         # posting blobs store partition-local docmap positions, not raw ids
-        # (small deltas -> 1-2 byte varints; see twophase._merge_one_partition)
+        # (small deltas -> 1-2 byte varints; see twophase._merge_finalize)
         cols, tb, _te = encode_segment_table(
             p_terms, pos, p_tfs, p_dls, block_size=cfg.block_size
         )

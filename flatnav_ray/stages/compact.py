@@ -31,6 +31,7 @@ from .build import (
     docmap_path,
     segment_path,
 )
+from .twophase import MERGE_NUM_CPUS
 
 
 def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConfig,
@@ -229,10 +230,8 @@ def merge_indexes(src_dirs: list[str], out_dir: str, cfg: IndexConfig | None = N
         assert float(st["b"]) == float(stats0["b"]), "b mismatch"
     assert int(stats0["block_size"]) == cfg.block_size, "block_size mismatch"
     os.makedirs(out_dir, exist_ok=True)
-    # DRAM-bound like the build merge: cores/2 concurrent is the measured
-    # memory-controller saturation point (see pipelines/build.py)
-    merge_cpus = max(1, min(int(os.environ.get("FLATNAV_MERGE_NUM_CPUS", "2")),
-                            int(ray.cluster_resources().get("CPU", 1))))
+    # DRAM-bound like the build merge (see twophase.MERGE_NUM_CPUS)
+    merge_cpus = max(1, min(MERGE_NUM_CPUS, int(ray.cluster_resources().get("CPU", 1))))
     task = ray.remote(num_cpus=merge_cpus)(_merge_one)
     parts = sorted({int(p) for s in src_dirs for p in load_stats(s)["partitions"]})
     out = ray.get(

@@ -45,9 +45,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from ..functions.hashes import stable_hash64
 from ..functions.tokenize import token_positions
-from .build import _atomic_write_parquet, _clamp_worker_threads, docmap_path
+from .build import _atomic_write_parquet, _clamp_worker_threads, docmap_path, text_tie_hash
 from .twophase import _bin_row_views
 
 POS_SCHEMA = pa.schema(
@@ -106,7 +105,7 @@ def map_positions_partial(
     prep = prepare_batch(batch, num_partitions, langs)
     if len(prep) == 0:
         return POS_PARTIAL_SCHEMA.empty_table()
-    th = (stable_hash64(prep.column("text")) & np.uint64(2**63 - 1)).astype(np.int64)
+    th = text_tie_hash(prep.column("text"))
     prep = prep.append_column("text_hash", pa.array(th, type=pa.int64()))
     order = pc.sort_indices(
         prep,
@@ -205,7 +204,7 @@ def map_positions_partial(
 
 def merge_positions_partition(grp: pa.Table, index_dir: str) -> pa.Table:
     """Reduce side: all of one partition's packed partials -> possegment.
-    Winner resolution replicates twophase._merge_one_partition step 1
+    Winner resolution replicates twophase._merge_prepare step 1
     bit-for-bit; occurrence order is restored by ONE values-only packed sort
     on (term code, docmap row, token position) — unique keys, introsort."""
     _clamp_worker_threads()

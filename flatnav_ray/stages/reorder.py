@@ -75,7 +75,7 @@ def doc_similarity_graph(
     if pos.size == 0 or n_docs == 0:
         return np.zeros(n_docs + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
     # group postings by term (positions fit 32 bits: asserted by caller's
-    # packed-key sort in twophase._merge_one_partition)
+    # packed-key sort in twophase._merge_finalize)
     order = np.argsort((codes << np.int64(32)) | pos, kind="stable")
     c = codes[order]
     p = pos[order]

@@ -1,17 +1,19 @@
 """Two-phase build: map-side partial segments -> per-partition merge.
 
-The scaling path for the doc-partitioned build (default in
-pipelines/build.py). The one-phase build does ALL heavy work (tokenize +
-encode) in reducers behind the shuffle barrier; here the map side does it
-pipelined with the Parquet read, and only compact partials cross the network:
+The one build path of the doc-partitioned layout (pipelines/build.py). The
+heavy work (tokenize + per-partition packing) runs on the map side,
+pipelined with the Parquet read, and only compact partials cross to the
+reducers, through spill files rather than the object store:
 
-    read_parquet -> map_batches(extract + tokenize + per-partition PARTIAL
-                                 docmap/postings, packed numpy blobs)
-      [streams: every input block's partial enters the shuffle immediately;
-       shuffled bytes ≈ 4-8x smaller than raw text]
-    -> repartition(keys=[partition], hash shuffle)
-    -> merge task per partition: resolve url-recrawl winners across partials,
-       drop loser postings, global (term, doc_id) sort, encode, write.
+    read_parquet -> map_batches(map_partial_spill: extract + tokenize +
+                                 per-partition PARTIAL docmap/postings,
+                                 packed numpy blobs)
+      [streams: every input block's partials land on the spill as soon as
+       they are built; spilled bytes ≈ 4-8x smaller than raw text]
+    -> map barrier
+    -> merge_spilled_partition per partition: resolve url-recrawl winners
+       across partials, drop loser postings, k-way merge of the sorted runs,
+       encode, write.
 
 This is the Lucene flush-segment + merge design re-expressed on Ray Data —
 and the reference's two-phase `allocate_nodes + build_graph_links` bulk path
@@ -32,7 +34,6 @@ import pyarrow as pa
 
 from ..config import IndexConfig
 from ..functions.codec import encode_segment_table
-from ..functions.hashes import stable_hash64
 from ..functions.tokenize import term_frequencies_encoded
 from ..state.manifest import PartitionManifest, write_manifest
 from .build import (
@@ -43,6 +44,7 @@ from .build import (
     _clamp_worker_threads,
     docmap_path,
     segment_path,
+    text_tie_hash,
 )
 
 PARTIAL_SCHEMA = pa.schema(
@@ -71,8 +73,8 @@ PARTIAL_SCHEMA = pa.schema(
         # width-adaptive packing: a map batch's partition slice has ≤ a few
         # thousand docs and local terms, so codes/ordinals/tfs almost always
         # fit uint16, halving the spilled posting bytes (6 B/posting instead
-        # of 12) on BOTH sides of the exchange of the DRAM-bound merge;
-        # consolidated runs grow back to uint32 only when they must
+        # of 12) on BOTH sides of the exchange of the DRAM-bound merge; a
+        # stream grows to uint32 only when its slice needs it
         ("w_code", pa.int8()),
         ("w_ord", pa.int8()),
         ("w_tf", pa.int8()),
@@ -83,6 +85,16 @@ PARTIAL_SCHEMA = pa.schema(
 )
 
 _WIDTH_DT = {2: np.uint16, 4: np.uint32}
+
+# CPUs reserved per merge task (the build merge here, the compaction merge in
+# stages/compact.py). Merges are DRAM-bandwidth-bound, not core-bound: one per
+# core queues the memory controller superlinearly (measured on the 1M-doc
+# spill: 32 concurrent merges 65-82s, 16 concurrent 24-25s, 8 concurrent 32s
+# — cores/2 is the saturation point). Reserving a ~2-core bandwidth slot per
+# merge holds on any node size, and per node on a multi-node cluster (each
+# node schedules its own merges against its own memory bus). Callers clamp
+# it to the cluster's CPU count.
+MERGE_NUM_CPUS = 2
 
 
 def _width_for(max_value: int) -> int:
@@ -129,7 +141,7 @@ def map_partial(batch: pa.Table, num_partitions: int, langs: tuple[str, ...] | N
     if len(prep) == 0:
         return PARTIAL_SCHEMA.empty_table()
     # within-batch dedup by doc_id, keep max (warc_ts, text_hash)
-    text_hash = (stable_hash64(prep.column("text")) & np.uint64(2**63 - 1)).astype(np.int64)
+    text_hash = text_tie_hash(prep.column("text"))
     prep = prep.append_column("text_hash", pa.array(text_hash, type=pa.int64()))
     order = pc.sort_indices(
         prep,
@@ -286,10 +298,6 @@ def map_partial_spill(
     small files per partition, and Parquet's footer/statistics machinery was
     a measurable per-file fixed cost on BOTH sides of the exchange; the IPC
     path is a near-raw buffer write/read with the same lz4 compression."""
-    import uuid
-
-    import pyarrow.ipc as ipc
-
     part_tbl = map_partial(batch, num_partitions, langs)
     out = [int(p) for p in part_tbl.column("partition").to_pylist()]
     for i, p in enumerate(out):
@@ -299,25 +307,18 @@ def map_partial_spill(
     return pa.table({"partition": pa.array(out, type=pa.int32())})
 
 
-def _write_spill_pair(d: str, row: pa.Table, consolidated: bool = False) -> None:
+def _write_spill_pair(d: str, row: pa.Table) -> None:
     """Write one partial row as its post-<uid>/meta-<uid> pair (atomic
     tmp+rename each). This helper OWNS the crash-safety ordering invariant:
     the post file lands first, the meta file second — a meta file's
     presence is the commit marker the streaming merge keys on, so a crash
-    can only ever leave an orphan post file, which is never read.
-
-    consolidated=True names the pair meta-cons-<uid>/post-cons-<uid>: the
-    final merge reads it like any pair (it derives the post path from the
-    meta prefix), but the map-phase consolidation snapshot EXCLUDES the
-    cons- prefix — without it, each fold re-entered every later snapshot
-    and the ever-growing consolidated run was re-read and re-written each
-    round (O(N^2) posting I/O over a long map phase)."""
+    can only ever leave an orphan post file, which is never read."""
     import uuid
 
     import pyarrow.ipc as ipc
 
     opts = ipc.IpcWriteOptions(compression="lz4")
-    uid = ("cons-" if consolidated else "") + uuid.uuid4().hex
+    uid = uuid.uuid4().hex
     for name, tbl in (
         (f"post-{uid}.arrows", row.select(["partition", *_POST_COLS])),
         (f"meta-{uid}.arrows", row.drop_columns(list(_POST_COLS))),
@@ -386,218 +387,6 @@ def merge_spilled_partition(
         del post  # frees this partial's decompressed posting buffers
         _tm["winnow"] = _tm.get("winnow", 0.0) + (_t.perf_counter() - _t0)
     return _merge_finalize(ctx, partition, index_dir, cfg, _tm)
-
-
-def combine_partials(grp: pa.Table) -> pa.Table | None:
-    """Associative partial->partial combiner: merge m partial rows of ONE
-    partition into a single partial row (same PARTIAL_SCHEMA, same
-    invariants), so spill runs can be consolidated WHILE the map phase is
-    still producing them (the map/merge overlap the build barrier forbids
-    otherwise — partition P's final merge can only start once every map
-    task has spilled, but consolidating P's already-landed runs into one
-    bigger run is legal at any time).
-
-    Correctness rests on the winner rule being an associative lexicographic
-    max per doc_id: winner(winner(A,B),C) == winner(A,B,C), and postings of
-    losers are dropped exactly as the final merge would drop them. The
-    output keeps the SORTED-RUN INVARIANT (lex-sorted dictionary, postings
-    sorted by (term code, doc ordinal)): both the code remap (lex-sorted
-    local dict -> lex-sorted union dict) and the ordinal remap (ascending
-    doc_ids -> ascending union doc_ids) are monotone, so each input arrives
-    as a sorted run and the output is their k-way merge.
-
-    Returns None when code/ordinal/tf widths cannot pack into one uint64
-    sort word (the caller then leaves the original spill files untouched —
-    the merge handles any mix of consolidated and raw runs identically)."""
-    n_partials = len(grp)
-    if n_partials <= 1:
-        return grp
-
-    v_dm_ids = _bin_row_views(grp.column("dm_doc_ids"))
-    v_dm_lens = _bin_row_views(grp.column("dm_doc_lens"))
-    v_dm_ts = _bin_row_views(grp.column("dm_warc_ts"))
-    v_dm_th = _bin_row_views(grp.column("dm_text_hash"))
-    v_p_ord = _bin_row_views(grp.column("p_doc_ord"))
-    v_p_tfs = _bin_row_views(grp.column("p_tfs"))
-    v_p_codes = _bin_row_views(grp.column("p_term_idx"))
-
-    # 1. winner per doc_id across inputs (same lexicographic-max rule and
-    # the same code shape as _merge_one_partition step 1)
-    dm_ids = [v.view(np.int64) for v in v_dm_ids]
-    all_ids = np.concatenate(dm_ids)
-    all_ts = np.concatenate([v.view(np.int64) for v in v_dm_ts])
-    all_th = np.concatenate([v.view(np.int64) for v in v_dm_th])
-    all_lens = np.concatenate([v.view(np.int32) for v in v_dm_lens])
-    all_partial = np.concatenate(
-        [np.full(ids.size, i, dtype=np.int32) for i, ids in enumerate(dm_ids)]
-    )
-    order = np.lexsort((-all_th, -all_ts, all_ids))
-    s_ids = all_ids[order]
-    first = np.ones(s_ids.size, dtype=bool)
-    first[1:] = s_ids[1:] != s_ids[:-1]
-    win_rows = order[first]          # concatenated-row index per winner, doc_id-asc
-    win_sorted = s_ids[first]        # ascending unique doc_ids
-    win_partial = all_partial[win_rows]
-
-    # 2. union dictionary (lex-sorted) + per-input monotone code remap
-    terms_col = grp.column("terms")
-    terms_list = terms_col.combine_chunks() if isinstance(terms_col, pa.ChunkedArray) else terms_col
-    all_dicts = terms_list.flatten()
-    dict_offs = np.concatenate(
-        ([0], np.cumsum([len(terms_col[i]) for i in range(n_partials)]))
-    ).astype(np.int64)
-    if len(all_dicts):
-        u = pa.compute.unique(all_dicts)
-        vocab = u.take(pa.compute.sort_indices(u))
-        dict_inv = pa.compute.index_in(all_dicts, value_set=vocab).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-    else:
-        vocab = pa.array([], type=pa.string())
-        dict_inv = np.empty(0, dtype=np.int64)
-
-    # 3. winnow losers, remap, merge the m sorted runs on one packed word
-    bits_ord = max(1, int(win_sorted.size - 1).bit_length()) if win_sorted.size > 1 else 1
-    bits_code = max(1, int(len(vocab) - 1).bit_length()) if len(vocab) > 1 else 1
-    tfm = grp.column("tf_max").to_numpy(zero_copy_only=False)
-    tf_bound = max(1, int(tfm.max(initial=0)))
-    bits_tf = max(1, tf_bound.bit_length())
-    if bits_code + bits_ord + bits_tf > 64:
-        return None
-    dts = _stream_dtypes(grp)
-    sh_ord, sh_code = np.uint64(bits_tf), np.uint64(bits_tf + bits_ord)
-    runs: list[np.ndarray] = []
-    for i in range(n_partials):
-        dt_code, dt_ord, dt_tf = dts[i]
-        ords = v_p_ord[i].view(dt_ord)
-        if ords.size == 0:
-            continue
-        g = np.searchsorted(win_sorted, dm_ids[i])   # old ordinal -> new ordinal
-        keep_doc = win_partial[g] == i
-        keep = keep_doc[ords]
-        if not keep.any():
-            continue
-        doc_word = g.astype(np.uint64) << sh_ord
-        remap_w = dict_inv[dict_offs[i]: dict_offs[i + 1]].astype(np.uint64) << sh_code
-        runs.append(
-            remap_w[v_p_codes[i].view(dt_code)[keep]]
-            | doc_word[ords[keep]]
-            | v_p_tfs[i].view(dt_tf)[keep].astype(np.uint64)
-        )
-    word = _merge_sorted_runs(runs)
-    w_code_o = _width_for(len(vocab) - 1)
-    w_ord_o = _width_for(win_sorted.size - 1)
-    new_codes = (word >> sh_code).astype(_WIDTH_DT[w_code_o])
-    new_ords = ((word >> sh_ord) & np.uint64((1 << bits_ord) - 1)).astype(_WIDTH_DT[w_ord_o])
-    new_tfs32 = (word & np.uint64((1 << bits_tf) - 1)).astype(np.uint32)
-    del word
-    tf_max_o = int(new_tfs32.max(initial=0))
-    w_tf_o = _width_for(tf_max_o)
-    new_tfs = new_tfs32.astype(_WIDTH_DT[w_tf_o])
-    del new_tfs32
-
-    take_idx = pa.array(win_rows.astype(np.int64))
-    urls_concat = pa.concat_arrays(
-        [grp.column("dm_urls")[i].values for i in range(n_partials)]
-    )
-    langs_concat = pa.concat_arrays(
-        [grp.column("dm_langs")[i].values for i in range(n_partials)]
-    )
-
-    def _one_list(arr: pa.Array) -> pa.ListArray:
-        return pa.ListArray.from_arrays(pa.array([0, len(arr)], type=pa.int32()), arr)
-
-    return pa.table(
-        [
-            grp.column("partition").slice(0, 1).combine_chunks()
-            if isinstance(grp.column("partition"), pa.ChunkedArray)
-            else grp.column("partition").slice(0, 1),
-            pa.array([win_sorted.tobytes()], type=pa.binary()),
-            pa.array([all_lens[win_rows].tobytes()], type=pa.binary()),
-            pa.array([all_ts[win_rows].tobytes()], type=pa.binary()),
-            pa.array([all_th[win_rows].tobytes()], type=pa.binary()),
-            _one_list(urls_concat.take(take_idx)),
-            _one_list(langs_concat.take(take_idx)),
-            _one_list(vocab),
-            pa.array([tf_max_o], type=pa.int32()),
-            pa.array([w_code_o], type=pa.int8()),
-            pa.array([w_ord_o], type=pa.int8()),
-            pa.array([w_tf_o], type=pa.int8()),
-            pa.array([new_codes.tobytes()], type=pa.binary()),
-            pa.array([new_ords.tobytes()], type=pa.binary()),
-            pa.array([new_tfs.tobytes()], type=pa.binary()),
-        ],
-        schema=PARTIAL_SCHEMA,
-    )
-
-
-def consolidate_spilled_runs(partition: int, spill_dir: str, files: list[str]) -> int:
-    """Merge an explicit snapshot of part=P spill pairs into ONE consolidated
-    pair, then delete the originals. Run as a raw Ray task concurrently
-    with the map phase (the driver passes a snapshot list of META files, so
-    pairs still being written never enter; map-side writes are atomic
-    tmp+rename with the meta file as the commit marker).
-
-    Crash-safe without coordination: if the task dies after the rename but
-    before the deletes, the final merge sees a doc both in the consolidated
-    run and in an original pair — identical (doc_id, warc_ts, text_hash)
-    rows whose winner resolution picks either copy with identical postings,
-    so the output segment is unchanged. Old metas are deleted before old
-    posts, so a crash mid-delete leaves only orphan post files, which the
-    meta-driven merge never reads. Returns merged postings rows (possibly
-    0 for an all-empty run), or -1 when the sort-word widths cannot pack —
-    the originals are then left untouched for the final merge."""
-    import pyarrow.ipc as ipc
-
-    _clamp_worker_threads()
-    metas = [f for f in files if os.path.basename(f).startswith("meta-")]
-    posts = [
-        os.path.join(os.path.dirname(f), "post-" + os.path.basename(f)[len("meta-"):])
-        for f in metas
-    ]
-    tables = []
-    for mf, pf in zip(metas, posts):
-        with ipc.open_stream(mf) as r:
-            m = r.read_all()
-        with ipc.open_stream(pf) as r:
-            p = r.read_all()
-        tables.append(
-            pa.table(
-                [m.column(c.name) if c.name not in _POST_COLS else p.column(c.name)
-                 for c in PARTIAL_SCHEMA],
-                schema=PARTIAL_SCHEMA,
-            )
-        )
-    grp = pa.concat_tables(tables)
-    del tables
-    out = combine_partials(grp)
-    if out is None:  # unpackable widths: leave the originals for the merge
-        return -1
-    _write_spill_pair(
-        os.path.join(spill_dir, f"part={partition:05d}"), out, consolidated=True
-    )
-    for f in metas:
-        os.remove(f)
-    for f in posts:
-        os.remove(f)
-    # posting count = tf blob bytes / the width it was actually packed with
-    return int(_bin_row_views(out.column("p_tfs"))[0].size // int(out.column("w_tf")[0].as_py()))
-
-
-def merge_partials_block(
-    block: pa.Table, index_dir: str, cfg: IndexConfig, resume: set[int] | None = None
-) -> pa.Table:
-    """Reduce side: all partials of one (or more) partitions -> final segment."""
-    _clamp_worker_threads()
-    import pyarrow.compute as pc
-
-    if len(block) == 0:
-        return MANIFEST_ROW_SCHEMA.empty_table()
-    outs = []
-    for p in sorted(pc.unique(block.column("partition")).to_pylist()):
-        grp = block.filter(pc.equal(block.column("partition"), p))
-        outs.append(_merge_one_partition(grp, int(p), index_dir, cfg, resume))
-    return pa.concat_tables(outs)
 
 
 def _bin_row_views(col) -> list[np.ndarray]:
@@ -1033,32 +822,3 @@ def _merge_finalize(
         schema=MANIFEST_ROW_SCHEMA,
     )
 
-
-def _merge_one_partition(
-    grp: pa.Table, partition: int, index_dir: str, cfg: IndexConfig,
-    resume: set[int] | None, read_s: float = 0.0,
-) -> pa.Table:
-    """In-memory merge of one partition's partial rows (the exchange-mode
-    reducer path and the combiner tests) — same three stages as the
-    streaming `merge_spilled_partition`, with every partial already
-    resident."""
-    if resume and partition in resume:
-        return pa.table([[partition], [0], [0], [0], [0], [True]], schema=MANIFEST_ROW_SCHEMA)
-    import time as _t
-
-    _tm: dict[str, float] = {"read": read_s}
-    ctx = _merge_prepare(grp, cfg, _tm)
-    dts = _stream_dtypes(grp)
-    v_p_ord = _bin_row_views(grp.column("p_doc_ord"))
-    v_p_tfs = _bin_row_views(grp.column("p_tfs"))
-    v_p_codes = _bin_row_views(grp.column("p_term_idx"))
-    _t0 = _t.perf_counter()
-    for i in range(ctx.n_partials):
-        _winnow_partial(
-            ctx, i,
-            v_p_codes[i].view(dts[i][0]),
-            v_p_ord[i].view(dts[i][1]),
-            v_p_tfs[i].view(dts[i][2]),
-        )
-    _tm["winnow"] = _tm.get("winnow", 0.0) + (_t.perf_counter() - _t0)
-    return _merge_finalize(ctx, partition, index_dir, cfg, _tm)

@@ -7,6 +7,8 @@
 * serialization round trip: fresh searcher over on-disk segments returns
   identical results (graft of test_serialization.cpp:64-75)
 * taat == maxscore (pruned search is exact)
+* two-phase spill build == the one-task `build_partition` reference,
+  including recrawl ties and 2/4-byte spill widths
 * checkpoint-resume skips completed partitions
 """
 
@@ -32,6 +34,27 @@ def built_index(ray_session, small_corpus, tmp_path_factory):
     ix = str(tmp_path_factory.mktemp("ix") / "main")
     res = build_index(ray.data.from_arrow(pages), ix, IndexConfig(num_partitions=8))
     return ix, res, pages, queries
+
+
+def _adapter_pages(urls, warc_ts, texts):
+    """Pages on the adapter path: text already extracted, html null."""
+    n = len(urls)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "warc_ts": pa.array(warc_ts, pa.timestamp("us")),
+            "html": pa.nulls(n, pa.binary()),
+            "text": pa.array(texts, pa.string()),
+            "lang": pa.array(["en"] * n, pa.string()),
+        }
+    )
+
+
+def _tie_key(texts):
+    """Spec of the same-warc_ts tie key: the 63-bit stable_hash64(text)."""
+    from flatnav_ray.functions.hashes import stable_hash64
+
+    return stable_hash64(texts) & np.uint64(2**63 - 1)
 
 
 def _oracle(pages, queries, k=10):
@@ -200,16 +223,53 @@ class TestDeterminism:
         c4, c8 = canonical_postings(ix4), canonical_postings(ix8)
         assert c4.equals(c8)
 
-    def test_twophase_equals_onephase(self, ray_session, small_corpus, tmp_path):
-        """Map-side-partial build (scale path) yields the identical index to
-        the one-shot reducer build."""
+    def test_twophase_equals_onephase(self, ray_session, tmp_path):
+        """The two-phase spill build yields the identical index to the
+        one-phase reference: `build_partition` called once per partition on
+        the whole prepared corpus, no Ray pipeline. The corpus spans two map
+        batches and carries the cross-partial winner cases: exact-duplicate
+        rows in both batches, and same-url versions with the same warc_ts
+        but different text, one version per batch."""
+        import os
+
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
         import ray.data
 
-        pages, _ = small_corpus
-        ix1, ix2 = str(tmp_path / "one"), str(tmp_path / "two")
-        build_index(ray.data.from_arrow(pages), ix1, IndexConfig(num_partitions=6), mode="onephase")
-        build_index(ray.data.from_arrow(pages), ix2, IndexConfig(num_partitions=6), mode="twophase")
-        assert canonical_postings(ix1).equals(canonical_postings(ix2))
+        from flatnav_ray.sources.synth import pages_table
+        from flatnav_ray.stages.build import build_partition
+
+        base = pages_table(4200, seed=21, vocab_size=2000, mean_len=20)
+        n_tie = 40
+        urls = [f"https://tie.example.com/p{i}" for i in range(n_tie)]
+        texts_a = [f"tie{i} alpha w000001" for i in range(n_tie)]
+        texts_b = [f"tie{i} beta w000002" for i in range(n_tie)]
+        # the case must tell the hash tie key from a raw-text one
+        hash_b = _tie_key(texts_b) > _tie_key(texts_a)
+        assert 0 < int(hash_b.sum()) < n_tie
+
+        ts = [base.column("warc_ts")[0].as_py()] * n_tie
+        # map batches are 4096 rows: version a and the originals of the
+        # duplicated rows land in the first, version b and the copies in
+        # the second
+        assert n_tie + 100 <= 4096 < n_tie + len(base)
+        pages = pa.concat_tables([
+            _adapter_pages(urls, ts, texts_a), base,
+            _adapter_pages(urls, ts, texts_b), base.slice(0, 100),
+        ])
+
+        cfg = IndexConfig(num_partitions=6)
+        ix_ref, ix_two = str(tmp_path / "ref"), str(tmp_path / "two")
+        prep = prepare_batch(pages, cfg.num_partitions, None)
+        for p in range(cfg.num_partitions):
+            build_partition(prep.filter(pc.equal(prep.column("partition"), p)), ix_ref, cfg)
+        build_index(ray.data.from_arrow(pages), ix_two, cfg)
+        assert canonical_postings(ix_ref).equals(canonical_postings(ix_two))
+        for p in range(cfg.num_partitions):
+            name = os.path.join("docmap", f"part-{p:05d}.parquet")
+            assert pq.read_table(os.path.join(ix_ref, name)).equals(
+                pq.read_table(os.path.join(ix_two, name))
+            )
 
     def test_serialization_round_trip(self, built_index):
         """Fresh searcher processes (new actor pool) over the same on-disk
@@ -283,6 +343,67 @@ class TestDedup:
         kept = dd.to_pandas().set_index("url")["warc_ts"]
         for url, grp in t.groupby("url"):
             assert kept[url] == grp["warc_ts"].max()
+
+    def test_same_ts_tie_keeps_greatest_text_hash(self):
+        """Versions of one url with the same warc_ts: the winner is the
+        greatest text_tie_hash, the key the two-phase build uses — not the
+        greatest raw text."""
+        texts = [f"v{i} text" for i in range(8)]
+        t = _adapter_pages(["https://tie.example.com/x"] * 8, [1_700_000_000] * 8, texts)
+        kept = dedup_latest(t).column("text").to_pylist()
+        assert kept == [texts[int(np.argmax(_tie_key(texts)))]]
+
+
+class TestSpillWidths:
+    def test_two_and_four_byte_partials_merge_like_reference(self, tmp_path):
+        """Spill partials pack each posting stream in 2 bytes, or 4 when the
+        slice needs it. One partition gets a tf of 65,535 (2-byte tfs), a tf
+        of 65,536 (4-byte tfs) and a slice with more than 65,536 distinct
+        terms (4-byte term codes), each in its own map batch; the merge of
+        the mixed spill must equal the `build_partition` reference."""
+        import os
+
+        import pyarrow.ipc as ipc
+
+        from flatnav_ray.stages.build import build_partition
+        from flatnav_ray.stages.twophase import map_partial_spill, merge_spilled_partition
+
+        ts = [1_700_000_000_000_000] * 3
+        many = " ".join(f"v{i}" for i in range(70_000))
+        batches = [
+            _adapter_pages(
+                [f"https://w.example.com/a{i}" for i in range(3)], ts,
+                ["alpha " * 65_535 + "beta", "alpha beta gamma", "gamma v7"],
+            ),
+            _adapter_pages(
+                [f"https://w.example.com/b{i}" for i in range(3)], ts,
+                ["alpha " * 65_536, "beta beta", "gamma v69999"],
+            ),
+            _adapter_pages(
+                [f"https://w.example.com/c{i}" for i in range(3)], ts,
+                [many, "alpha " + many, "beta"],
+            ),
+        ]
+        cfg = IndexConfig(num_partitions=1)
+        spill = str(tmp_path / "spill")
+        for b in batches:
+            map_partial_spill(b, 1, None, spill)
+        d = os.path.join(spill, "part=00000")
+        widths = set()
+        for f in os.listdir(d):
+            if f.startswith("meta-"):
+                with ipc.open_stream(os.path.join(d, f)) as r:
+                    m = r.read_all()
+                widths.add((m.column("w_code")[0].as_py(), m.column("w_tf")[0].as_py()))
+        assert widths == {(2, 2), (2, 4), (4, 2)}
+
+        ix_ref, ix_two = str(tmp_path / "ref"), str(tmp_path / "two")
+        merge_spilled_partition(0, spill, ix_two, cfg)
+        build_partition(prepare_batch(pa.concat_tables(batches), 1, None), ix_ref, cfg)
+        ref, two = canonical_postings(ix_ref), canonical_postings(ix_two)
+        assert ref.equals(two)
+        assert {65_535, 65_536} <= set(two.column("tf").to_pylist())
+        assert len(set(two.column("term").to_pylist())) > 65_536
 
 
 class TestSpillRouting:

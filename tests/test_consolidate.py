@@ -1,29 +1,19 @@
-"""Eager spill-run consolidation (map/merge overlap) — correctness.
+"""Streaming spill merge — crash windows.
 
-combine_partials is the associative partial->partial combiner that lets
-merge-type work run WHILE the map phase is still spilling; the final merge
-must produce byte-identical segments whether it reads raw partials, one
-consolidated run, or any mix (including the crash-recovery overlap case
-where a doc appears in BOTH a consolidated run and a leftover original).
+The map side writes each partial as a post-/meta- file pair, post first; a
+meta file is the commit marker the merge keys on. A crashed map task can
+therefore leave only an orphan post file, and the merge must build the
+same segments with or without it.
 """
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pytest
 
 from flatnav_ray.config import IndexConfig
-from flatnav_ray.pipelines.build import build_index, prepare_batch  # noqa: F401
 from flatnav_ray.stages.introspect import canonical_postings
-from flatnav_ray.stages.twophase import (
-    PARTIAL_SCHEMA,
-    combine_partials,
-    consolidate_spilled_runs,
-    map_partial,
-    map_partial_spill,
-    merge_spilled_partition,
-)
+from flatnav_ray.stages.twophase import map_partial_spill, merge_spilled_partition
 
 
 @pytest.fixture(scope="module")
@@ -31,150 +21,10 @@ def corpus():
     from flatnav_ray.sources.synth import pages_table
 
     # recrawl-heavy corpus: duplicate urls across batches so cross-partial
-    # winner resolution is actually exercised by the combiner
+    # winner resolution is exercised by the merge
     a = pages_table(400, seed=7, vocab_size=800, mean_len=40)
     b = pages_table(400, seed=8, vocab_size=800, mean_len=40)
     return pa.concat_tables([a, b.slice(0, 200), a.slice(0, 120)])
-
-
-def _partials_by_partition(corpus, num_partitions=4, batch_rows=150):
-    parts: dict[int, list[pa.Table]] = {p: [] for p in range(num_partitions)}
-    for off in range(0, len(corpus), batch_rows):
-        t = map_partial(corpus.slice(off, batch_rows), num_partitions, None)
-        for i in range(len(t)):
-            parts[t.column("partition")[i].as_py()].append(t.slice(i, 1))
-    return parts
-
-
-class TestCombinePartials:
-    def test_combiner_preserves_final_segments(self, corpus, tmp_path):
-        """Segments from raw partials == segments from the consolidated run."""
-        cfg = IndexConfig(num_partitions=4)
-        parts = _partials_by_partition(corpus)
-        ix_raw, ix_con = str(tmp_path / "raw"), str(tmp_path / "con")
-        os.makedirs(ix_raw), os.makedirs(ix_con)
-        from flatnav_ray.stages.twophase import merge_partials_block
-
-        for p, rows in parts.items():
-            grp = pa.concat_tables(rows)
-            merge_partials_block(grp, ix_raw, cfg)
-            combined = combine_partials(grp)
-            assert combined is not None and len(combined) == 1
-            merge_partials_block(combined, ix_con, cfg)
-        raw, con = canonical_postings(ix_raw), canonical_postings(ix_con)
-        assert raw.equals(con)
-
-    def test_combiner_output_invariants(self, corpus):
-        """Output keeps the sorted-run invariant and drops loser docs."""
-        parts = _partials_by_partition(corpus)
-        rows = parts[0]
-        grp = pa.concat_tables(rows)
-        out = combine_partials(grp)
-        assert out.schema.equals(PARTIAL_SCHEMA)
-        ids = np.frombuffer(out.column("dm_doc_ids")[0].as_py(), dtype=np.int64)
-        assert np.all(np.diff(ids) > 0)  # ascending unique doc_ids
-        from flatnav_ray.stages.twophase import _WIDTH_DT
-
-        dt_code = _WIDTH_DT[out.column("w_code")[0].as_py()]
-        dt_ord = _WIDTH_DT[out.column("w_ord")[0].as_py()]
-        codes = np.frombuffer(out.column("p_term_idx")[0].as_py(), dtype=dt_code)
-        ords = np.frombuffer(out.column("p_doc_ord")[0].as_py(), dtype=dt_ord)
-        key = codes.astype(np.int64) << 32 | ords.astype(np.int64)
-        assert np.all(np.diff(key) > 0)  # sorted by (code, ord), unique
-        terms = out.column("terms")[0].values
-        assert pa.compute.all(
-            pa.compute.sort_indices(terms)
-            == pa.array(np.arange(len(terms), dtype=np.uint64))
-        ).as_py()  # lex-sorted dictionary
-        assert ords.max() < ids.size and codes.max() < len(terms)
-
-    def test_combiner_idempotent_on_duplicates(self, corpus, tmp_path):
-        """Crash-overlap case: consolidated run PLUS a leftover original
-        partial (same docs twice) still merges to identical segments."""
-        cfg = IndexConfig(num_partitions=4)
-        parts = _partials_by_partition(corpus)
-        from flatnav_ray.stages.twophase import merge_partials_block
-
-        ix_a, ix_b = str(tmp_path / "a"), str(tmp_path / "b")
-        os.makedirs(ix_a), os.makedirs(ix_b)
-        for p, rows in parts.items():
-            grp = pa.concat_tables(rows)
-            merge_partials_block(grp, ix_a, cfg)
-            dup = pa.concat_tables([combine_partials(grp), rows[0]])
-            merge_partials_block(dup, ix_b, cfg)
-        assert canonical_postings(ix_a).equals(canonical_postings(ix_b))
-
-    def test_single_partial_passthrough(self, corpus):
-        parts = _partials_by_partition(corpus)
-        one = parts[1][0]
-        assert combine_partials(one) is one
-
-
-class TestConsolidateFiles:
-    def test_consolidate_spilled_runs_file_plumbing(self, corpus, tmp_path):
-        """consolidate_spilled_runs: originals deleted, one run- file left,
-        merge over the consolidated spill == merge over a raw copy."""
-        cfg = IndexConfig(num_partitions=4)
-        spill_a, spill_b = str(tmp_path / "sa"), str(tmp_path / "sb")
-        for off in range(0, len(corpus), 150):
-            batch = corpus.slice(off, 150)
-            map_partial_spill(batch, 4, None, spill_a)
-            map_partial_spill(batch, 4, None, spill_b)
-        ix_a, ix_b = str(tmp_path / "ixa"), str(tmp_path / "ixb")
-        os.makedirs(ix_a), os.makedirs(ix_b)
-        for p in range(4):
-            d = os.path.join(spill_b, f"part={p:05d}")
-            fs = sorted(os.path.join(d, f) for f in os.listdir(d))
-            n = consolidate_spilled_runs(p, spill_b, fs)
-            assert n > 0
-            left = sorted(os.listdir(d))
-            assert len(left) == 2  # one consolidated meta+post pair
-            assert left[0].startswith("meta-") and left[1].startswith("post-")
-            assert left[0][len("meta-"):] == left[1][len("post-"):]
-            # fold outputs carry the cons- prefix so the map-phase snapshot
-            # filter (pipelines/build.py _kick) never re-folds them —
-            # re-reading the growing consolidated run each round is O(N^2)
-            assert left[0].startswith("meta-cons-")
-            snapshot = [
-                f for f in left
-                if f.startswith("meta-") and not f.startswith("meta-cons-")
-            ]
-            assert snapshot == []
-            # returned posting count must match the width the tfs were
-            # actually packed with (regression: a /4 divisor halved the
-            # count for uint16 runs and returned 0 for 1-posting runs)
-            import pyarrow.ipc as ipc
-
-            with ipc.open_stream(os.path.join(d, left[0])) as r:
-                meta = r.read_all()
-            with ipc.open_stream(os.path.join(d, left[1])) as r:
-                post = r.read_all()
-            w_tf = meta.column("w_tf")[0].as_py()
-            assert n == len(post.column("p_tfs")[0].as_py()) // w_tf
-            merge_spilled_partition(p, spill_a, ix_a, cfg)
-            merge_spilled_partition(p, spill_b, ix_b, cfg)
-        assert canonical_postings(ix_a).equals(canonical_postings(ix_b))
-
-
-class TestBuildOverlap:
-    def test_build_with_eager_consolidation_identical(
-        self, ray_session, tmp_path, monkeypatch
-    ):
-        """End-to-end: build with the overlapped consolidation loop (forced
-        low trigger) == build with consolidation off."""
-        import ray.data
-
-        from flatnav_ray.sources.synth import pages_table
-
-        pages = pages_table(9000, seed=11, vocab_size=3000, mean_len=30)
-        blocks = [pages.slice(o, 1500) for o in range(0, 9000, 1500)]
-        monkeypatch.setenv("FLATNAV_CONSOLIDATE_MIN_FILES", "2")
-        ix_on, ix_off = str(tmp_path / "on"), str(tmp_path / "off")
-        monkeypatch.setenv("FLATNAV_CONSOLIDATE", "1")
-        build_index(ray.data.from_arrow(blocks), ix_on, IndexConfig(num_partitions=4))
-        monkeypatch.setenv("FLATNAV_CONSOLIDATE", "0")
-        build_index(ray.data.from_arrow(blocks), ix_off, IndexConfig(num_partitions=4))
-        assert canonical_postings(ix_on).equals(canonical_postings(ix_off))
 
 
 class TestStreamingMergeCrashWindows:
@@ -197,30 +47,6 @@ class TestStreamingMergeCrashWindows:
         ix_a, ix_b = str(tmp_path / "ixa"), str(tmp_path / "ixb")
         os.makedirs(ix_a), os.makedirs(ix_b)
         for p in range(4):
-            merge_spilled_partition(p, spill_a, ix_a, cfg)
-            merge_spilled_partition(p, spill_b, ix_b, cfg)
-        assert canonical_postings(ix_a).equals(canonical_postings(ix_b))
-
-    def test_partial_consolidation_mixes_with_raw_pairs(self, corpus, tmp_path):
-        """The merge must read any MIX of consolidated runs and raw pairs
-        (the overlap loop consolidates snapshots while the map is still
-        spilling, so this is the steady state, not an edge case)."""
-        cfg = IndexConfig(num_partitions=4)
-        spill_a, spill_b = str(tmp_path / "sa"), str(tmp_path / "sb")
-        for off in range(0, len(corpus), 150):
-            batch = corpus.slice(off, 150)
-            map_partial_spill(batch, 4, None, spill_a)
-            map_partial_spill(batch, 4, None, spill_b)
-        ix_a, ix_b = str(tmp_path / "ixa"), str(tmp_path / "ixb")
-        os.makedirs(ix_a), os.makedirs(ix_b)
-        for p in range(4):
-            d = os.path.join(spill_b, f"part={p:05d}")
-            metas = sorted(
-                os.path.join(d, f) for f in os.listdir(d) if f.startswith("meta-")
-            )
-            # consolidate only the first half; the rest stay raw pairs
-            n = consolidate_spilled_runs(p, spill_b, metas[: len(metas) // 2])
-            assert n > 0
             merge_spilled_partition(p, spill_a, ix_a, cfg)
             merge_spilled_partition(p, spill_b, ix_b, cfg)
         assert canonical_postings(ix_a).equals(canonical_postings(ix_b))

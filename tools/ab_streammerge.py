@@ -1,6 +1,6 @@
 """Interleaved A/B: streaming merge (HEAD) vs a baseline checkout — 1M-doc build.
 
-Same methodology as BENCH/AB_r1_vs_r3.md / ab_consolidate.py: arms strictly
+Same methodology as BENCH/AB_r1_vs_r3.md: arms strictly
 interleaved, fresh process + fresh Ray session per leg, same synthetic corpus
 parameters, taskset-pinned, bandwidth probe recorded per leg so host-noise
 windows are visible. The baseline arm runs bench.py from a separate checkout
