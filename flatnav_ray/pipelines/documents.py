@@ -44,8 +44,11 @@ def _q6(x: np.ndarray) -> np.ndarray:
     sub-ULP accumulation differences between numpy folds and DuckDB's
     internal summation (measured ~1e-14 relative on unigram_ppl) break
     the driver's exact value-hash; a 1e-6 quantum is 8 orders of
-    magnitude coarser than the drift."""
+    magnitude coarser than the drift. Non-finite input raises: inf/NaN
+    has no int64 value (the cast would emit garbage)."""
     s = x * 1e6
+    if not np.isfinite(s).all():
+        raise ValueError(f"_q6: {int((~np.isfinite(s)).sum())} non-finite value(s) to quantize")
     return np.where(s >= 0, np.floor(s + 0.5), np.ceil(s - 0.5)).astype(np.int64)
 
 
@@ -1094,20 +1097,25 @@ def embedding_dups_lsh_recall(sf_dir: str, threshold: float = 0.3,
         ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
         .map_batches(_collect, batch_format="pyarrow")
     )
-    if len(emb_tbl):
-        emb_tbl = emb_tbl.sort_by("vec_id")
-        vid = emb_tbl.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    cos = np.empty(0)
+    if len(lsh):
+        vid = np.empty(0, np.int64)
+        if len(emb_tbl):
+            emb_tbl = emb_tbl.sort_by("vec_id")
+            vid = emb_tbl.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        a = np.clip(np.searchsorted(vid, ids_a), 0, max(vid.size - 1, 0))
+        b = np.clip(np.searchsorted(vid, ids_b), 0, max(vid.size - 1, 0))
+        if not vid.size or not ((vid[a] == ids_a).all() and (vid[b] == ids_b).all()):
+            missing = np.setdiff1d(need, vid)
+            raise ValueError(
+                f"LSH pairs reference {missing.size} vec_id(s) absent from the "
+                f"embeddings: {missing[:20].tolist()}"
+            )
         vecs = np.stack(emb_tbl.column("embedding").to_pylist()).astype(np.float64)
         vecs /= np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-        a = np.searchsorted(vid, ids_a)
-        b = np.searchsorted(vid, ids_b)
         cos = np.einsum("ij,ij->i", vecs[a], vecs[b])
-    else:
-        cos = np.empty(0)
-        ids_a = np.empty(0, np.int64)
-    a = ids_a
     n_false = int((cos < threshold - 1e-12).sum())
-    n_true = int(a.size) - n_false
+    n_true = int(cos.size) - n_false
     n_exact = len(embedding_dups(sf_dir, threshold=threshold))
     return pa.table({
         "n_exact_pairs": pa.array([n_exact], type=pa.int64()),

@@ -3,13 +3,17 @@
     queries (small table)
       -> tokenize + global df lookup -> QueryPlan   [driver, tiny]
       -> ray.put(plan)                              [broadcast once, J3]
-      -> Dataset over partitions -> map_batches(ShardSearcher actor pool)
+      -> one Ray task per partition group           [ShardSearcher etc.]
       -> merge partials: driver-side vectorized when k×P×Q is small,
          groupby(query_id).map_groups otherwise    [partial -> final top-k]
 
 The fan-out axis is PARTITIONS (the big side); queries ride along as one
 broadcast object — the reference's 'every query probes the whole index'
 (bindings.cpp:196-212 parallel query loop) turned inside out for sharding.
+A one-shot call runs its shard stage as plain `num_cpus=1` tasks on the
+cluster's already-started workers (no per-call actor pool to spawn and
+tear down); the eager callers concatenate the tasks' tables, the streaming
+`search()` wraps the same refs in a Dataset.
 
 For repeated query batches over one index use stages.search.SearchSession
 (persistent shard actors, load-once/serve-many).
@@ -92,34 +96,48 @@ def plan_for(
     return plan, stats
 
 
-def _searcher_pool(
-    index_dir: str, stats: dict, plan_ref, query_cfg: QueryConfig
-) -> ray.data.Dataset:
-    """The ShardSearcher actor-pool fan-out over one index's partitions —
-    shared by search_partials and federated_search so sizing fixes land in
-    one place."""
-    parts = [{"partition": int(p)} for p in stats["partitions"]]
-    ncpu = int(ray.cluster_resources().get("CPU", query_cfg.concurrency))
-    concurrency = max(1, min(query_cfg.concurrency, len(parts), ncpu))
-    return ray.data.from_items(parts).map_batches(
-        ShardSearcher,
-        batch_format="pyarrow",
-        batch_size=max(1, len(parts) // (concurrency * 2) or 1),
-        concurrency=concurrency,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "plan_ref": plan_ref,
-            "query_cfg": query_cfg,
-            "block_size": int(stats["block_size"]),
-        },
-    )
+def _run_shard(shard_cls, ctor_kwargs: dict, batch: pa.Table) -> pa.Table:
+    return shard_cls(**ctor_kwargs)(batch)
+
+
+_shard_task = ray.remote(num_cpus=1)(_run_shard)
+
+
+def _n_tasks(concurrency: int, n_items: int) -> int:
+    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
+    return max(1, min(concurrency, n_items, ncpu))
+
+
+def _shard_tasks(
+    shard_cls, index_dir: str, stats: dict, concurrency: int, **ctor_kwargs
+) -> list:
+    """Fan a shard stage (ShardSearcher, ShardFacets, ...) out over the
+    index's partitions: at most `concurrency` (and cluster-CPU) tasks, each
+    constructing `shard_cls` and calling it on its group of partition ids.
+    Returns the tasks' ObjectRefs, unawaited."""
+    parts = [int(p) for p in stats["partitions"]]
+    n = _n_tasks(concurrency, len(parts))
+    ctor_kwargs.update(index_dir=index_dir, block_size=int(stats["block_size"]))
+    return [
+        _shard_task.remote(
+            shard_cls, ctor_kwargs, pa.table({"partition": pa.array(parts[i::n], pa.int64())})
+        )
+        for i in range(n)
+    ]
+
+
+def _gather(refs) -> pa.Table | None:
+    """The tasks' non-empty tables concatenated, or None when all are empty."""
+    tabs = [t for t in ray.get(refs) if len(t)]
+    return pa.concat_tables(tabs) if tabs else None
 
 
 def search_partials(
     index_dir: str, queries: pa.Table, query_cfg: QueryConfig | None = None
-) -> tuple[ray.data.Dataset, dict]:
-    """Per-shard partial top-k as a Dataset (carries the per-query counters —
-    the reference's distance-computation stats, Index.h:83-84)."""
+) -> tuple[list, dict]:
+    """Plan the batch and submit the per-shard partial top-k tasks; returns
+    their unawaited ObjectRefs (tables carrying the per-query counters —
+    the reference's distance-computation stats, Index.h:83-84) + stats."""
     query_cfg = query_cfg or QueryConfig()
     fz = getattr(query_cfg, "fuzzy_max_edits", 0)
     if fz and query_cfg.method not in ("taat", "maxscore"):
@@ -154,8 +172,11 @@ def search_partials(
         index_dir, queries, query_cfg.k + getattr(query_cfg, "offset", 0),
         fuzzy_max_edits=fz, synonyms=syn, boosts=boosts, scorer=query_cfg.scorer,
     )
-    plan_ref = ray.put(plan)
-    return _searcher_pool(index_dir, stats, plan_ref, query_cfg), stats
+    refs = _shard_tasks(
+        ShardSearcher, index_dir, stats, query_cfg.concurrency,
+        plan_ref=ray.put(plan), query_cfg=query_cfg,
+    )
+    return refs, stats
 
 
 def federated_search(
@@ -167,9 +188,8 @@ def federated_search(
     (one exact integer division), df(term) = Σ df_i — so scores are
     comparable across indexes and the merged top-k is rank-identical to a
     single index built over the union corpus (BM25 is a pure function of
-    (tf, dl, df, n, avgdl), all identical here). Partials from ALL indexes
-    stream into one deterministic merge; per-index actor pools keep their
-    own segments warm."""
+    (tf, dl, df, n, avgdl), all identical here). Every index's shard tasks
+    run at once and their partials meet in one deterministic merge."""
     query_cfg = query_cfg or QueryConfig()
     # federation covers the plain disjunctive BM25/TF-IDF path; every other
     # QueryConfig feature either needs per-index state the merged plan does
@@ -216,36 +236,41 @@ def federated_search(
     avgdl = sdl / n if n else 0.0
     plan = make_query_plan(queries, merged_df, n, avgdl, query_cfg.k)
     plan_ref = ray.put(plan)
-
-    # ONE unioned Dataset over every index's shard pool: all pools execute
-    # under the same streaming drain (no index waits for another)
-    unioned = None
-    total_parts = 0
-    for d, s in zip(index_dirs, stats_list):
-        partials = _searcher_pool(d, s, plan_ref, query_cfg)
-        total_parts += len(s["partitions"])
-        unioned = partials if unioned is None else unioned.union(partials)
-    if unioned is None:
-        return _EMPTY_RESULT
-    unioned = unioned.drop_columns(["docs_scored", "blocks_decoded"])
-    est_rows = query_cfg.k * total_parts * len(queries)
-    if est_rows > DRIVER_MERGE_MAX_ROWS:  # distributed merge fallback
-        ds = unioned.groupby("query_id").map_groups(
-            merge_topk, batch_format="pyarrow", fn_kwargs={"k": query_cfg.k}
+    refs = [
+        r
+        for d, s in zip(index_dirs, stats_list)
+        for r in _shard_tasks(
+            ShardSearcher, d, s, query_cfg.concurrency, plan_ref=plan_ref, query_cfg=query_cfg
         )
-        batches = list(ds.iter_batches(batch_format="pyarrow"))
+    ]
+    total_parts = sum(len(s["partitions"]) for s in stats_list)
+    return _merge_partials(refs, query_cfg.k, query_cfg.k * total_parts * len(queries))
+
+
+def _stream_merge(refs, k: int) -> ray.data.Dataset:
+    """Distributed final merge of the shard tasks' partials."""
+    return (
+        ray.data.from_arrow_refs(refs)
+        .drop_columns(["docs_scored", "blocks_decoded"])
+        .groupby("query_id")
+        .map_groups(merge_topk, batch_format="pyarrow", fn_kwargs={"k": k})
+    )
+
+
+def _merge_partials(refs, k: int, est_rows: int) -> pa.Table:
+    """Final top-k of the shard tasks' partials, (query_id, rank)-ordered:
+    merged on the driver unless the partial set exceeds
+    DRIVER_MERGE_MAX_ROWS rows, then through `_stream_merge`."""
+    if est_rows > DRIVER_MERGE_MAX_ROWS:
+        batches = list(_stream_merge(refs, k).iter_batches(batch_format="pyarrow"))
         if not batches:
             return _EMPTY_RESULT
         t = pa.concat_tables(batches)
-        import pyarrow.compute as pc
-
-        return t.take(
-            pc.sort_indices(t, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
-        )
-    batches = list(unioned.iter_batches(batch_format="pyarrow"))
-    if not batches:
+        return t.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+    t = _gather(refs)
+    if t is None:
         return _EMPTY_RESULT
-    return merge_topk_table(pa.concat_tables(batches), query_cfg.k)
+    return merge_topk_table(t.drop_columns(["docs_scored", "blocks_decoded"]), k)
 
 
 def search(
@@ -264,12 +289,8 @@ def search(
         return search(index_dir, queries, deep).filter(
             expr=f"rank >= {query_cfg.offset}"
         )
-    partials, _ = search_partials(index_dir, queries, query_cfg)
-    return (
-        partials.drop_columns(["docs_scored", "blocks_decoded"])
-        .groupby("query_id")
-        .map_groups(merge_topk, batch_format="pyarrow", fn_kwargs={"k": query_cfg.k})
-    )
+    refs, _ = search_partials(index_dir, queries, query_cfg)
+    return _stream_merge(refs, query_cfg.k)
 
 
 _EMPTY_RESULT = pa.table(
@@ -296,35 +317,17 @@ def facet_counts(
     numeric = facet.startswith("len:")
     fcol = "bucket" if numeric else facet
     plan, stats = plan_for(index_dir, queries, k=1)
-    plan_ref = ray.put(plan)
-    parts = [{"partition": int(p)} for p in stats["partitions"]]
-    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
-    conc = max(1, min(concurrency, len(parts), ncpu))
-    partials = ray.data.from_items(parts).map_batches(
-        ShardFacets,
-        batch_format="pyarrow",
-        batch_size=max(1, len(parts) // (conc * 2) or 1),
-        concurrency=conc,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "plan_ref": plan_ref,
-            "block_size": int(stats["block_size"]),
-            "facet": facet,
-        },
+    t = _gather(
+        _shard_tasks(ShardFacets, index_dir, stats, concurrency, plan_ref=ray.put(plan), facet=facet)
     )
-    batches = list(partials.iter_batches(batch_format="pyarrow"))
-    empty = pa.table(
-        {
-            "query_id": pa.array([], type=pa.int64()),
-            fcol: pa.array([], type=pa.int64() if numeric else pa.string()),
-            "n_docs": pa.array([], type=pa.int64()),
-        }
-    )
-    if not batches:
-        return empty
-    t = pa.concat_tables(batches)
-    if len(t) == 0:
-        return empty
+    if t is None:
+        return pa.table(
+            {
+                "query_id": pa.array([], type=pa.int64()),
+                fcol: pa.array([], type=pa.int64() if numeric else pa.string()),
+                "n_docs": pa.array([], type=pa.int64()),
+            }
+        )
     g = t.group_by(["query_id", fcol]).aggregate([("n_docs", "sum")])
     out = pa.table(
         {
@@ -337,33 +340,15 @@ def facet_counts(
 
 
 def _shard_partials(
-    index_dir: str, queries: pa.Table, actor_cls, concurrency: int = 8
+    index_dir: str, queries: pa.Table, shard_cls, concurrency: int = 8
 ) -> tuple[pa.Table | None, dict]:
     """Shared orchestration for the per-shard partial-aggregation stages
-    (match stats / histograms / significant terms): plan_for -> actor pool
+    (match stats / histograms / significant terms): plan_for -> shard tasks
     over partition ids -> concatenated partial table (None when the match
     set is empty) + the index stats."""
     plan, stats = plan_for(index_dir, queries, k=1)
-    plan_ref = ray.put(plan)
-    parts = [{"partition": int(p)} for p in stats["partitions"]]
-    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
-    conc = max(1, min(concurrency, len(parts), ncpu))
-    ds = ray.data.from_items(parts).map_batches(
-        actor_cls,
-        batch_format="pyarrow",
-        batch_size=max(1, len(parts) // (conc * 2) or 1),
-        concurrency=conc,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "plan_ref": plan_ref,
-            "block_size": int(stats["block_size"]),
-        },
-    )
-    batches = list(ds.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return None, stats
-    t = pa.concat_tables(batches)
-    return (t if len(t) else None), stats
+    refs = _shard_tasks(shard_cls, index_dir, stats, concurrency, plan_ref=ray.put(plan))
+    return _gather(refs), stats
 
 
 def match_stats(
@@ -722,8 +707,8 @@ def search_with_snippets(
 ) -> pa.Table:
     """Top-k search + best highlight window per result (snippet_start,
     snippet_len token coordinates): the smallest window containing every
-    query term present in the doc. Results flow through a SnippetExtractor
-    actor pool keyed by owning shard; requires the positional sidecar."""
+    query term present in the doc. Results go to SnippetExtractor tasks
+    grouped by owning shard; requires the positional sidecar."""
     from ..stages.search import SnippetExtractor
 
     query_cfg = query_cfg or QueryConfig()
@@ -741,26 +726,24 @@ def search_with_snippets(
         fuzzy_max_edits=getattr(query_cfg, "fuzzy_max_edits", 0),
         synonyms=getattr(query_cfg, "synonyms", None),
     )
-    plan_ref = ray.put(plan)
-    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
-    conc = max(1, min(concurrency, ncpu))
-    out = ray.data.from_arrow(results).map_batches(
-        SnippetExtractor,
-        batch_format="pyarrow",
-        concurrency=conc,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "plan_ref": plan_ref,
-            "block_size": int(stats["block_size"]),
-            "num_partitions": int(stats["num_partitions"]),
-        },
+    num_p = int(stats["num_partitions"])
+    n = _n_tasks(concurrency, num_p)
+    group = results.column("doc_id").to_numpy(zero_copy_only=False) % num_p % n
+    kw = {
+        "index_dir": index_dir,
+        "plan_ref": ray.put(plan),
+        "block_size": int(stats["block_size"]),
+        "num_partitions": num_p,
+    }
+    t = pa.concat_tables(
+        ray.get(
+            [
+                _shard_task.remote(SnippetExtractor, kw, results.filter(pa.array(group == i)))
+                for i in range(n)
+            ]
+        )
     )
-    t = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
-    import pyarrow.compute as pc
-
-    return t.take(
-        pc.sort_indices(t, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
-    )
+    return t.sort_by([("query_id", "ascending"), ("rank", "ascending")])
 
 
 def prefix_doc_counts(
@@ -774,34 +757,19 @@ def prefix_doc_counts(
     disjoint shards. Columns: (query_id, n_docs), query_id = pattern index."""
     from ..stages.search import ShardPrefixCounts
 
-    stats = load_stats(index_dir)
-    parts = [{"partition": int(p)} for p in stats["partitions"]]
-    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
-    conc = max(1, min(concurrency, len(parts), ncpu))
-    partials = ray.data.from_items(parts).map_batches(
-        ShardPrefixCounts,
-        batch_format="pyarrow",
-        batch_size=max(1, len(parts) // (conc * 2) or 1),
-        concurrency=conc,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "prefixes": list(prefixes),
-            "block_size": int(stats["block_size"]),
-            "mode": mode,
-        },
+    t = _gather(
+        _shard_tasks(
+            ShardPrefixCounts, index_dir, load_stats(index_dir), concurrency,
+            prefixes=list(prefixes), mode=mode,
+        )
     )
-    batches = list(partials.iter_batches(batch_format="pyarrow"))
-    empty = pa.table(
-        {
-            "query_id": pa.array([], type=pa.int64()),
-            "n_docs": pa.array([], type=pa.int64()),
-        }
-    )
-    if not batches:
-        return empty
-    t = pa.concat_tables(batches)
-    if len(t) == 0:
-        return empty
+    if t is None:
+        return pa.table(
+            {
+                "query_id": pa.array([], type=pa.int64()),
+                "n_docs": pa.array([], type=pa.int64()),
+            }
+        )
     g = t.group_by(["query_id"]).aggregate([("n_docs", "sum")])
     out = pa.table(
         {"query_id": g.column("query_id"), "n_docs": g.column("n_docs_sum")}
@@ -827,35 +795,20 @@ def suggest_terms(
 
     from ..stages.search import ShardSuggest
 
-    stats = load_stats(index_dir)
-    parts = [{"partition": int(p)} for p in stats["partitions"]]
-    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
-    conc = max(1, min(concurrency, len(parts), ncpu))
-    partials = ray.data.from_items(parts).map_batches(
-        ShardSuggest,
-        batch_format="pyarrow",
-        batch_size=max(1, len(parts) // (conc * 2) or 1),
-        concurrency=conc,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "prefixes": list(prefixes),
-            "block_size": int(stats["block_size"]),
-        },
+    t = _gather(
+        _shard_tasks(
+            ShardSuggest, index_dir, load_stats(index_dir), concurrency, prefixes=list(prefixes)
+        )
     )
-    empty = pa.table(
-        {
-            "query_id": pa.array([], type=pa.int64()),
-            "rank": pa.array([], type=pa.int64()),
-            "term": pa.array([], type=pa.string()),
-            "df": pa.array([], type=pa.int64()),
-        }
-    )
-    batches = list(partials.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return empty
-    t = pa.concat_tables(batches)
-    if len(t) == 0:
-        return empty
+    if t is None:
+        return pa.table(
+            {
+                "query_id": pa.array([], type=pa.int64()),
+                "rank": pa.array([], type=pa.int64()),
+                "term": pa.array([], type=pa.string()),
+                "df": pa.array([], type=pa.int64()),
+            }
+        )
     g = t.group_by(["query_id", "term"]).aggregate([("df", "sum")])
     qid = g.column("query_id").to_numpy(zero_copy_only=False)
     dfs = g.column("df_sum").to_numpy(zero_copy_only=False)
@@ -894,37 +847,19 @@ def search_collapsed(
     from ..stages.search import ShardCollapse
 
     plan, stats = plan_for(index_dir, queries, k=k)
-    plan_ref = ray.put(plan)
-    parts = [{"partition": int(p)} for p in stats["partitions"]]
-    ncpu = int(ray.cluster_resources().get("CPU", concurrency))
-    conc = max(1, min(concurrency, len(parts), ncpu))
-    partials = ray.data.from_items(parts).map_batches(
-        ShardCollapse,
-        batch_format="pyarrow",
-        batch_size=max(1, len(parts) // (conc * 2) or 1),
-        concurrency=conc,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "plan_ref": plan_ref,
-            "block_size": int(stats["block_size"]),
-            "facet": facet,
-        },
+    t = _gather(
+        _shard_tasks(ShardCollapse, index_dir, stats, concurrency, plan_ref=ray.put(plan), facet=facet)
     )
-    empty = pa.table(
-        {
-            "query_id": pa.array([], type=pa.int64()),
-            "rank": pa.array([], type=pa.int64()),
-            facet: pa.array([], type=pa.string()),
-            "doc_id": pa.array([], type=pa.int64()),
-            "score": pa.array([], type=pa.float64()),
-        }
-    )
-    batches = list(partials.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return empty
-    t = pa.concat_tables(batches)
-    if len(t) == 0:
-        return empty
+    if t is None:
+        return pa.table(
+            {
+                "query_id": pa.array([], type=pa.int64()),
+                "rank": pa.array([], type=pa.int64()),
+                facet: pa.array([], type=pa.string()),
+                "doc_id": pa.array([], type=pa.int64()),
+                "score": pa.array([], type=pa.float64()),
+            }
+        )
     # re-collapse across shards: best per (query, facet), then rank per query
     qid = t.column("query_id").to_numpy(zero_copy_only=False)
     did = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1031,23 +966,5 @@ def search_to_table(index_dir: str, queries: pa.Table, query_cfg: QueryConfig | 
         deep = dataclasses.replace(query_cfg, k=query_cfg.k + query_cfg.offset, offset=0)
         res = search_to_table(index_dir, queries, deep)
         return res.filter(pc.greater_equal(res.column("rank"), query_cfg.offset))
-    stats = load_stats(index_dir)
-    est_rows = query_cfg.k * len(stats["partitions"]) * len(queries)
-    if est_rows <= DRIVER_MERGE_MAX_ROWS:
-        partials, _ = search_partials(index_dir, queries, query_cfg)
-        batches = list(
-            partials.drop_columns(["docs_scored", "blocks_decoded"]).iter_batches(
-                batch_format="pyarrow"
-            )
-        )
-        if not batches:
-            return _EMPTY_RESULT
-        return merge_topk_table(pa.concat_tables(batches), query_cfg.k)
-    ds = search(index_dir, queries, query_cfg)
-    batches = list(ds.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return _EMPTY_RESULT
-    t = pa.concat_tables(batches)
-    import pyarrow.compute as pc
-
-    return t.take(pc.sort_indices(t, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
+    refs, stats = search_partials(index_dir, queries, query_cfg)
+    return _merge_partials(refs, query_cfg.k, query_cfg.k * len(stats["partitions"]) * len(queries))

@@ -7,8 +7,9 @@ Graft of the reference's search path
 
 Two serving modes share one scoring core (`_ShardState`):
 
-* Dataset mode: `map_batches(ShardSearcher, concurrency=N)` over a Dataset of
-  partition ids — one-shot pipelines, fits Ray Data streaming execution.
+* One-shot mode: `ShardSearcher` and its sibling shard stages, constructed
+  and called on a group of partition ids inside a plain Ray task
+  (pipelines/query.py); nothing outlives the call.
 * Server mode: `SearchSession` — persistent `@ray.remote` shard actors that
   load segments once and serve many query batches (the reference's
   load-once/serve-many lifecycle, Index.h:442-479 loadIndex; bench + any
@@ -1700,10 +1701,10 @@ def explain_rows(
 
 
 class ShardSearcher:
-    """Dataset-mode actor stage: batches of {partition} rows -> partial top-k.
+    """One-shot shard stage: a table of {partition} rows -> partial top-k.
 
-    Constructor args arrive via fn_constructor_kwargs; the query plan is an
-    object-store ref (`ray.put` once, zero-copy read in every actor)."""
+    The query plan arrives as an object-store ref (`ray.put` once, zero-copy
+    read in every task)."""
 
     def __init__(self, index_dir: str, plan_ref, query_cfg: QueryConfig, block_size: int):
         import ray
@@ -1757,8 +1758,8 @@ class ShardSearcher:
 
 
 class ShardFacets:
-    """Dataset-mode facet counter (actor pool over partition ids, like
-    ShardSearcher): per-shard `_ShardState.facet_counts` partials; callers
+    """One-shot facet counter (over partition ids, like ShardSearcher):
+    per-shard `_ShardState.facet_counts` partials; callers
     sum per (query_id, facet) across shards — exact under disjoint doc
     partitioning."""
 
@@ -1802,8 +1803,8 @@ class ShardFacets:
 
 
 class _ShardPartialStage:
-    """Base for Dataset-mode per-shard partial-aggregation stages (actor
-    pool over partition-id rows): shared plan_ref unwrap, a 64-entry FIFO
+    """Base for the one-shot per-shard partial-aggregation stages (over
+    partition-id rows): shared plan_ref unwrap, a 64-entry FIFO
     _ShardState cache, and the segment-exists skip loop. Subclasses define
     `_empty()` (the stage's empty output schema) and `_compute(state)`
     (the per-shard partial); `_terms_filter()` controls segment-read
@@ -1907,7 +1908,7 @@ class ShardSigTerms(_ShardPartialStage):
 
 
 class ShardCollapse:
-    """Dataset-mode field-collapse stage (like ShardFacets): per shard,
+    """One-shot field-collapse stage (like ShardFacets): per shard,
     `_ShardState.collapse_best` partials; callers re-collapse per
     (query_id, facet) across shards — exact under disjoint doc partitioning."""
 
@@ -1954,7 +1955,7 @@ class ShardCollapse:
 
 
 class SnippetExtractor:
-    """Dataset-mode snippet stage: maps final result rows (query_id, doc_id)
+    """One-shot snippet stage: maps final result rows (query_id, doc_id)
     to their best highlight window via the owning shard's positional sidecar
     (doc_id % num_partitions locates the shard under every docid strategy —
     reordered ids are constructed to preserve it)."""
@@ -1997,7 +1998,7 @@ class SnippetExtractor:
 
 
 class ShardPrefixCounts:
-    """Dataset-mode wildcard-count stage: per shard, `prefix_doc_count`
+    """One-shot wildcard-count stage: per shard, `prefix_doc_count`
     (mode="prefix", sorted-dictionary bisect) or `substr_doc_count`
     (mode="infix", vectorized substring scan) for each pattern query (loads
     the FULL term dictionary — no terms_filter: the expansion set is unknown
@@ -2045,7 +2046,7 @@ class ShardPrefixCounts:
 
 
 class ShardSuggest:
-    """Dataset-mode suggester stage: per shard and prefix query, the
+    """One-shot suggester stage: per shard and prefix query, the
     dictionary range's (term, local df) rows. Callers sum df per term
     across shards (each shard holds disjoint docs) and rank."""
 
@@ -2622,7 +2623,6 @@ class SearchSession:
 
         doc = merged.column("doc_id").to_numpy(zero_copy_only=False)
         uniq = np.unique(doc)
-        urls: pa.Array | pa.ChunkedArray
         if uniq.size:
             ids_ref = ray.put(uniq)
             tabs = [
@@ -2632,6 +2632,7 @@ class SearchSession:
             ]
         else:
             tabs = []
+        found = np.zeros(doc.size, dtype=bool)
         if tabs:
             # vectorized join: sort the (id, url) catalog once, dedupe ids
             # (a generation stack can answer the same id from two states),
@@ -2643,15 +2644,21 @@ class SearchSession:
             ids_s = ids[order]
             first = np.concatenate(([True], ids_s[1:] != ids_s[:-1]))
             ids_u, pos_u = ids_s[first], order[first]
-            loc = np.clip(np.searchsorted(ids_u, doc), 0, max(ids_u.size - 1, 0))
+            loc = np.clip(np.searchsorted(ids_u, doc), 0, ids_u.size - 1)
             found = ids_u[loc] == doc
-            take = pos_u[loc].astype(np.int64)
-            url_col = cat.column("url").combine_chunks()
-            urls = url_col.take(
-                pa.array(take, type=pa.int64(), mask=~found)
+        # every winner was scored from some shard's docmap, so a winner no
+        # actor can resolve is a broken docmap invariant, not a null url
+        if not found.all():
+            missing = np.unique(doc[~found])
+            raise RuntimeError(
+                f"{missing.size} winner doc_id(s) have no docmap row on any "
+                f"shard: {missing[:20].tolist()}"
             )
-        else:
-            urls = pa.array([None] * len(merged), type=pa.string())
+        urls = (
+            cat.column("url").combine_chunks().take(pa.array(pos_u[loc], type=pa.int64()))
+            if tabs
+            else pa.array([], type=pa.string())
+        )
         out = {
             "query_id": merged.column("query_id"),
             "rank": merged.column("rank"),

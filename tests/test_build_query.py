@@ -197,6 +197,30 @@ class TestRankIdentity:
         assert inline.equals(packed)
         assert inline.column("url").null_count == 0
 
+    def test_unresolved_winner_url_raises(self, built_index, tmp_path):
+        """A winner whose docmap row is gone must raise with its doc_id,
+        not come back with a NULL url."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from flatnav_ray.stages.build import docmap_path
+        from flatnav_ray.stages.search import SearchSession
+
+        src, _, _, queries = built_index
+        ix = str(tmp_path / "ix")
+        shutil.copytree(src, ix)
+        winners = search_to_table(ix, queries, QueryConfig(k=10)).drop_columns(["url"])
+        lost = winners.column("doc_id")[0].as_py()
+        path = docmap_path(ix, lost % 8)
+        dm = pq.read_table(path)
+        pq.write_table(dm.filter(pc.not_equal(dm.column("doc_id"), lost)), path)
+        sess = SearchSession(ix, num_actors=3)
+        try:
+            with pytest.raises(RuntimeError, match=rf"1 winner doc_id\(s\).*\[{lost}\]"):
+                sess._attach_urls(winners)
+        finally:
+            sess.shutdown()
+
     def test_empty_and_absent_queries(self, built_index):
         ix, *_ = built_index
         q = pa.table(

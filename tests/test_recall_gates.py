@@ -4,7 +4,8 @@ The reference gates its approximate index on recall vs brute force
 (python-bindings/unit_tests/test_index.py:62, compute_recall >= 0.97);
 these tests hold the same contract for the driver-checkable entries:
 the emitted table must carry the TRUE exact top-k and a clamped overlap
-that equals the floor for every query (i.e. recall clears the floor)."""
+that equals the floor for every query (i.e. recall clears the floor).
+The gates' input helpers fail loud on inputs they cannot value."""
 
 import numpy as np
 import pyarrow as pa
@@ -55,3 +56,29 @@ class TestRecallFloorTable:
         assert row["false_pairs"] == 0          # precision 1.0
         assert row["found_true_at_least"] == 300  # recall floor met (clamped)
         assert row["n_exact_pairs"] > 300
+
+
+class TestDriverEntryGuards:
+    def test_q6_rejects_non_finite(self):
+        from flatnav_ray.pipelines.documents import _q6
+
+        assert _q6(np.array([1.5, -2.25, 0.0])).tolist() == [1_500_000, -2_250_000, 0]
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                _q6(np.array([1.0, bad]))
+
+    def test_lsh_recall_gate_rejects_unknown_vec_id(self, ray_session, monkeypatch):
+        import pyarrow.parquet as pq
+
+        from flatnav_ray.pipelines import documents as d
+
+        vid = np.sort(pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id"])
+                      .column("vec_id").to_numpy())
+        absent = int(vid[-1]) + 1000
+        pairs = pa.table({
+            "doc_a": pa.array([vid[0], vid[2]], type=pa.int64()),
+            "doc_b": pa.array([vid[1], absent], type=pa.int64()),
+        })
+        monkeypatch.setattr(d, "embedding_dups_lsh", lambda sf_dir, threshold: pairs)
+        with pytest.raises(ValueError, match=rf"1 vec_id\(s\) absent.*\[{absent}\]"):
+            d.embedding_dups_lsh_recall(SF)
