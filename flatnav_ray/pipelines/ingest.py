@@ -210,27 +210,20 @@ def _match_ids_one(
     terms' segment rows (parquet row filter — the read is O(terms), not
     O(vocabulary)), apply the same generation-shadow + tombstone dead masks
     the serving actors use, and return the live doc_ids containing ANY term."""
-    from ..stages.build import _clamp_worker_threads, segment_path
-    from ..stages.search import _ShardState
+    from ..stages.build import _clamp_worker_threads
+    from ..stages.search import _ShardState, stack_states
 
     _clamp_worker_threads()
     out = []
-    seen = None
-    for g in range(len(dirs) - 1, -1, -1):  # newest first, like ShardActor
-        if not os.path.exists(segment_path(dirs[g], partition)):
-            continue
-        dead = seen
-        tomb = tombs[g] if tombs is not None else None
-        if tomb is not None and len(tomb):
-            dead = tomb if dead is None else np.union1d(dead, np.asarray(tomb, np.int64))
-        st = _ShardState(dirs[g], partition, block_size,
-                         terms_filter=terms, dead_ids=dead)
+    for _, st in stack_states(
+        dirs, partition, tombs,
+        lambda g, dead: _ShardState(dirs[g], partition, block_size,
+                                    terms_filter=terms, dead_ids=dead),
+    ):
         for t in terms:
             ids = st.live_term_doc_ids(t)
             if ids.size:
                 out.append(ids)
-        if len(dirs) > 1:
-            seen = st.docmap_ids if seen is None else np.union1d(seen, st.docmap_ids)
     if not out:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(out))

@@ -14,7 +14,9 @@ Two serving modes share one scoring core (`_ShardState`):
   load segments once and serve many query batches (the reference's
   load-once/serve-many lifecycle, Index.h:442-479 loadIndex; bench + any
   interactive use). Queries broadcast via ray.put; partials merge driver-side
-  when small, via groupby(query_id) when not.
+  when small, via groupby(query_id) when not. The actors come from a warm
+  pool that outlives sessions, so shutdown + reopen reuses the actor
+  processes and every unchanged segment.
 
 Scoring: per-term BM25 contributions are query-independent (idf, tf, doc_len
 are all fixed at index time), so each decoded term is scored ONCE and cached;
@@ -271,8 +273,6 @@ class _ShardState:
         self.index_dir = index_dir
         self.partition = partition
         self._terms_filter = terms_filter
-        # positional sidecar (phrase path) — loaded lazily on first phrase query
-        self._pos_row: dict[str, int] | None = None
         filters = [("term", "in", terms_filter)] if terms_filter is not None else None
         t = pq.read_table(segment_path(index_dir, partition), filters=filters).combine_chunks()
         self._terms_list = t.column("term").to_pylist()  # sorted (merge writes
@@ -311,6 +311,24 @@ class _ShardState:
         self.docmap_lens = dm.column("doc_len").to_numpy(zero_copy_only=False).astype(np.int64)
         self.docmap_urls = dm.column("url")
         self.docmap_langs = dm.column("lang")
+        # everything above is read from the segment and docmap files only;
+        # with_dead_ids shares it, the rest is per state
+        self._file_attrs = dict(self.__dict__)
+        self._init_serving(dead_ids)
+
+    def with_dead_ids(self, dead_ids: np.ndarray | None) -> "_ShardState":
+        """A fresh state over this state's already-loaded files: the
+        file-derived arrays are shared, the dead mask, caches and scratch are
+        new (ShardActor reuses unchanged segments across sessions this way)."""
+        st = object.__new__(_ShardState)
+        st.__dict__.update(self._file_attrs)
+        st._file_attrs = self._file_attrs
+        st._init_serving(dead_ids)
+        return st
+
+    def _init_serving(self, dead_ids: np.ndarray | None) -> None:
+        # positional sidecar (phrase path) — loaded lazily on first phrase query
+        self._pos_row: dict[str, int] | None = None
         self._facet_cache: dict[str, tuple[np.ndarray, list]] = {}
         # stacked-serving shadow mask over docmap positions (None = all live)
         self._dead_pos: np.ndarray | None = None
@@ -2232,56 +2250,106 @@ _EMPTY_PACKED_PARTIALS = pa.table(
 )
 
 
+def stack_states(dirs: list[str], partition: int, tombstones, open_state):
+    """Yield (g, state) newest-first for every generation in `dirs`
+    (oldest-first) that holds `partition`, each opened by
+    `open_state(g, dead_ids)`. A generation's dead ids are the doc_ids of
+    every newer generation (an upsert shadows the older copy) united with
+    its own tombstones (`tombstones`: per-generation sorted int64 arrays
+    aligned with `dirs`, or None) — the one live-document rule that stacked
+    serving and delete_by_query share. Both generations hash doc_id with the
+    same num_partitions, so a shadowing copy always lands in the SAME
+    partition and the mask is computable shard-locally."""
+    seen: np.ndarray | None = None
+    for g in range(len(dirs) - 1, -1, -1):
+        if not os.path.exists(segment_path(dirs[g], partition)):
+            continue
+        dead = seen
+        tomb = tombstones[g] if tombstones is not None else None
+        if tomb is not None and len(tomb):
+            tomb = np.asarray(tomb, dtype=np.int64)
+            dead = tomb if dead is None else np.union1d(dead, tomb)
+        st = open_state(g, dead)
+        yield g, st
+        if len(dirs) > 1:
+            seen = st.docmap_ids if seen is None else np.union1d(seen, st.docmap_ids)
+
+
+def _file_identity(index_dir: str, partition: int, block_size: int) -> tuple | None:
+    """What a loaded `_ShardState`'s files are, for reuse across sessions:
+    the location plus device, inode, size, mtime and ctime of the segment and
+    its docmap (None when the generation lacks the partition). ctime is
+    needed: a copytree onto the same path keeps mtimes and the filesystem
+    may hand out the old inode numbers again, but every new file gets a new
+    ctime."""
+    try:
+        seg = os.stat(segment_path(index_dir, partition))
+    except FileNotFoundError:
+        return None
+    dm = os.stat(docmap_path(index_dir, partition))
+    return (index_dir, partition, block_size) + tuple(
+        (f.st_dev, f.st_ino, f.st_size, f.st_mtime_ns, f.st_ctime_ns) for f in (seg, dm)
+    )
+
+
 def _shard_actor_cls():
     import ray
 
     @ray.remote
     class ShardActor:
-        """Server-mode shard: loads its partitions' FULL segments once,
-        serves many query batches (the persistent query server, SURVEY.md T2).
+        """Server-mode shard (the persistent query server, SURVEY.md T2):
+        `load` gives it a session's partitions, it serves many query batches.
 
-        `index_dirs` may be a single directory or a generation stack
-        (oldest-first): with a stack, each partition loads one _ShardState
-        per generation, and older generations mask documents shadowed by a
-        newer one (both generations hash doc_id with the same
-        num_partitions, so a collision always lands in the SAME partition —
-        the mask is computable shard-locally)."""
+        Actors outlive sessions (see `_acquire_actors`): an actor keeps the
+        files it loaded keyed by `_file_identity`, and a later `load` that
+        needs an unchanged file builds a fresh `_ShardState` over the same
+        arrays instead of rereading it."""
 
-        def __init__(self, index_dirs, partitions: list[int], block_size: int,
-                     tombstones=None):
-            dirs = [index_dirs] if isinstance(index_dirs, str) else list(index_dirs)
-            # tombstones: per-generation sorted int64 arrays (aligned with
-            # dirs, oldest-first) of doc_ids DELETED from that generation —
-            # delete_documents records which generations each tombstone file
-            # covers, so a doc re-added by a LATER delta stays live. Masked
-            # exactly like newer-generation shadows (dead_ids).
+        def __init__(self):
             self.states: dict[tuple[int, int], _ShardState] = {}
-            for p in partitions:
-                seen: np.ndarray | None = None
-                for g in range(len(dirs) - 1, -1, -1):  # newest first
-                    if not os.path.exists(segment_path(dirs[g], p)):
-                        continue
-                    dead = seen
-                    tomb = tombstones[g] if tombstones is not None else None
-                    if tomb is not None and len(tomb):
-                        tomb = np.asarray(tomb, dtype=np.int64)
-                        dead = tomb if dead is None else np.union1d(dead, tomb)
-                    st = _ShardState(dirs[g], p, block_size, dead_ids=dead)
-                    self.states[(g, p)] = st
-                    if len(dirs) > 1:
-                        seen = (
-                            st.docmap_ids
-                            if seen is None
-                            else np.union1d(seen, st.docmap_ids)
-                        )
+            self._files: dict[tuple, _ShardState] = {}
 
-        def live_counts(self) -> tuple[int, int]:
+        def load(self, index_dirs, partitions: list[int], block_size: int,
+                 tombstones=None) -> tuple[int, int, int, int]:
+            """Serve `partitions` of `index_dirs` (one directory, or a
+            generation stack oldest-first, each generation masked by
+            `stack_states`). Returns (live docs, live doc-length sum,
+            segments loaded from disk, segments reused)."""
+            dirs = [index_dirs] if isinstance(index_dirs, str) else list(index_dirs)
+            keys = {
+                (g, p): _file_identity(d, p, block_size)
+                for p in partitions for g, d in enumerate(dirs)
+            }
+            # drop what this session does not need BEFORE loading, so the
+            # actor never holds two sessions' worth of files
+            wanted = set(keys.values())
+            self.states = {}
+            self._files = {k: v for k, v in self._files.items() if k in wanted}
+            counts = {"loaded": 0, "reused": 0}
+
+            def open_state(g, p, dead):
+                key = keys[(g, p)]
+                old = self._files.get(key)
+                if old is None:
+                    st = _ShardState(dirs[g], p, block_size, dead_ids=dead)
+                    counts["loaded"] += 1
+                else:
+                    st = old.with_dead_ids(dead)
+                    counts["reused"] += 1
+                self._files[key] = st
+                return st
+
+            for p in partitions:
+                for g, st in stack_states(
+                    dirs, p, tombstones, lambda g, dead: open_state(g, p, dead)
+                ):
+                    self.states[(g, p)] = st
             n, s = 0, 0
             for st in self.states.values():
                 a, b = st.live_counts()
                 n += a
                 s += b
-            return n, s
+            return n, s, counts["loaded"], counts["reused"]
 
         def live_df(self, terms: list[str]) -> dict[str, int]:
             return {t: sum(st.live_term_df(t) for st in self.states.values()) for t in terms}
@@ -2355,37 +2423,135 @@ def _shard_actor_cls():
     return ShardActor
 
 
+# Warm ShardActors shared by every session in this process, as
+# [(actor, partition group it served last), ...]. SearchSession.shutdown()
+# returns its actors here and the next session takes them back, so a reopen
+# pays neither actor start-up nor the reload of unchanged segments. It is
+# module state because the reopen is the plain shutdown() + open_session
+# pair, which carries no pool object. Keyed by the Ray cluster: handles from
+# an earlier ray.init are dropped, never reused.
+_POOL: dict = {"cluster": None, "idle": []}
+
+
+def _idle_actors() -> list:
+    import ray
+
+    ctx = ray.get_runtime_context()
+    cluster = (ctx.get_node_id(), ctx.get_job_id())
+    if _POOL["cluster"] != cluster:
+        _POOL["cluster"], _POOL["idle"] = cluster, []
+    return _POOL["idle"]
+
+
+def _spawn_loaded(group: list[int], load_kw: dict):
+    """A new shard actor serving `group`, and its `load` result."""
+    import ray
+
+    actor = _shard_actor_cls().remote()
+    return actor, ray.get(actor.load.remote(partitions=group, **load_kw))
+
+
+def _acquire_actors(parts: list[int], num_actors: int | None, load_kw: dict):
+    """Loaded shard actors for a new session: partitions round-robin over
+    `num_actors` (default: cluster CPUs) groups, each group served by an
+    idle actor that served that group last, else by any idle actor, else by
+    a new one; among idle actors the most recently released goes first.
+    `load_kw` holds `ShardActor.load`'s other arguments. Returns (actors,
+    groups, per-actor `load` results)."""
+    import ray
+
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    n = max(1, min(num_actors or ncpu, len(parts)))
+    groups = [parts[i::n] for i in range(n)]
+    idle = _idle_actors()  # oldest first
+    picked: list = [None] * n
+    for i, g in enumerate(groups):
+        j = next((j for j in range(len(idle) - 1, -1, -1) if idle[j][1] == g), None)
+        if j is not None:
+            picked[i] = idle.pop(j)[0]
+    for i in range(n):
+        if picked[i] is None:
+            picked[i] = idle.pop()[0] if idle else _shard_actor_cls().remote()
+    refs = [a.load.remote(partitions=g, **load_kw) for a, g in zip(picked, groups)]
+    actors, results = [], []
+    for a, g, ref in zip(picked, groups, refs):
+        try:
+            res = ray.get(ref)
+        except ray.exceptions.RayActorError:  # died while pooled
+            a, res = _spawn_loaded(g, load_kw)
+        actors.append(a)
+        results.append(res)
+    return actors, groups, results
+
+
+def _release_actors(actors: list, groups: list) -> None:
+    """Return a session's actors to the warm pool; idle actors beyond the
+    cluster's CPU count are killed."""
+    import ray
+
+    if not ray.is_initialized():
+        return
+    idle = _idle_actors()
+    idle.extend(zip(actors, groups))
+    cap = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    while len(idle) > cap:
+        ray.kill(idle.pop(0)[0])
+
+
 class SearchSession:
     """Persistent shard-actor pool over one index — create once, search many.
 
     The graft of the reference's loadIndex -> repeated search lifecycle
     (Index.h:442-479, bindings.cpp:161-228). Partitions are assigned
     round-robin to `num_actors` actors; each query batch is broadcast and
-    partials are merged driver-side (k×P×Q rows is small by construction)."""
+    partials are merged driver-side (k×P×Q rows is small by construction).
+
+    The actors come from a process-wide warm pool and return to it on
+    `shutdown()`: an idle actor keeps the last session's loaded files until
+    the next open or `ray.shutdown()`, and a later session reuses every
+    segment whose files did not change (Lucene's openIfChanged). A shard
+    actor that dies mid-session is respawned and the call retried once.
+    `files_loaded` / `files_reused` count the segments this session's open
+    read from disk and took over from the pool."""
 
     def __init__(self, index_dir: str, num_actors: int | None = None):
-        import ray
-
         from ..state.stats import load_stats
 
         self.index_dir = index_dir
         self.stats = load_stats(index_dir)
-        parts = [int(p) for p in self.stats["partitions"]]
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n = max(1, min(num_actors or ncpu, len(parts)))
-        cls = _shard_actor_cls()
-        assign: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(parts):
-            assign[i % n].append(p)
-        self.actors = [
-            cls.remote(index_dir, a, int(self.stats["block_size"])) for a in assign
-        ]
+        self._open([int(p) for p in self.stats["partitions"]], num_actors,
+                   dict(index_dirs=index_dir, block_size=int(self.stats["block_size"])))
         self._n_docs = int(self.stats["n_docs"])
         self._avgdl = float(self.stats["avgdl"])
         # per-session term->df cache: a serving process would otherwise re-read
         # the term_stats parquet on EVERY search call (dominates single-query
         # latency); misses are looked up per batch, absent terms cached as 0
         self._df_cache: dict[str, int] = {}
+
+    def _open(self, parts: list[int], num_actors: int | None, load_kw: dict):
+        """Acquire and load this session's actors; returns the summed
+        (live docs, live doc-length sum)."""
+        self._load_kw = load_kw
+        self.actors, self._groups, res = _acquire_actors(parts, num_actors, load_kw)
+        self.files_loaded = sum(r[2] for r in res)
+        self.files_reused = sum(r[3] for r in res)
+        return sum(r[0] for r in res), sum(r[1] for r in res)
+
+    def _on_actors(self, call):
+        """`call(actors)`; when a shard actor died during it, every dead
+        actor is respawned with its partition group and the call runs once
+        more (a second failure raises)."""
+        import ray
+
+        try:
+            return call(self.actors)
+        except ray.exceptions.RayActorError:
+            for i, a in enumerate(self.actors):
+                try:
+                    ray.get(a.__ray_ready__.remote())
+                except ray.exceptions.RayActorError:
+                    self.actors[i], _ = _spawn_loaded(self._groups[i], self._load_kw)
+            return call(self.actors)
 
     def _lookup_missing_df(self, missing: list[str]) -> dict[str, int]:
         from ..state.stats import lookup_term_df
@@ -2556,55 +2722,60 @@ class SearchSession:
         # would dominate single-query latency); large batches ship packed
         # urlless partials and resolve winner urls post-merge
         inline_urls = len(queries) * query_cfg.k <= _INLINE_URL_ROWS
-        futs = [
-            a.search_packed.remote(
-                plan_ref, query_cfg.scorer, query_cfg.method,
-                getattr(query_cfg, "approx_factor", 1.0),
-                getattr(query_cfg, "min_should_match", 0),
-                getattr(query_cfg, "phrase_slop", 0),
-                getattr(query_cfg, "filter_lang", None),
-                getattr(query_cfg, "sort_by", None),
-                _len_bounds(query_cfg),
-                query_cfg.k,
-                inline_urls,
-            )
-            for a in self.actors
-        ]
+
+        def merged_topk(actors):
+            futs = [
+                a.search_packed.remote(
+                    plan_ref, query_cfg.scorer, query_cfg.method,
+                    getattr(query_cfg, "approx_factor", 1.0),
+                    getattr(query_cfg, "min_should_match", 0),
+                    getattr(query_cfg, "phrase_slop", 0),
+                    getattr(query_cfg, "filter_lang", None),
+                    getattr(query_cfg, "sort_by", None),
+                    _len_bounds(query_cfg),
+                    query_cfg.k,
+                    inline_urls,
+                )
+                for a in actors
+            ]
+            # big batches: fan the k x P x Q merge out by query range — each raw
+            # task reads the shard partials zero-copy and merges its slice
+            est_rows = len(queries) * len(actors) * query_cfg.k
+            if est_rows >= _MERGE_FANOUT_ROWS and len(plan.query_ids) > 1:
+                n_slices = min(8, max(2, est_rows // _MERGE_FANOUT_ROWS + 1))
+                qs_sorted = np.sort(plan.query_ids)
+                cuts = [int(qs_sorted[(i * qs_sorted.size) // n_slices]) for i in range(n_slices)]
+                # dedupe cut points (repeated qids) while keeping coverage
+                bounds = sorted(set(cuts))
+                task = ray.remote(num_cpus=1)(_merge_partial_range)
+                outs = [
+                    t for t in ray.get(
+                        [
+                            task.remote(
+                                futs, bounds[i],
+                                bounds[i + 1] if i + 1 < len(bounds) else None,
+                                query_cfg.k,
+                            )
+                            for i in range(len(bounds))
+                        ]
+                    )
+                    if t is not None
+                ]
+                merged = (
+                    pa.concat_tables(outs) if outs
+                    else merge_topk_table(_EMPTY_PACKED_PARTIALS, query_cfg.k)
+                )
+            else:
+                parts = [t for t in ray.get(futs) if t is not None and len(t)]
+                merged = merge_topk_table(
+                    pa.concat_tables(parts) if parts else _EMPTY_PACKED_PARTIALS,
+                    query_cfg.k,
+                )
+            return merged
+
+        merged = self._on_actors(merged_topk)
         import pyarrow.compute as pc
 
-        # big batches: fan the k x P x Q merge out by query range — each raw
-        # task reads the shard partials zero-copy and merges its slice
-        est_rows = len(queries) * len(self.actors) * query_cfg.k
-        if est_rows >= _MERGE_FANOUT_ROWS and len(plan.query_ids) > 1:
-            n_slices = min(8, max(2, est_rows // _MERGE_FANOUT_ROWS + 1))
-            qs_sorted = np.sort(plan.query_ids)
-            cuts = [int(qs_sorted[(i * qs_sorted.size) // n_slices]) for i in range(n_slices)]
-            # dedupe cut points (repeated qids) while keeping coverage
-            bounds = sorted(set(cuts))
-            task = ray.remote(num_cpus=1)(_merge_partial_range)
-            outs = [
-                t for t in ray.get(
-                    [
-                        task.remote(
-                            futs, bounds[i],
-                            bounds[i + 1] if i + 1 < len(bounds) else None,
-                            query_cfg.k,
-                        )
-                        for i in range(len(bounds))
-                    ]
-                )
-                if t is not None
-            ]
-            merged = (
-                pa.concat_tables(outs) if outs
-                else merge_topk_table(_EMPTY_PACKED_PARTIALS, query_cfg.k)
-            )
-        else:
-            parts = [t for t in ray.get(futs) if t is not None and len(t)]
-            merged = merge_topk_table(
-                pa.concat_tables(parts) if parts else _EMPTY_PACKED_PARTIALS,
-                query_cfg.k,
-            )
         if "url" not in merged.column_names:
             merged = self._attach_urls(merged)
         else:  # inline-url path: column order must match the packed path
@@ -2627,7 +2798,9 @@ class SearchSession:
             ids_ref = ray.put(uniq)
             tabs = [
                 t
-                for t in ray.get([a.lookup_urls.remote(ids_ref) for a in self.actors])
+                for t in self._on_actors(
+                    lambda actors: ray.get([a.lookup_urls.remote(ids_ref) for a in actors])
+                )
                 if t is not None and len(t)
             ]
         else:
@@ -2669,10 +2842,10 @@ class SearchSession:
         return pa.table(out)
 
     def shutdown(self) -> None:
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
+        """Hand this session's actors back to the warm pool (not a kill):
+        they keep this session's loaded files until the next open reuses or
+        drops them, or until `ray.shutdown()` ends them with the cluster."""
+        _release_actors(self.actors, self._groups)
         self.actors = []
 
 
@@ -2694,8 +2867,6 @@ class StackedSearchSession(SearchSession):
 
     def __init__(self, index_dirs: list[str], num_actors: int | None = None,
                  tombstones: list | None = None):
-        import ray
-
         from ..state.stats import load_stats
 
         assert index_dirs, "empty generation stack"
@@ -2713,20 +2884,11 @@ class StackedSearchSession(SearchSession):
                     f"generation stack config mismatch on {key}"
                 )
         parts = sorted({int(p) for st in all_stats for p in st["partitions"]})
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n = max(1, min(num_actors or ncpu, len(parts)))
-        cls = _shard_actor_cls()
-        assign: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(parts):
-            assign[i % n].append(p)
-        self.actors = [
-            cls.remote(self.index_dirs, a, int(self.stats["block_size"]),
-                       tombstones=self._tombstones)
-            for a in assign
-        ]
-        counts = ray.get([a.live_counts.remote() for a in self.actors])
-        self._n_docs = int(sum(c[0] for c in counts))
-        sum_dl = sum(c[1] for c in counts)
+        self._n_docs, sum_dl = self._open(
+            parts, num_actors,
+            dict(index_dirs=self.index_dirs, block_size=int(self.stats["block_size"]),
+                 tombstones=self._tombstones),
+        )
         self._avgdl = (sum_dl / self._n_docs) if self._n_docs else 0.0
         self.stats["n_docs"] = self._n_docs
         self.stats["avgdl"] = self._avgdl
@@ -2736,7 +2898,9 @@ class StackedSearchSession(SearchSession):
         import ray
 
         out = {t: 0 for t in missing}
-        for part in ray.get([a.live_df.remote(missing) for a in self.actors]):
+        for part in self._on_actors(
+            lambda actors: ray.get([a.live_df.remote(missing) for a in actors])
+        ):
             for t, n in part.items():
                 out[t] += int(n)
         return out

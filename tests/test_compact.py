@@ -298,3 +298,171 @@ def test_recover_generation_rolls_forward_and_back(ray_session, tmp_path):
 
     # intact index: no-op
     assert recover_generation(ix) is None
+
+
+def _stacked_corpus(tmp_path, seed):
+    """A two-generation stack and the brute-force oracle inputs over it."""
+    import pyarrow as pa
+    import ray.data
+
+    from flatnav_ray.pipelines.build import prepare_batch
+    from flatnav_ray.pipelines.ingest import add_documents
+    from flatnav_ray.sources.synth import PagesGenerator, queries_table
+    from flatnav_ray.stages.build import dedup_latest
+
+    gen = PagesGenerator(seed=seed, vocab_size=1500, mean_len=40, dup_rate=0.0)
+    a, b = gen.chunk(0, 240), gen.chunk(1, 60)
+    ix = str(tmp_path / f"stack{seed}")
+    build_index(ray.data.from_arrow(a), ix, IndexConfig(num_partitions=8))
+    add_documents(ix, ray.data.from_arrow(b), mode="stack")
+    docs = dedup_latest(prepare_batch(pa.concat_tables([a, b]), 8, None))
+    return ix, docs.select(["doc_id", "text"]), queries_table(12, seed=seed + 1, vocab_size=1500)
+
+
+def _assert_oracle(got, docs, queries, k=10):
+    import numpy as np
+
+    from flatnav_ray.pipelines.oracle import brute_force_topk
+
+    want = brute_force_topk(docs, queries, k=k)
+    for col in ("query_id", "rank", "doc_id"):
+        assert got.column(col).to_pylist() == want.column(col).to_pylist()
+    np.testing.assert_allclose(
+        got.column("score").to_numpy(), want.column("score").to_numpy(), rtol=0, atol=1e-9
+    )
+
+
+def _wait_dead(actor, timeout_s=60.0):
+    """Block until a ray.kill has landed (the kill is asynchronous)."""
+    import time
+
+    import ray
+
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            ray.get(actor.__ray_ready__.remote(), timeout=5)
+        except ray.exceptions.RayActorError:
+            return
+        time.sleep(0.1)
+    raise AssertionError("killed actor still answers")
+
+
+def test_dead_shard_actor_respawns_and_retries(ray_session, tmp_path):
+    """ray.kill one actor of a 4-actor stacked session between calls: the
+    next search respawns it with its partition group (same files, same
+    masks) and answers exactly like the oracle."""
+    import ray
+
+    from flatnav_ray.pipelines.ingest import open_session
+
+    ix, docs, queries = _stacked_corpus(tmp_path, 81)
+    sess = open_session(ix, num_actors=4)
+    try:
+        _assert_oracle(sess.search(queries, QueryConfig(k=10)), docs, queries)
+        dead = sess.actors[2]
+        ray.kill(dead)
+        _wait_dead(dead)
+        sess._df_cache.clear()  # the first call to fail is the live-df lookup
+        _assert_oracle(sess.search(queries, QueryConfig(k=10)), docs, queries)
+        assert sess.actors[2] is not dead and len(sess.actors) == 4
+        dead = sess.actors[0]
+        ray.kill(dead)
+        _wait_dead(dead)  # df now cached: the first call to fail is the search
+        _assert_oracle(sess.search(queries, QueryConfig(k=10)), docs, queries)
+        assert sess.actors[0] is not dead
+    finally:
+        sess.shutdown()
+
+
+def test_dead_idle_actor_replaced_on_open(ray_session, tmp_path):
+    """A pooled actor that died while idle is replaced at acquire time."""
+    import ray
+
+    from flatnav_ray.pipelines.ingest import open_session
+    from flatnav_ray.stages.search import _POOL
+
+    ix, docs, queries = _stacked_corpus(tmp_path, 91)
+    sess = open_session(ix, num_actors=2)
+    sess.shutdown()
+    for actor, _ in _POOL["idle"]:
+        ray.kill(actor)
+        _wait_dead(actor)
+    sess = open_session(ix, num_actors=2)
+    try:
+        assert sess.files_reused == 0
+        _assert_oracle(sess.search(queries, QueryConfig(k=10)), docs, queries)
+    finally:
+        sess.shutdown()
+
+
+def test_idle_pool_capped_at_cluster_cpus(ray_session, tmp_path):
+    """Idle actors never exceed the cluster's CPU count: releasing more
+    kills the oldest."""
+    import ray
+
+    from flatnav_ray.pipelines.ingest import open_session
+    from flatnav_ray.stages.search import _POOL
+
+    ix, _, _ = _stacked_corpus(tmp_path, 95)
+    cpus = int(ray.cluster_resources()["CPU"])
+    sessions = [open_session(ix, num_actors=cpus) for _ in range(2)]
+    for s in sessions:
+        s.shutdown()
+    assert len(_POOL["idle"]) == cpus
+    ray.get([a.__ray_ready__.remote() for a, _ in _POOL["idle"]])
+
+
+_RESTART_SCRIPT = """
+import sys
+import pyarrow as pa
+import ray, ray.data
+from flatnav_ray.config import IndexConfig, QueryConfig
+from flatnav_ray.pipelines.build import build_index
+from flatnav_ray.pipelines.ingest import open_session
+from flatnav_ray.sources.synth import PagesGenerator
+
+def init():
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR")
+
+q = pa.table({"query_id": pa.array([0], pa.int64()), "text": pa.array([sys.argv[1]])})
+ix = sys.argv[2]
+init()
+pages = PagesGenerator(seed=3, vocab_size=500, mean_len=30).chunk(0, 80)
+build_index(ray.data.from_arrow(pages), ix, IndexConfig(num_partitions=2))
+sess = open_session(ix)
+first = sess.search(q, QueryConfig(k=5))
+sess.shutdown()
+ray.shutdown()
+init()
+sess = open_session(ix)
+assert sess.files_loaded == 2 and sess.files_reused == 0, (sess.files_loaded, sess.files_reused)
+assert sess.search(q, QueryConfig(k=5)).equals(first) and len(first)
+sess.shutdown()
+ray.shutdown()
+print("OK")
+"""
+
+
+def test_open_session_after_ray_restart(tmp_path):
+    """After ray.shutdown() + ray.init() the pool drops the old cluster's
+    handles and open_session spawns fresh actors. Runs in a subprocess so the
+    test session's own cluster is untouched."""
+    import os
+    import subprocess
+    import sys
+
+    from flatnav_ray.functions.tokenize import tokenize_py
+    from flatnav_ray.sources.synth import PagesGenerator
+
+    term = tokenize_py(
+        PagesGenerator(seed=3, vocab_size=500, mean_len=30).chunk(0, 1).column("text")[0].as_py()
+    )[0]
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    out = subprocess.run(
+        [sys.executable, "-c", _RESTART_SCRIPT, term, str(tmp_path / "ix")], env=env, cwd=repo,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0 and out.stdout.strip().endswith("OK"), out.stderr[-3000:]

@@ -178,3 +178,114 @@ def test_delete_by_query_matches_term_predicate(ray_session, tmp_path):
     finally:
         sess.shutdown()
         ref.shutdown()
+
+
+def _live_rebuild(pages: pa.Table, dead_urls: list[str], ix: str, cfg) -> None:
+    import ray.data
+
+    live = pages.filter(
+        pc.invert(pc.is_in(pages.column("url"), value_set=pa.array(dead_urls, pa.string())))
+    )
+    build_index(ray.data.from_arrow(live), ix, cfg)
+
+
+def test_reopen_reuses_unchanged_segments(ray_session, tmp_path):
+    """shutdown() + open_session is the reopen: the pooled actors keep their
+    loaded files, so an add/delete cycle rereads only the new delta, while a
+    compaction (every file rewritten) reuses nothing. Each reopen serves
+    rank- and score-identically to a rebuild of the live corpus."""
+    import ray.data
+
+    from flatnav_ray.pipelines.ingest import add_documents, delete_documents, open_session
+    from flatnav_ray.sources.synth import PagesGenerator
+    from flatnav_ray.stages.search import SearchSession
+
+    gen = PagesGenerator(seed=61, vocab_size=2000, mean_len=50, dup_rate=0.0)
+    base, delta, delta2 = gen.chunk(0, 300), gen.chunk(1, 60), gen.chunk(2, 60)
+    _, queries = _corpus_and_queries(seed=62)
+    cfg = IndexConfig(num_partitions=4)
+    ix = str(tmp_path / "ix")
+    build_index(ray.data.from_arrow(base), ix, cfg)
+
+    sess = open_session(ix, num_actors=2)
+    assert (sess.files_loaded, sess.files_reused) == (4, 0)
+    sess.shutdown()
+
+    add_documents(ix, ray.data.from_arrow(delta), mode="stack")
+    dead = base.column("url").to_pylist()[::9] + delta.column("url").to_pylist()[:3]
+    delete_documents(ix, urls=dead)
+    sess = open_session(ix, num_actors=2)
+    # the base's 4 segments come from the pool; only the delta is read
+    assert (sess.files_loaded, sess.files_reused) == (4, 4)
+    ix_ref = str(tmp_path / "ref")
+    _live_rebuild(pa.concat_tables([base, delta]), dead, ix_ref, cfg)
+    ref = SearchSession(ix_ref, num_actors=2)
+    try:
+        assert sess.search(queries, QueryConfig(k=10)).equals(
+            ref.search(queries, QueryConfig(k=10))
+        )
+    finally:
+        sess.shutdown()
+        ref.shutdown()
+
+    # a stack of two plus one more add trips compact_threshold=2: the
+    # compaction rewrites every file, so nothing may be reused
+    add_documents(ix, ray.data.from_arrow(delta2), mode="stack", compact_threshold=2)
+    sess = open_session(ix, num_actors=2)
+    assert sess.files_reused == 0 and sess.files_loaded == 8
+    ix_ref2 = str(tmp_path / "ref2")
+    _live_rebuild(pa.concat_tables([base, delta, delta2]), dead, ix_ref2, cfg)
+    ref = SearchSession(ix_ref2, num_actors=2)
+    try:
+        assert sess.search(queries, QueryConfig(k=10)).equals(
+            ref.search(queries, QueryConfig(k=10))
+        )
+    finally:
+        sess.shutdown()
+        ref.shutdown()
+
+
+def test_reopen_after_same_path_restore_serves_new_files(ray_session, tmp_path):
+    """rmtree an index, then copytree a DIFFERENT index onto the same path
+    with the old files' mtimes (copytree keeps mtimes, so a restored backup
+    looks exactly like this): the reopen must serve the new files, not the
+    pooled actors' copies of the old ones."""
+    import os
+    import shutil
+
+    import ray.data
+
+    from flatnav_ray.pipelines.ingest import open_session
+    from flatnav_ray.sources.synth import PagesGenerator
+    from flatnav_ray.stages.search import SearchSession
+
+    gen = PagesGenerator(seed=71, vocab_size=2000, mean_len=50, dup_rate=0.0)
+    _, queries = _corpus_and_queries(seed=72)
+    cfg = IndexConfig(num_partitions=4)
+    ix, other = str(tmp_path / "ix"), str(tmp_path / "other")
+    build_index(ray.data.from_arrow(gen.chunk(0, 250)), ix, cfg)
+    build_index(ray.data.from_arrow(gen.chunk(1, 250)), other, cfg)
+
+    sess = open_session(ix, num_actors=2)
+    sess.search(queries, QueryConfig(k=10))
+    sess.shutdown()
+
+    for root, _, files in os.walk(other):
+        for f in files:
+            old = os.path.join(ix, os.path.relpath(os.path.join(root, f), other))
+            if os.path.exists(old):
+                st = os.stat(old)
+                os.utime(os.path.join(root, f), ns=(st.st_atime_ns, st.st_mtime_ns))
+    shutil.rmtree(ix)
+    shutil.copytree(other, ix)
+
+    sess = open_session(ix, num_actors=2)
+    ref = SearchSession(other, num_actors=2)
+    try:
+        assert sess.files_reused == 0
+        assert sess.search(queries, QueryConfig(k=10)).equals(
+            ref.search(queries, QueryConfig(k=10))
+        )
+    finally:
+        sess.shutdown()
+        ref.shutdown()
