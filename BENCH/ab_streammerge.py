@@ -8,7 +8,7 @@ windows are visible. The baseline arm runs bench.py from a separate checkout
 
 Usage:
     git worktree add /tmp/ab_base <baseline-commit>
-    python tools/ab_streammerge.py /tmp/ab_base [cpus] [pairs]
+    python BENCH/ab_streammerge.py /tmp/ab_base [cpus] [pairs]
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import shutil
 import subprocess
 import sys
 
+# the checkout this script belongs to (it lives in BENCH/)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 PAGES_N = 1_000_000
 
 
@@ -26,7 +29,6 @@ def leg(repo: str, cpus: int) -> dict:
     env = dict(os.environ)
     env.update(
         RAY_GRAFT_CPUS=str(cpus),
-        GRAFT_SF_DIR=os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1"),
         GRAFT_BENCH_PAGES=str(PAGES_N),
         GRAFT_BUILD_REPS="1",
         GRAFT_PHASE="build",
@@ -57,7 +59,7 @@ def main() -> None:
     rows = []
     for i in range(pairs):
         r = {}
-        for name, repo in (("base", base), ("head", "/root/repo")):
+        for name, repo in (("base", base), ("head", REPO)):
             d = leg(repo, cpus)
             r[name] = d["build_docs_per_sec"]
             r[f"bw_{name}"] = d.get("bandwidth_probe_gbs")

@@ -7,7 +7,7 @@ pinned, same 1M-doc corpus). Prints every pair; at the end prints the
 best-matched-pair efficiency (max over pairs of (b32/b8)/4) and the
 best-of-all-legs efficiency (the BASELINE.md estimator).
 
-Usage: python tools/pair_loop.py [n_pairs]
+Usage: python BENCH/pair_loop.py [n_pairs]
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ import shutil
 import subprocess
 import sys
 
+# the checkout this script belongs to (it lives in BENCH/)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def leg(cpus: int) -> dict:
     env = dict(os.environ)
     env.update(
         RAY_GRAFT_CPUS=str(cpus),
-        GRAFT_SF_DIR=os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1"),
         GRAFT_BENCH_PAGES="1000000",
         GRAFT_BUILD_REPS="1",
         GRAFT_PHASE="build",
@@ -32,7 +34,7 @@ def leg(cpus: int) -> dict:
     if shutil.which("taskset"):
         cmd = ["taskset", "-c", f"0-{cpus - 1}"] + cmd
     out = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                         timeout=3600, cwd="/root/repo")
+                         timeout=3600, cwd=REPO)
     lines = [ln for ln in out.stdout.splitlines() if ln.startswith("{")]
     if not lines:
         raise RuntimeError(out.stderr[-1500:])

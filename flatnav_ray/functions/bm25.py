@@ -47,11 +47,24 @@ def bm25_term_scores(
     b: float = B_DEFAULT,
 ) -> np.ndarray:
     """Vectorized per-posting BM25 contribution of one term."""
+    return _bm25(float(idf(float(df), n_docs)), tfs, doc_lens, avgdl, k1, b)
+
+
+def _bm25(w, tfs, doc_lens, avgdl, k1, b) -> np.ndarray:
+    """BM25 with idf weight `w`: a scalar, or one value per posting (the
+    same float ops per element either way, so the results are identical)."""
     tf = tfs.astype(np.float64)
     dl = doc_lens.astype(np.float64)
-    w = float(idf(float(df), n_docs))
     denom = tf + k1 * (1.0 - b + b * dl / avgdl)
     return w * (tf * (k1 + 1.0)) / denom
+
+
+def _posting_idf(row_of: np.ndarray, dfs, n_docs: int) -> np.ndarray:
+    """Each posting's term idf: the scalar libm idf per term (see `idf`),
+    broadcast over that term's postings (one term: the scalar itself)."""
+    if len(dfs) == 1:
+        return float(idf(float(dfs[0]), n_docs))
+    return np.array([idf(float(df), n_docs) for df in dfs], dtype=np.float64)[row_of]
 
 
 def bm25_block_upper_bound(
@@ -79,6 +92,12 @@ class Bm25Scorer:
     def term_scores(self, tfs, doc_lens, df, n_docs, avgdl, term=None, plan=None):
         return bm25_term_scores(tfs, doc_lens, df, n_docs, avgdl, self.k1, self.b)
 
+    def many_term_scores(self, tfs, doc_lens, row_of, dfs, n_docs, avgdl,
+                         terms=None, plan=None):
+        """term_scores of several terms in one pass: posting j belongs to
+        term row_of[j], whose global df is dfs[row_of[j]]."""
+        return _bm25(_posting_idf(row_of, dfs, n_docs), tfs, doc_lens, avgdl, self.k1, self.b)
+
     def block_bound(self, block_max_tf, block_min_dl, df, n_docs, avgdl,
                     term=None, plan=None):
         return bm25_block_upper_bound(block_max_tf, block_min_dl, df, n_docs, avgdl, self.k1, self.b)
@@ -96,7 +115,14 @@ class TfIdfScorer:
     name: str = "tfidf"
 
     def term_scores(self, tfs, doc_lens, df, n_docs, avgdl, term=None, plan=None):
-        w = float(idf(float(df), n_docs))
+        return self._scores(float(idf(float(df), n_docs)), tfs, doc_lens)
+
+    def many_term_scores(self, tfs, doc_lens, row_of, dfs, n_docs, avgdl,
+                         terms=None, plan=None):
+        return self._scores(_posting_idf(row_of, dfs, n_docs), tfs, doc_lens)
+
+    @staticmethod
+    def _scores(w, tfs, doc_lens):
         return w * (tfs.astype(np.float64) / np.maximum(doc_lens.astype(np.float64), 1.0))
 
     def block_bound(self, block_max_tf, block_min_dl, df, n_docs, avgdl,
@@ -151,6 +177,19 @@ class LmDirichletScorer:
             dtype=np.float64, count=udl.size,
         )[dinv]
         return np.maximum(tfpart + dlpart, 0.0)
+
+    def many_term_scores(self, tfs, doc_lens, row_of, dfs, n_docs, avgdl,
+                         terms=None, plan=None):
+        # per term: each term has its own collection frequency
+        ends = np.searchsorted(row_of, np.arange(1, len(dfs) + 1))
+        out = np.empty(tfs.shape[0], dtype=np.float64)
+        lo = 0
+        for term, df, hi in zip(terms, dfs, ends.tolist()):
+            out[lo:hi] = self.term_scores(
+                tfs[lo:hi], doc_lens[lo:hi], df, n_docs, avgdl, term=term, plan=plan
+            )
+            lo = hi
+        return out
 
     def block_bound(self, block_max_tf, block_min_dl, df, n_docs, avgdl,
                     term=None, plan=None):

@@ -10,6 +10,14 @@ form of flatnav's candidate pruning (`Index.h:714-763`) per SURVEY.md §2.7 D3.
 All encode/decode paths are vectorized numpy (no per-value Python loops): the
 role the SIMD distance kernels play in the reference
 (/root/reference/include/flatnav/util/SquaredL2SimdExtensions.h).
+
+A partition's posting lists are a few hundred bytes each, so per-call numpy
+overhead, not bytes, sets the decode cost: `decode_postings_rows` decodes any subset of a
+segment's rows in one pass (one gather per blob column, one varint decode per
+stream, one cumsum rebased per block). Serving decodes every uncached term of
+a call through it and compaction decodes whole segments through it
+(`decode_segment_postings`). `decode_postings` decodes one list, or only its
+selected blocks (block-max skipping) with the same gather and rebase.
 """
 
 from __future__ import annotations
@@ -20,32 +28,8 @@ import numpy as np
 
 BLOCK_SIZE = 128
 
-_U64 = np.uint64
 _SEVEN = np.uint64(7)
-_LOW7 = np.uint64(0x7F)
 _CONT = np.uint8(0x80)
-
-
-
-
-def varint_byte_lens(values: np.ndarray) -> np.ndarray:
-    """Bytes needed per value (uint8 array) — branch-free comparison adds,
-    one pass per byte level actually present (searchsorted's per-element
-    binary search was ~10x slower on the posting streams, 1-3 bytes wide).
-    Values must be non-negative. uint8 return: the merge is DRAM-bound, the
-    lens array is pure intermediate traffic (cumsum callers pass an output
-    dtype)."""
-    v = np.asarray(values)
-    nb = np.ones(v.size, dtype=np.uint8)
-    if v.size == 0:
-        return nb
-    mx = int(v.max())
-    for k in range(1, 10):
-        thr = 1 << (7 * k)
-        if mx < thr:
-            break
-        nb += v >= v.dtype.type(thr)
-    return nb
 
 
 def encode_varint_with_lens(values: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -111,15 +95,21 @@ def encode_varint(values: np.ndarray) -> bytes:
     return encode_varint_with_lens(values)[0]
 
 
+def _as_bytes(buf) -> np.ndarray:
+    if isinstance(buf, (bytes, bytearray, memoryview)):
+        return np.frombuffer(buf, dtype=np.uint8)
+    return buf
+
+
 def decode_varint(buf: bytes | np.ndarray) -> np.ndarray:
     """Decode a varint byte buffer -> uint64 array, vectorized.
 
     Per-byte-position gather (sequential reads, bounded passes) — ~3x faster
     than the scatter-add formulation on multi-byte values."""
-    b = np.frombuffer(buf, dtype=np.uint8) if isinstance(buf, (bytes, bytearray, memoryview)) else buf
+    b = _as_bytes(buf)
     if b.size == 0:
         return np.empty(0, dtype=np.uint64)
-    is_last = (b & _CONT) == 0
+    is_last = b < _CONT
     if is_last.all():  # single-byte fast path (e.g. most tf streams)
         return b.astype(np.uint64)
     ends = np.flatnonzero(is_last)
@@ -129,8 +119,8 @@ def decode_varint(buf: bytes | np.ndarray) -> np.ndarray:
     starts[1:] = ends[:-1] + 1
     lens = ends - starts + 1
     maxb = int(lens.max())
-    out = np.zeros(nvals, dtype=np.uint64)
-    for k in range(maxb):
+    out = (b[starts] & np.uint8(0x7F)).astype(np.uint64)
+    for k in range(1, maxb):
         active = lens > k
         idx = starts[active] + k
         out[active] |= (b[idx] & np.uint8(0x7F)).astype(np.uint64) << np.uint64(7 * k)
@@ -205,10 +195,6 @@ def encode_postings(
         block_doc_offs=doc_offs.astype(np.int32),
         block_tf_offs=tf_offs.astype(np.int32),
     )
-
-
-def _varint_byte_lens(vals: np.ndarray) -> np.ndarray:
-    return varint_byte_lens(vals)
 
 
 def encode_segment_table(
@@ -307,56 +293,106 @@ def encode_segment_table(
     }, tb, te
 
 
+def binary_views(col) -> tuple[np.ndarray, np.ndarray]:
+    """(int32 offsets, uint8 values) over an Arrow binary column, zero-copy:
+    row i's bytes are values[offsets[i]:offsets[i + 1]]."""
+    import pyarrow as pa
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int32)[
+        col.offset : col.offset + len(col) + 1
+    ]
+    vals = col.buffers()[2]
+    return offs, (np.frombuffer(vals, dtype=np.uint8) if vals is not None else np.empty(0, np.uint8))
+
+
+def _gather_rows(vals: np.ndarray, offs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row r's bytes are vals[offs[r]:offs[r + 1]]; returns rows `rows`'
+    bytes end to end. One slice copy per row: with rows of a few hundred
+    bytes that beats a per-byte index gather from 2 rows to thousands."""
+    if rows.size == 1:
+        r = int(rows[0])
+        return vals[offs[r] : offs[r + 1]]
+    return np.concatenate(
+        [vals[a:b] for a, b in zip(offs[rows].tolist(), offs[rows + 1].tolist())]
+    )
+
+
+def _block_cumsum(deltas: np.ndarray, dfs: np.ndarray, block_size: int) -> np.ndarray:
+    """Values of the delta streams of lists with `dfs` postings laid end to
+    end, in blocks of `block_size` (the layout encode_segment_table writes):
+    each block's first delta is absolute, so one cumsum over the whole
+    stream, rebased per block."""
+    d = deltas.astype(np.int64)
+    c = np.cumsum(d)
+    if dfs.size == 1 and c.size <= block_size:  # one block: nothing to rebase
+        return c
+    if int(dfs.max()) <= block_size:  # every list is one block
+        lens = dfs
+    else:  # every block holds block_size postings but each list's last
+        nb_t = (dfs + (block_size - 1)) // block_size
+        last_block = np.cumsum(nb_t) - 1
+        lens = np.full(int(last_block[-1]) + 1, block_size, dtype=np.int64)
+        lens[last_block] = dfs - (nb_t - 1) * block_size
+    starts = np.cumsum(lens) - lens
+    c -= np.repeat(c[starts] - d[starts], lens)
+    return c
+
+
+def decode_postings_rows(
+    dfs: np.ndarray,
+    doc_offs: np.ndarray,
+    doc_vals: np.ndarray,
+    tf_offs: np.ndarray,
+    tf_vals: np.ndarray,
+    rows: np.ndarray | None = None,
+    block_size: int = BLOCK_SIZE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the posting lists of segment rows `rows` (every row when None)
+    at once — the bulk-decode dual of encode_segment_table: one gather per
+    blob column, one varint pass per stream, one cumsum rebased per block;
+    no per-term Python.
+
+    `dfs` (int64) and the (offsets, values) pairs of `binary_views` cover
+    the whole segment. Returns (index into `rows` per posting, positions
+    int64, tfs int64), in `rows` order, position-ascending within a row."""
+    if rows is None:
+        d_bytes = doc_vals[doc_offs[0] : doc_offs[-1]]
+        t_bytes = tf_vals[tf_offs[0] : tf_offs[-1]]
+    else:
+        dfs = dfs[rows]
+        if dfs.size == 0:
+            e = np.empty(0, dtype=np.int64)
+            return e, e, e
+        d_bytes = _gather_rows(doc_vals, doc_offs, rows)
+        t_bytes = _gather_rows(tf_vals, tf_offs, rows)
+    deltas = decode_varint(d_bytes)
+    tfs = decode_varint(t_bytes)
+    n = deltas.size
+    if dfs.size == 1:
+        row_of = np.zeros(n, dtype=np.int64)
+        assert int(dfs[0]) == n == tfs.size, "blob/df mismatch"
+    else:
+        row_of = np.repeat(np.arange(dfs.size, dtype=np.int64), dfs)
+        assert row_of.size == n == tfs.size, "blob/df mismatch"
+    if n == 0:
+        return row_of, row_of, row_of
+    return row_of, _block_cumsum(deltas, dfs, block_size), tfs.astype(np.int64)
+
+
 def decode_segment_postings(
     doc_blob_col, tf_blob_col, df_col, block_size: int = BLOCK_SIZE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode EVERY term of a segment at once — the bulk-decode dual of
-    encode_segment_table (one varint pass over the column's shared values
-    buffer, block-absolute reconstruction via cumsum; no per-term Python).
-
-    Returns (term_row int64 per posting, doc positions int64, tfs int64),
-    postings in segment row order (term-major, position-ascending within
-    term). Used by compaction/merge paths that re-encode whole segments.
-    """
-    import pyarrow as pa
-
+    """Decode EVERY term of a segment at once (decode_postings_rows over
+    all rows). Returns (term_row int64 per posting, doc positions int64,
+    tfs int64), postings in segment row order. Used by compaction/merge
+    paths that re-encode whole segments."""
     dfs = np.asarray(df_col.to_numpy(zero_copy_only=False), dtype=np.int64)
-    n = int(dfs.sum())
-    if n == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    term_of = np.repeat(np.arange(dfs.size, dtype=np.int64), dfs)
-
-    def _col_bytes(col) -> np.ndarray:
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-            arr.offset : arr.offset + len(arr) + 1
-        ]
-        vals = arr.buffers()[2]
-        buf = np.frombuffer(vals, dtype=np.uint8) if vals is not None else np.empty(0, np.uint8)
-        return buf[offs[0]: offs[-1]]
-
-    deltas = decode_varint(_col_bytes(doc_blob_col))
-    tfs = decode_varint(_col_bytes(tf_blob_col))
-    assert deltas.size == n and tfs.size == n, "blob/df mismatch"
-
-    # block structure from dfs (same derivation as encode_segment_table)
-    tb = np.zeros(dfs.size, dtype=np.int64)
-    np.cumsum(dfs[:-1], out=tb[1:])
-    te = tb + dfs
-    nb_t = -(-dfs // block_size)
-    cum_nb = np.zeros(dfs.size + 1, dtype=np.int64)
-    np.cumsum(nb_t, out=cum_nb[1:])
-    term_of_block = np.repeat(np.arange(dfs.size, dtype=np.int64), nb_t)
-    within = np.arange(int(cum_nb[-1]), dtype=np.int64) - cum_nb[term_of_block]
-    block_starts = tb[term_of_block] + within * block_size
-    block_ends = np.minimum(block_starts + block_size, te[term_of_block])
-
-    # positions: deltas[block_start] is absolute; cumsum with per-block rebase
-    C = np.cumsum(deltas.astype(np.int64))
-    base = C[block_starts] - deltas[block_starts].astype(np.int64)
-    vals = C - np.repeat(base, block_ends - block_starts)
-    return term_of, vals, tfs.astype(np.int64)
+    return decode_postings_rows(
+        dfs, *binary_views(doc_blob_col), *binary_views(tf_blob_col),
+        block_size=block_size,
+    )
 
 
 def decode_postings(
@@ -378,27 +414,16 @@ def decode_postings(
         sel = np.flatnonzero(block_mask)
         if sel.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        doc_parts: list[np.ndarray] = []
-        tf_parts: list[np.ndarray] = []
-        nb = len(block_last_doc)
-        d_ends = np.append(block_doc_offs[1:], len(doc_blob))
-        t_ends = np.append(block_tf_offs[1:], len(tf_blob))
-        for bidx in sel:
-            deltas = decode_varint(doc_blob[block_doc_offs[bidx]: d_ends[bidx]])
-            doc_parts.append(np.cumsum(deltas.astype(np.int64)))
-            tf_parts.append(
-                decode_varint(tf_blob[block_tf_offs[bidx]: t_ends[bidx]]).astype(np.int64)
-            )
-        return np.concatenate(doc_parts), np.concatenate(tf_parts)
+        doc_b, tf_b = _as_bytes(doc_blob), _as_bytes(tf_blob)
+        deltas = decode_varint(_gather_rows(doc_b, np.append(block_doc_offs, doc_b.size), sel))
+        tfs = decode_varint(_gather_rows(tf_b, np.append(block_tf_offs, tf_b.size), sel))
+        # every block holds block_size postings except a list's last one;
+        # the selected blocks decode as one-block lists laid end to end
+        lens = np.full(sel.size, block_size, dtype=np.int64)
+        if sel[-1] == len(block_last_doc) - 1:
+            lens[-1] = deltas.size - (sel.size - 1) * block_size
+        return _block_cumsum(deltas, lens, block_size), tfs.astype(np.int64)
 
-    deltas = decode_varint(doc_blob).astype(np.int64)
-    n = deltas.size
-    tfs = decode_varint(tf_blob).astype(np.int64)
-    # fix up block-start absolutes: convert back to true deltas, then cumsum
-    nb = len(block_last_doc)
-    if nb > 1:
-        starts = np.arange(0, n, block_size, dtype=np.int64)[1:nb]
-        prev_last = np.asarray(block_last_doc, dtype=np.int64)[: starts.size]
-        deltas[starts] = deltas[starts] - prev_last
-    doc_ids = np.cumsum(deltas)
-    return doc_ids, tfs
+    deltas = decode_varint(doc_blob)
+    doc_ids = _block_cumsum(deltas, np.array([deltas.size]), block_size)
+    return doc_ids, decode_varint(tf_blob).astype(np.int64)

@@ -40,7 +40,7 @@ import pyarrow.parquet as pq
 
 from ..config import QueryConfig
 from ..functions.bm25 import SCORERS, idf as idf_fn, topk_select
-from ..functions.codec import decode_postings
+from ..functions.codec import binary_views, decode_postings, decode_postings_rows
 from ..functions.tokenize import tokenize_py
 from .build import docmap_path, segment_path
 
@@ -111,17 +111,10 @@ def load_term_cf(
 
     def _one(index_dir: str, p: int, block_size: int, terms: list[str]) -> dict:
         st = _ShardState(index_dir, p, block_size, terms)
-        out: dict[str, int] = {}
-        for t in terms:
-            row = st._postings_row(t)
-            if row is None:
-                continue
-            _, tfs = decode_postings(
-                row["doc_blob"], row["tf_blob"], row["block_last_doc"],
-                block_size=block_size,
-            )
-            out[t] = int(tfs.sum())
-        return out
+        row_of, _, tfs = st._decode_rows(None)  # the state holds only `terms`
+        # per-term tf sums are integers far below 2**53: exact in float64
+        cf = np.bincount(row_of, weights=tfs, minlength=len(st._terms_list))
+        return dict(zip(st._terms_list, cf.astype(np.int64).tolist()))
 
     task = ray.remote(num_cpus=1)(_one)
     parts = ray.get(
@@ -281,17 +274,8 @@ class _ShardState:
         # decode the columnar layout into flat numpy views ONCE at load — the
         # per-term hot path then does O(1) slicing, no Arrow scalar conversion
         self._df = t.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-
-        def _bin_views(col):
-            arr = col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
-            offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-                arr.offset : arr.offset + len(arr) + 1
-            ]
-            vals = arr.buffers()[2]
-            return offs, (np.frombuffer(vals, dtype=np.uint8) if vals is not None else np.empty(0, np.uint8))
-
-        self._doc_offs, self._doc_vals = _bin_views(t.column("doc_blob"))
-        self._tf_offs, self._tf_vals = _bin_views(t.column("tf_blob"))
+        self._doc_offs, self._doc_vals = binary_views(t.column("doc_blob"))
+        self._tf_offs, self._tf_vals = binary_views(t.column("tf_blob"))
 
         def _list_views(col, dtype):
             arr = col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
@@ -301,6 +285,7 @@ class _ShardState:
             )
 
         self._bl_off, self._bl_last = _list_views(t.column("block_last_doc"), np.int64)
+        self._n_blocks = np.diff(self._bl_off).tolist()  # per row, for the hot path
         _, self._bl_maxtf = _list_views(t.column("block_max_tf"), np.int64)
         _, self._bl_mindl = _list_views(t.column("block_min_dl"), np.int64)
         _, self._bl_doffs = _list_views(t.column("block_doc_offs"), np.int32)
@@ -391,37 +376,72 @@ class _ShardState:
             "block_tf_offs": self._bl_toffs[s:e],
         }
 
-    def term_contrib(self, term: str, plan: QueryPlan, scorer):
-        """(local_positions, per-posting score contribution, n_blocks) for one
-        term — decoded and scored once, reused by every query in every batch."""
+    def _sync_stats(self, plan: QueryPlan, scorer) -> None:
+        """Empty the score caches when the corpus stats or the scorer change."""
         key = (plan.n_docs, plan.avgdl, scorer.name)
         if key != self._stats_key:
             self._contrib.clear()
+            self._gcontrib.clear()
             self._stats_key = key
-        hit = self._contrib.get(term)
-        if hit is not None:
-            return hit
-        p = self._postings_row(term)
-        if p is None:
-            self._contrib[term] = None
-            return None
-        # blobs store docmap positions: direct indexing, no searchsorted
-        pos, tfs = decode_postings(
-            p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=self.block_size
+
+    def _decode_rows(self, rows: np.ndarray | None):
+        """(index into `rows`, docmap position, tf) per live posting of the
+        segment rows `rows` (every row when None) — one bulk decode,
+        shadowed docs dropped."""
+        row_of, pos, tfs = decode_postings_rows(
+            self._df, self._doc_offs, self._doc_vals, self._tf_offs, self._tf_vals,
+            rows, self.block_size,
         )
         if self._dead_pos is not None:
             keep = ~self._dead_pos[pos]
-            pos, tfs = pos[keep], tfs[keep]
-        dls = self.docmap_lens[pos]
-        contrib = scorer.term_scores(
-            tfs, dls, plan.term_df[term], plan.n_docs, plan.avgdl,
-            term=term, plan=plan,
+            row_of, pos, tfs = row_of[keep], pos[keep], tfs[keep]
+        return row_of, pos, tfs
+
+    def fill_contrib(self, terms, plan: QueryPlan, scorer) -> None:
+        """Cache (local_positions, per-posting score contribution, n_blocks)
+        for every uncached term of `terms` (None when absent from this
+        shard): their posting lists decode in one pass and score in one
+        scorer call, however many terms there are. Contributions are
+        query-independent, so each term is decoded and scored once and reused
+        by every query in every batch."""
+        self._sync_stats(plan, scorer)
+        if len(self._contrib) > 100_000:  # bounded actor memory
+            self._contrib.clear()  # (arena-sizing analog)
+        todo: dict[str, int] = {}
+        for t in terms:
+            if t in self._contrib or t in todo:
+                continue
+            i = self.term_row.get(t)
+            if i is None:
+                self._contrib[t] = None
+            else:
+                todo[t] = i
+        if not todo:
+            return
+        names, row_list = list(todo), list(todo.values())
+        rows = np.array(row_list, dtype=np.int64)
+        row_of, pos, tfs = self._decode_rows(rows)
+        contrib = scorer.many_term_scores(
+            tfs, self.docmap_lens[pos], row_of, [plan.term_df[t] for t in names],
+            plan.n_docs, plan.avgdl, terms=names, plan=plan,
         )
-        out = (pos, contrib, len(p["block_last_doc"]))
-        if len(self._contrib) > 100_000:  # bounded actor memory (arena-sizing analog)
-            self._contrib.clear()
-        self._contrib[term] = out
-        return out
+        ends = (
+            np.searchsorted(row_of, np.arange(1, rows.size + 1)).tolist()
+            if rows.size > 1 else [pos.size]
+        )
+        lo = 0
+        for t, hi, r in zip(names, ends, row_list):
+            self._contrib[t] = (pos[lo:hi], contrib[lo:hi], self._n_blocks[r])
+            lo = hi
+
+    def term_contrib(self, term: str, plan: QueryPlan, scorer):
+        """(local_positions, per-posting score contribution, n_blocks) for one
+        term, or None when this shard lacks it (see fill_contrib)."""
+        if term not in self._contrib or self._stats_key != (
+            plan.n_docs, plan.avgdl, scorer.name
+        ):
+            self.fill_contrib((term,), plan, scorer)
+        return self._contrib[term]
 
     def group_contrib(self, members: tuple[str, ...], plan: QueryPlan, scorer):
         """(local_positions, contribution, n_blocks) for ONE synonym group
@@ -432,40 +452,21 @@ class _ShardState:
             # pooled-group cf semantics are ambiguous (sum vs max of member
             # cfs); keep the cf-based similarity on the plain term path
             raise ValueError(f"synonyms are unsupported with scorer {scorer.name!r}")
-        key = (plan.n_docs, plan.avgdl, scorer.name)
-        if key != self._stats_key:
-            self._contrib.clear()
-            self._gcontrib.clear()
-            self._stats_key = key
+        self._sync_stats(plan, scorer)
         hit = self._gcontrib.get(members)
         if hit is not None or members in self._gcontrib:
             return hit
         df_g = max((plan.term_df.get(m, 0) for m in members), default=0)
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        n_blocks = 0
-        if df_g > 0:
-            for m in members:
-                p = self._postings_row(m)
-                if p is None:
-                    continue
-                pos, tfs = decode_postings(
-                    p["doc_blob"], p["tf_blob"], p["block_last_doc"],
-                    block_size=self.block_size,
-                )
-                if self._dead_pos is not None:
-                    keep = ~self._dead_pos[pos]
-                    pos, tfs = pos[keep], tfs[keep]
-                if pos.size:
-                    parts.append((pos, tfs))
-                n_blocks += len(p["block_last_doc"])
-        if not parts:
+        row_list = [self.term_row[m] for m in members if m in self.term_row] if df_g > 0 else []
+        rows = np.array(row_list, dtype=np.int64)
+        _, allpos, alltf = self._decode_rows(rows)
+        n_blocks = sum(self._n_blocks[r] for r in row_list)
+        if allpos.size == 0:
             out = None
         else:
-            if len(parts) == 1:
-                upos, utf = parts[0]
+            if rows.size == 1:
+                upos, utf = allpos, alltf
             else:
-                allpos = np.concatenate([p for p, _ in parts])
-                alltf = np.concatenate([t for _, t in parts])
                 upos, inv = np.unique(allpos, return_inverse=True)
                 # tf sums are small ints: float64 bincount is exact
                 utf = np.bincount(inv, weights=alltf).astype(np.int64)
@@ -485,40 +486,34 @@ class _ShardState:
         live = ~self._dead_pos
         return int(live.sum()), int(self.docmap_lens[live].sum())
 
-    def live_term_df(self, term: str) -> int:
-        """Live-document df for one term (postings minus shadowed docs) —
-        exact global df across a generation stack sums these. Decoded once
-        per term and cached; no mask -> the stored df, no decode."""
-        i = self.term_row.get(term)
-        if i is None:
-            return 0
+    def live_term_dfs(self, terms: list[str]) -> list[int]:
+        """Live-document df per term (postings minus shadowed docs) — exact
+        global df across a generation stack sums these. The uncached terms
+        decode in one pass and are cached; no mask -> the stored df, no
+        decode."""
         if self._dead_pos is None:
-            return int(self._df[i])
-        hit = self._live_df.get(term)
-        if hit is not None:
-            return hit
-        p = self._postings_row(term)
-        pos, _ = decode_postings(
-            p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=self.block_size
-        )
-        n = int((~self._dead_pos[pos]).sum())
-        self._live_df[term] = n
-        return n
+            return [
+                int(self._df[i]) if (i := self.term_row.get(t)) is not None else 0
+                for t in terms
+            ]
+        todo = {
+            t: self.term_row[t] for t in terms
+            if t in self.term_row and t not in self._live_df
+        }
+        if todo:
+            row_of, _, _ = self._decode_rows(np.array(list(todo.values()), dtype=np.int64))
+            self._live_df.update(zip(todo, np.bincount(row_of, minlength=len(todo)).tolist()))
+        return [self._live_df.get(t, 0) for t in terms]
 
     def live_term_doc_ids(self, term: str) -> np.ndarray:
         """Sorted doc_ids of LIVE documents containing `term` — the match
         set primitive behind delete_by_query (pipelines/ingest.py): postings
         decoded once, shadow/tombstone mask applied, ids resolved through
         the docmap."""
-        p = self._postings_row(term)
-        if p is None:
+        i = self.term_row.get(term)
+        if i is None:
             return np.empty(0, dtype=np.int64)
-        pos, _ = decode_postings(
-            p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=self.block_size
-        )
-        if self._dead_pos is not None:
-            pos = pos[~self._dead_pos[pos]]
-        return self.docmap_ids[pos]
+        return self.docmap_ids[self._decode_rows(np.array([i]))[1]]
 
     def _lang_mask(self, lang: str) -> np.ndarray:
         """Boolean docmap-row mask for one lang (filtered search) — computed
@@ -657,6 +652,10 @@ class _ShardState:
             sort_vals = getattr(self, "_len_f", None)
             if sort_vals is None:  # ints <= 2^53: exact as doubles
                 sort_vals = self._len_f = self.docmap_lens.astype(np.float64)
+        if method in ("taat", "maxscore") and syn_lists is None:
+            # every term the query loop can look up (scored, negated, must):
+            # decoded and scored in one pass instead of one per term
+            self.fill_contrib(plan.term_idf, plan, scorer)
         fmask = self._lang_mask(flt) if flt is not None else None
         if flt_len is not None:  # numeric range filter composes by AND
             lm = self._len_mask(flt_len[0], flt_len[1])
@@ -1081,27 +1080,14 @@ class _ShardState:
         a terms filter (full dictionary). The full-dictionary scan per shard
         is the documented cost of exact significant_terms — ES bounds it by
         sampling instead; exactness is what makes this SQL-checkable."""
-        from ..functions.codec import decode_postings
-
-        dec: dict[str, np.ndarray] = {}
+        # every dictionary term is visited: decode the whole segment at once
+        row_of, pos, _ = self._decode_rows(None)
+        ends = np.searchsorted(row_of, np.arange(1, len(self._terms_list) + 1)).tolist()
+        dec = dict(zip(self._terms_list, np.split(pos, ends[:-1])))
+        empty = np.empty(0, dtype=np.int64)
 
         def _pos(term: str) -> np.ndarray:
-            p = dec.get(term)
-            if p is None:
-                row = self._postings_row(term)
-                if row is None:
-                    p = np.empty(0, dtype=np.int64)
-                else:
-                    p, _ = decode_postings(
-                        row["doc_blob"], row["tf_blob"],
-                        np.asarray(row["block_last_doc"], dtype=np.int64),
-                        block_size=self.block_size,
-                    )
-                    if self._dead_pos is not None:  # tombstone/shadow mask,
-                        # same live-doc discipline as live_term_doc_ids
-                        p = p[~self._dead_pos[p]]
-                dec[term] = p
-            return p
+            return dec.get(term, empty)
 
         q_out: list[int] = []
         t_out: list[str] = []
@@ -1308,7 +1294,7 @@ class _ShardState:
         if self._dead_pos is None:
             return self._terms_list[lo:hi], self._df[lo:hi].copy()
         dfs = np.array(
-            [self.live_term_df(t) for t in self._terms_list[lo:hi]], dtype=np.int64
+            self.live_term_dfs(self._terms_list[lo:hi]), dtype=np.int64
         )
         return self._terms_list[lo:hi], dfs
 
@@ -1330,20 +1316,8 @@ class _ShardState:
         """|union of postings| over dictionary rows — shared by the prefix
         and infix wildcard scans (shards hold disjoint docs, so counts sum
         exactly across the cluster)."""
-        pos_lists = []
-        for i in term_indices:
-            p = self._postings_row(self._terms_list[int(i)])
-            pos, _tfs = decode_postings(
-                p["doc_blob"], p["tf_blob"], p["block_last_doc"],
-                block_size=self.block_size,
-            )
-            if self._dead_pos is not None:
-                pos = pos[~self._dead_pos[pos]]
-            if pos.size:
-                pos_lists.append(pos)
-        if not pos_lists:
-            return 0
-        return int(self._union_positions(pos_lists).size)
+        _, pos, _ = self._decode_rows(np.asarray(term_indices, dtype=np.int64))
+        return int(np.unique(pos).size)
 
     # ---- exact phrase path (method="phrase") ----
 
@@ -2352,7 +2326,10 @@ def _shard_actor_cls():
             return n, s, counts["loaded"], counts["reused"]
 
         def live_df(self, terms: list[str]) -> dict[str, int]:
-            return {t: sum(st.live_term_df(t) for st in self.states.values()) for t in terms}
+            out = np.zeros(len(terms), dtype=np.int64)
+            for st in self.states.values():
+                out += st.live_term_dfs(terms)
+            return dict(zip(terms, out.tolist()))
 
         def search(self, plan: QueryPlan, scorer_name: str, method: str,
                    approx_factor: float = 1.0, msm: int = 0,

@@ -2,6 +2,8 @@
 rests on: the varint/delta posting codec, the tokenizer batch/scalar parity,
 the hash spec equivalence, and bounded top-k selection. No Ray needed."""
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from flatnav_ray.functions.bm25 import topk_select
 from flatnav_ray.functions.codec import (
+    binary_views,
     decode_postings,
+    decode_postings_rows,
     decode_varint,
     encode_postings,
+    encode_segment_table,
     encode_varint,
 )
 from flatnav_ray.functions.hashes import hash64_str, splitmix64, stable_hash64
@@ -56,6 +61,99 @@ def test_postings_roundtrip_any_block_size(ids, data, block_size):
     assert enc.block_last_doc[-1] == doc_ids[-1]
     assert np.all(np.diff(enc.block_last_doc) > 0)
     assert int(enc.block_max_tf.max()) == int(tfs.max())
+
+
+def _segment(dfs, block_size, seed):
+    """encode_segment_table over random postings with the given per-term
+    dfs (positions < 2**20, tfs up to 300: 1- to 3-byte varints)."""
+    rng = np.random.default_rng(seed)
+    docs = [np.sort(rng.choice(1 << 20, size=d, replace=False)) for d in dfs]
+    p_docs = np.concatenate(docs).astype(np.int64)
+    p_terms = np.repeat(np.arange(len(dfs), dtype=np.int64), dfs)
+    p_tfs = rng.integers(1, 300, p_docs.size).astype(np.int64)
+    cols, _, _ = encode_segment_table(p_terms, p_docs, p_tfs, p_tfs.copy(), block_size)
+    return cols
+
+
+def _check_rows_decode(cols, rows, block_size):
+    """decode_postings_rows over `rows` == decode_postings row by row."""
+    dfs = cols["df"].to_numpy().astype(np.int64)
+    (doc_offs, doc_vals), (tf_offs, tf_vals) = (
+        binary_views(cols["doc_blob"]), binary_views(cols["tf_blob"]),
+    )
+    row_of, pos, tfs = decode_postings_rows(
+        dfs, doc_offs, doc_vals, tf_offs, tf_vals,
+        np.asarray(rows, dtype=np.int64), block_size,
+    )
+    assert row_of.size == pos.size == tfs.size == int(dfs[list(rows)].sum())
+    assert np.all(np.diff(row_of) >= 0)
+    for j, r in enumerate(rows):
+        want_pos, want_tf = decode_postings(
+            cols["doc_blob"][r].as_py(), cols["tf_blob"][r].as_py(),
+            np.asarray(cols["block_last_doc"][r].as_py(), dtype=np.int64),
+            block_size=block_size,
+        )
+        assert np.array_equal(pos[row_of == j], want_pos)
+        assert np.array_equal(tfs[row_of == j], want_tf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([4, 32, 128]), st.data())
+def test_rows_decode_equals_per_row_decode(block_size, data):
+    # list widths at the block boundaries (1, block_size, block_size + 1)
+    # mixed with arbitrary ones; any subset of rows, in any order
+    df = st.sampled_from([1, block_size, block_size + 1]) | st.integers(1, 3 * block_size + 1)
+    dfs = data.draw(st.lists(df, min_size=1, max_size=12))
+    rows = data.draw(st.permutations(range(len(dfs))).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda n: p[:n])
+    ))
+    _check_rows_decode(_segment(dfs, block_size, seed=len(dfs)), rows, block_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _long_segment():
+    # a list longer than 65,536 postings (the 2-byte code width) beside
+    # lists of 1, block_size and block_size + 1
+    return _segment([1, 128, 129, 70_000, 5], 128, seed=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 4), unique=True))
+def test_rows_decode_across_a_long_list(rows):
+    _check_rows_decode(_long_segment(), rows, 128)
+
+
+def _per_block_decode(ep, mask):
+    """The reference masked decode: each selected block on its own."""
+    d_ends = np.append(ep.block_doc_offs[1:], len(ep.doc_blob))
+    t_ends = np.append(ep.block_tf_offs[1:], len(ep.tf_blob))
+    docs, tfs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b in np.flatnonzero(mask):
+        deltas = decode_varint(ep.doc_blob[ep.block_doc_offs[b] : d_ends[b]])
+        docs.append(np.cumsum(deltas.astype(np.int64)))
+        tfs.append(decode_varint(ep.tf_blob[ep.block_tf_offs[b] : t_ends[b]]).astype(np.int64))
+    return np.concatenate(docs), np.concatenate(tfs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 1200), st.sampled_from([4, 32, 128]), st.data())
+def test_masked_decode_equals_per_block_loop(n, block_size, data):
+    rng = np.random.default_rng(n)
+    ids = np.sort(rng.choice(1 << 30, size=n, replace=False)).astype(np.int64)
+    tfs = rng.integers(1, 300, n).astype(np.int64)
+    ep = encode_postings(ids, tfs, tfs, block_size=block_size)
+    nb = len(ep.block_last_doc)
+    first, last = np.zeros(nb, bool), np.zeros(nb, bool)
+    first[0] = last[-1] = True  # the last block is partial unless n % block_size == 0
+    drawn = np.asarray(data.draw(st.lists(st.booleans(), min_size=nb, max_size=nb)))
+    for mask in (np.zeros(nb, bool), np.ones(nb, bool), first, last, drawn):
+        got = decode_postings(
+            ep.doc_blob, ep.tf_blob, ep.block_last_doc,
+            ep.block_doc_offs, ep.block_tf_offs, mask, block_size=block_size,
+        )
+        want = _per_block_decode(ep, mask)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].dtype == got[1].dtype == np.int64
 
 
 @settings(max_examples=200, deadline=None)

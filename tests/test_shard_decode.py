@@ -1,0 +1,263 @@
+"""Shard-side posting decode and its work counters.
+
+* `_ShardState.fill_contrib` decodes and scores many terms in one pass; its
+  cache entries must equal the one-term decode + score bit for bit (float64
+  scores, positions, block counts) on a generation stack with shadowed and
+  tombstoned documents, for every scorer, including negated, must and
+  absent terms.
+* The `docs_scored` / `blocks_decoded` columns of `search_partials` (the
+  reference's distance-computation counters, Index.h:83-84) must equal a
+  direct count over the segment files.
+"""
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from flatnav_ray.config import IndexConfig, QueryConfig
+from flatnav_ray.functions.bm25 import SCORERS
+from flatnav_ray.functions.codec import decode_postings
+from flatnav_ray.functions.tokenize import tokenize_py
+from flatnav_ray.pipelines.build import build_index
+from flatnav_ray.stages.build import docmap_path, segment_path
+from flatnav_ray.stages.search import _ShardState, make_query_plan, stack_states
+
+VOCAB = 1500
+
+
+def _pages(n, seed):
+    from flatnav_ray.sources.synth import PagesGenerator
+
+    return PagesGenerator(seed=seed, vocab_size=VOCAB, mean_len=50, dup_rate=0.0).chunk(0, n)
+
+
+@pytest.fixture(scope="module")
+def stacked(ray_session, tmp_path_factory):
+    """A base generation, a delta that re-adds 60 base urls (shadowing the
+    base copies) plus 100 new pages, and 40 deleted urls; returns every
+    (partition, generation) `_ShardState` with its dead mask."""
+    import ray.data
+
+    from flatnav_ray.pipelines.ingest import (
+        add_documents,
+        delete_documents,
+        list_generations,
+        load_tombstones,
+    )
+
+    base = _pages(500, seed=3)
+    ix = str(tmp_path_factory.mktemp("stack") / "ix")
+    build_index(ray.data.from_arrow(base), ix, IndexConfig(num_partitions=3))
+    delta = pa.concat_tables([base.slice(0, 60), _pages(100, seed=4)])
+    add_documents(ix, ray.data.from_arrow(delta), mode="stack")
+    delete_documents(ix, urls=base.column("url").to_pylist()[100:140])
+    gens, tombs = list_generations(ix), load_tombstones(ix)
+    assert len(gens) == 2 and tombs is not None
+
+    def states():
+        out = []
+        for p in range(3):
+            out += [
+                st for _, st in stack_states(
+                    gens, p, tombs,
+                    lambda g, dead: _ShardState(gens[g], p, 128, dead_ids=dead),
+                )
+            ]
+        return out
+
+    sts = states()
+    assert sum(st._dead_pos is not None for st in sts) >= 3  # masks in play
+    return states
+
+
+def _plan(states, scorer_name):
+    from flatnav_ray.sources.synth import queries_table
+
+    q = queries_table(30, seed=11, vocab_size=VOCAB)
+    n = len(q)
+    texts = q.column("text").to_pylist()
+    q = q.append_column(
+        "neg_text", pa.array([texts[(i + 1) % n].split(" ")[0] for i in range(n)])
+    ).append_column(
+        "must_text", pa.array([texts[i].split(" ")[-1] + " zzqqabsent" for i in range(n)])
+    )
+    terms = sorted(
+        {t for c in ("text", "neg_text", "must_text") for x in q.column(c).to_pylist()
+         for t in tokenize_py(x)}
+    )
+    df = dict.fromkeys(terms, 0)
+    n_docs = total_len = 0
+    for st in states:
+        for t, v in zip(terms, st.live_term_dfs(terms)):
+            df[t] += v
+        a, b = st.live_counts()
+        n_docs, total_len = n_docs + a, total_len + b
+    plan = make_query_plan(q, df, n_docs, total_len / n_docs, 10)
+    if scorer_name == "lmd":  # any positive collection frequencies will do
+        plan.term_cf = {t: 3 * d + 1 for t, d in df.items()}
+        plan.total_len = total_len
+    return plan
+
+
+def _one_term(st, term, plan, scorer):
+    """The per-term decode + score the bulk pass must reproduce."""
+    p = st._postings_row(term)
+    if p is None:
+        return None
+    pos, tfs = decode_postings(
+        p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=st.block_size
+    )
+    if st._dead_pos is not None:
+        keep = ~st._dead_pos[pos]
+        pos, tfs = pos[keep], tfs[keep]
+    contrib = scorer.term_scores(
+        tfs, st.docmap_lens[pos], plan.term_df[term], plan.n_docs, plan.avgdl,
+        term=term, plan=plan,
+    )
+    return pos, contrib, len(p["block_last_doc"])
+
+
+@pytest.mark.parametrize("scorer_name", ["bm25", "tfidf", "lmd"])
+def test_bulk_contrib_equals_one_term_decode(stacked, scorer_name):
+    states = stacked()
+    plan = _plan(states, scorer_name)
+    scorer = SCORERS[scorer_name]
+    terms = list(plan.term_idf)
+    assert "zzqqabsent" in terms and plan.query_neg_terms and plan.query_must_terms
+    n_checked = 0
+    for st in states:
+        st.fill_contrib(terms, plan, scorer)
+        for t in terms:
+            got, want = st._contrib[t], _one_term(st, t, plan, scorer)
+            if want is None:
+                assert got is None
+                continue
+            assert np.array_equal(got[0], want[0])
+            assert got[1].dtype == np.float64
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            n_checked += 1
+    assert n_checked > 100
+
+
+@pytest.mark.parametrize("scorer_name", ["bm25", "tfidf", "lmd"])
+def test_search_batch_same_with_one_term_cache_fills(stacked, scorer_name):
+    # a cache filled one term at a time serves the same partials (negated
+    # and must terms included) as the batch's own bulk fill
+    bulk, single = stacked(), stacked()
+    plan = _plan(bulk, scorer_name)
+    scorer = SCORERS[scorer_name]
+    for a, b in zip(bulk, single):
+        for t in plan.term_idf:
+            b.term_contrib(t, plan, scorer)
+        for method in ("maxscore", "taat"):
+            got = a.search_batch(plan, scorer, method)
+            assert got.equals(b.search_batch(plan, scorer, method))
+
+
+def test_live_term_dfs_counts_live_postings(stacked):
+    for st in stacked():
+        terms = st._terms_list[::7] + ["zzqqabsent"]
+        want = []
+        for t in terms:
+            p = st._postings_row(t)
+            if p is None:
+                want.append(0)
+                continue
+            pos, _ = decode_postings(
+                p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=st.block_size
+            )
+            want.append(int(pos.size if st._dead_pos is None else (~st._dead_pos[pos]).sum()))
+        assert st.live_term_dfs(terms) == want
+
+
+# ---- work counters -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_index(ray_session, tmp_path_factory):
+    import ray.data
+
+    ix = str(tmp_path_factory.mktemp("counters") / "ix")
+    # block_size 16 so that lists span several blocks on a small corpus
+    build_index(ray.data.from_arrow(_pages(600, seed=5)), ix,
+                IndexConfig(num_partitions=3, block_size=16))
+    return ix
+
+
+def _direct_counts(ix, queries, block_size=16):
+    """(query_id, partition) -> (|union of the query terms' postings|,
+    blocks in those posting lists), read straight from the segment files;
+    plus doc_id -> partition."""
+    counts, part_of = {}, {}
+    qterms = {
+        int(q): sorted(set(tokenize_py(t)))
+        for q, t in zip(queries.column("query_id").to_pylist(), queries.column("text").to_pylist())
+    }
+    for p in range(3):
+        seg = pq.read_table(segment_path(ix, p)).to_pylist()
+        rows = {r["term"]: r for r in seg}
+        for d in pq.read_table(docmap_path(ix, p)).column("doc_id").to_pylist():
+            part_of[d] = p
+        for q, terms in qterms.items():
+            union, blocks = set(), 0
+            for t in terms:
+                r = rows.get(t)
+                if r is None:
+                    continue
+                pos, _ = decode_postings(
+                    r["doc_blob"], r["tf_blob"], np.asarray(r["block_last_doc"]),
+                    block_size=block_size,
+                )
+                union.update(pos.tolist())
+                blocks += len(r["block_last_doc"])
+            counts[(q, p)] = (len(union), blocks)
+    return counts, part_of
+
+
+def _partials(ix, queries, cfg):
+    import ray
+
+    from flatnav_ray.pipelines.query import search_partials
+
+    refs, _ = search_partials(ix, queries, cfg)
+    return pa.concat_tables([t for t in ray.get(refs) if len(t)])
+
+
+def _counter_rows(t, part_of):
+    return {
+        (q, part_of[d]): (n, b)
+        for q, d, n, b in zip(
+            t.column("query_id").to_pylist(), t.column("doc_id").to_pylist(),
+            t.column("docs_scored").to_pylist(), t.column("blocks_decoded").to_pylist(),
+        )
+    }
+
+
+def test_counters_equal_direct_count(small_index):
+    from flatnav_ray.sources.synth import queries_table
+
+    queries = queries_table(25, seed=6, vocab_size=VOCAB)
+    want, part_of = _direct_counts(small_index, queries)
+    seg = pq.read_table(segment_path(small_index, 0), columns=["block_last_doc"])
+    assert max(len(b) for b in seg.column(0).to_pylist()) > 3  # multi-block lists
+    # maxscore decodes every block of every query term; wand with k above
+    # a shard's size never reaches a threshold, so it prunes nothing
+    for cfg in (QueryConfig(k=10, method="maxscore"), QueryConfig(k=1000, method="wand")):
+        got = _counter_rows(_partials(small_index, queries, cfg), part_of)
+        assert len(got) >= 50
+        for key, val in got.items():
+            assert val == want[key], (cfg.method, key)
+    # one term: wand's first term is always fully decoded and scored
+    single = pa.table({
+        "query_id": pa.array(range(8), pa.int64()),
+        "text": pa.array([t.split(" ")[0] for t in queries.column("text").to_pylist()[:8]]),
+    })
+    want1, _ = _direct_counts(small_index, single)
+    got = _counter_rows(_partials(small_index, single, QueryConfig(k=3, method="wand")), part_of)
+    assert got and all(val == want1[key] for key, val in got.items())
+    # pruned wand never counts more than the exhaustive path
+    got = _counter_rows(_partials(small_index, queries, QueryConfig(k=3, method="wand")), part_of)
+    assert all(n <= want[key][0] and b <= want[key][1] for key, (n, b) in got.items())
+    assert any(b < want[key][1] for key, (_, b) in got.items())
