@@ -307,10 +307,17 @@ def binary_views(col) -> tuple[np.ndarray, np.ndarray]:
     return offs, (np.frombuffer(vals, dtype=np.uint8) if vals is not None else np.empty(0, np.uint8))
 
 
-def _gather_rows(vals: np.ndarray, offs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _gather_rows(vals, offs, rows: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
     """Row r's bytes are vals[offs[r]:offs[r + 1]]; returns rows `rows`'
-    bytes end to end. One slice copy per row: with rows of a few hundred
-    bytes that beats a per-byte index gather from 2 rows to thousands."""
+    bytes end to end. With `members`, `vals` and `offs` are sequences of
+    per-segment views and row j is row rows[j] of segment members[j]. One
+    slice copy per row: with rows of a few hundred bytes that beats a
+    per-byte index gather from 2 rows to thousands."""
+    if members is not None:
+        return np.concatenate([
+            vals[m][offs[m][r] : offs[m][r + 1]]
+            for m, r in zip(members.tolist(), rows.tolist())
+        ])
     if rows.size == 1:
         r = int(rows[0])
         return vals[offs[r] : offs[r + 1]]
@@ -348,6 +355,7 @@ def decode_postings_rows(
     tf_vals: np.ndarray,
     rows: np.ndarray | None = None,
     block_size: int = BLOCK_SIZE,
+    members: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode the posting lists of segment rows `rows` (every row when None)
     at once — the bulk-decode dual of encode_segment_table: one gather per
@@ -355,18 +363,28 @@ def decode_postings_rows(
     no per-term Python.
 
     `dfs` (int64) and the (offsets, values) pairs of `binary_views` cover
-    the whole segment. Returns (index into `rows` per posting, positions
-    int64, tfs int64), in `rows` order, position-ascending within a row."""
+    the whole segment. With `members` (one per entry of `rows`), `dfs` and
+    the four views are sequences over several segments of one block size,
+    and row j is row rows[j] of segment members[j]: the rows of all of them
+    still decode as one stream per column. Returns (index into `rows` per
+    posting, positions int64, tfs int64), in `rows` order,
+    position-ascending within a row; positions are local to the row's
+    segment."""
     if rows is None:
         d_bytes = doc_vals[doc_offs[0] : doc_offs[-1]]
         t_bytes = tf_vals[tf_offs[0] : tf_offs[-1]]
     else:
-        dfs = dfs[rows]
-        if dfs.size == 0:
+        if rows.size == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
-        d_bytes = _gather_rows(doc_vals, doc_offs, rows)
-        t_bytes = _gather_rows(tf_vals, tf_offs, rows)
+        if members is None:
+            dfs = dfs[rows]
+        else:
+            dfs = np.array(
+                [dfs[m][r] for m, r in zip(members.tolist(), rows.tolist())], dtype=np.int64
+            )
+        d_bytes = _gather_rows(doc_vals, doc_offs, rows, members)
+        t_bytes = _gather_rows(tf_vals, tf_offs, rows, members)
     deltas = decode_varint(d_bytes)
     tfs = decode_varint(t_bytes)
     n = deltas.size

@@ -2319,28 +2319,6 @@ def bm25_topk_rcm(sf_dir: str, k: int = 10) -> pa.Table:
     return _reorder_gate(sf_dir, "gorder+rcm", k)
 
 
-def _bm25_topk_rcm_raw(sf_dir: str, k: int = 10) -> pa.Table:
-    """The reordered index's own result rows (original ids via url) —
-    retained for pytest/library use."""
-    cfg = IndexConfig(num_partitions=8, docid_strategy="gorder+rcm")
-    ix = _index_dir_for(sf_dir, cfg)
-    if not os.path.exists(os.path.join(ix, "stats.json")):
-        build_index(documents_as_pages(sf_dir), ix, cfg, resume=True)
-    queries = derived_queries(ix)
-    out = search_to_table(ix, queries, QueryConfig(k=k))
-    orig = pc.cast(
-        pc.struct_field(pc.extract_regex(out.column("url"), r"/(?P<id>[0-9]+)$"), "id"),
-        pa.int64(),
-    )
-    return pa.table(
-        {
-            "query_id": out.column("query_id"),
-            "rank": out.column("rank").cast(pa.int64()),
-            "doc_id": orig,
-        }
-    )
-
-
 def bm25_topk_gorder(sf_dir: str, k: int = 10) -> pa.Table:
     """Gorder docid strategy (SURVEY.md O5 — the reference's gOrder
     sliding-window cache-locality ordering, Reordering.h:27-117, grafted as a
@@ -2352,23 +2330,3 @@ def bm25_topk_gorder(sf_dir: str, k: int = 10) -> pa.Table:
     additionally holds the rank-identity-modulo-ties oracle."""
     return _reorder_gate(sf_dir, "gorder", k)
 
-
-def _bm25_topk_gorder_raw(sf_dir: str, k: int = 10) -> pa.Table:
-    """The Gorder index's own result rows — retained for pytest/library use."""
-    cfg = IndexConfig(num_partitions=8, docid_strategy="gorder")
-    ix = _index_dir_for(sf_dir, cfg)
-    if not os.path.exists(os.path.join(ix, "stats.json")):
-        build_index(documents_as_pages(sf_dir), ix, cfg, resume=True)
-    queries = derived_queries(ix)
-    out = search_to_table(ix, queries, QueryConfig(k=k))
-    orig = pc.cast(
-        pc.struct_field(pc.extract_regex(out.column("url"), r"/(?P<id>[0-9]+)$"), "id"),
-        pa.int64(),
-    )
-    return pa.table(
-        {
-            "query_id": out.column("query_id"),
-            "rank": out.column("rank").cast(pa.int64()),
-            "doc_id": orig,
-        }
-    )

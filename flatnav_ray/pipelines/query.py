@@ -12,8 +12,8 @@ broadcast object — the reference's 'every query probes the whole index'
 (bindings.cpp:196-212 parallel query loop) turned inside out for sharding.
 A one-shot call runs its shard stage as plain `num_cpus=1` tasks on the
 cluster's already-started workers (no per-call actor pool to spawn and
-tear down); the eager callers concatenate the tasks' tables, the streaming
-`search()` wraps the same refs in a Dataset.
+tear down); callers concatenate the tasks' tables, and partial sets too
+large for the driver merge stream through `_stream_merge` instead.
 
 For repeated query batches over one index use stages.search.SearchSession
 (persistent shard actors, load-once/serve-many).
@@ -271,26 +271,6 @@ def _merge_partials(refs, k: int, est_rows: int) -> pa.Table:
     if t is None:
         return _EMPTY_RESULT
     return merge_topk_table(t.drop_columns(["docs_scored", "blocks_decoded"]), k)
-
-
-def search(
-    index_dir: str,
-    queries: pa.Table,
-    query_cfg: QueryConfig | None = None,
-) -> ray.data.Dataset:
-    """Top-k search as a streaming Dataset (distributed merge). Returns
-    (query_id, rank, doc_id, url, score) — the analog of the reference's
-    (Q×K distances, Q×K labels) return (bindings.cpp:214-227)."""
-    query_cfg = query_cfg or QueryConfig()
-    if getattr(query_cfg, "offset", 0) > 0:
-        import dataclasses
-
-        deep = dataclasses.replace(query_cfg, k=query_cfg.k + query_cfg.offset, offset=0)
-        return search(index_dir, queries, deep).filter(
-            expr=f"rank >= {query_cfg.offset}"
-        )
-    refs, _ = search_partials(index_dir, queries, query_cfg)
-    return _stream_merge(refs, query_cfg.k)
 
 
 _EMPTY_RESULT = pa.table(

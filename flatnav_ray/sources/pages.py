@@ -1,10 +1,11 @@
-"""Pages-table sources: Parquet reader + driver-testdata adapter.
+"""Pages-table sources: the pages schema + driver-testdata adapter.
 
 Graft of the reference's extension-dispatched dataset loaders
 (/root/reference/experiments/data_loader.py:222-243 `get_data_loader` picks a
 loader by file extension; range-sliced big inputs at data_loader.py:92-219).
-Here Parquet is the only on-disk format (BASELINE.json input_hint); range
-slicing = Parquet row-group splitting, column pruning happens at the read.
+Here Parquet is the only on-disk format (BASELINE.json input_hint) and the
+reader is `ray.data.read_parquet(paths, columns=...)` itself: range slicing =
+Parquet row-group splitting, column pruning happens at the read.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ PAGES_SCHEMA = pa.schema(
 )
 
 _EPOCH_US = 1735689600_000000  # 2025-01-01T00:00:00Z
-
-
-def read_pages(paths: str | list[str], columns: list[str] | None = None) -> ray.data.Dataset:
-    """Read a pages Parquet table, pruning columns at the read
-    (SURVEY.md §2.2 M2 — schema validated projection)."""
-    return ray.data.read_parquet(paths, columns=columns)
 
 
 def documents_as_pages(sf_dir: str) -> ray.data.Dataset:

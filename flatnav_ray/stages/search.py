@@ -18,6 +18,14 @@ Two serving modes share one scoring core (`_ShardState`):
   pool that outlives sessions, so shutdown + reopen reuses the actor
   processes and every unchanged segment.
 
+Both modes score a worker's whole share of the index as one shard: a
+one-shot task's partitions, or a session actor's partitions × generations,
+form one `_ShardGroup` (docmaps end to end, one dead mask, one scratch set,
+one term-contribution cache), so taat/maxscore cost one decode pass, one
+score call and one top-k per query per worker — the reference's one pass
+over one flat arena (Index.h:56,177-178). wand/and/phrase/msm keep
+per-segment pruning state and run per member `_ShardState`.
+
 Scoring: per-term BM25 contributions are query-independent (idf, tf, doc_len
 are all fixed at index time), so each decoded term is scored ONCE and cached;
 a query batch then costs one fused multiply-add per (query, term) —
@@ -312,9 +320,6 @@ class _ShardState:
         return st
 
     def _init_serving(self, dead_ids: np.ndarray | None) -> None:
-        # positional sidecar (phrase path) — loaded lazily on first phrase query
-        self._pos_row: dict[str, int] | None = None
-        self._facet_cache: dict[str, tuple[np.ndarray, list]] = {}
         # stacked-serving shadow mask over docmap positions (None = all live)
         self._dead_pos: np.ndarray | None = None
         if dead_ids is not None and dead_ids.size:
@@ -325,6 +330,12 @@ class _ShardState:
                 dead = np.zeros(self.docmap_ids.size, dtype=bool)
                 dead[pos[valid]] = True
                 self._dead_pos = dead
+        self._init_caches()
+
+    def _init_caches(self) -> None:
+        # positional sidecar (phrase path) — loaded lazily on first phrase query
+        self._pos_row: dict[str, int] | None = None
+        self._facet_cache: dict[str, tuple[np.ndarray, list]] = {}
         # caches (query-independent once (scorer, stats) fixed)
         self._contrib: dict[str, tuple[np.ndarray, np.ndarray, int] | None] = {}
         # synonym-group cache: members tuple -> (positions, contrib, blocks)
@@ -360,6 +371,23 @@ class _ShardState:
         mask[cand] = False
         return cand
 
+    def _row(self, term: str) -> int | None:
+        """The term's segment row, None when this shard lacks it."""
+        return self.term_row.get(term)
+
+    def _id_index(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(sorted doc_ids, their docmap positions; None = the identity):
+        the docmap itself is id-sorted."""
+        return self.docmap_ids, None
+
+    def _id_positions(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(found, docmap position) per doc_id of `ids`."""
+        sid, order = self._id_index()
+        if sid.size == 0:
+            return np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=np.int64)
+        j = np.minimum(np.searchsorted(sid, ids), sid.size - 1)
+        return sid[j] == ids, (j if order is None else order[j])
+
     def _postings_row(self, term: str):
         i = self.term_row.get(term)
         if i is None:
@@ -388,10 +416,12 @@ class _ShardState:
         """(index into `rows`, docmap position, tf) per live posting of the
         segment rows `rows` (every row when None) — one bulk decode,
         shadowed docs dropped."""
-        row_of, pos, tfs = decode_postings_rows(
+        return self._drop_dead(*decode_postings_rows(
             self._df, self._doc_offs, self._doc_vals, self._tf_offs, self._tf_vals,
             rows, self.block_size,
-        )
+        ))
+
+    def _drop_dead(self, row_of, pos, tfs):
         if self._dead_pos is not None:
             keep = ~self._dead_pos[pos]
             row_of, pos, tfs = row_of[keep], pos[keep], tfs[keep]
@@ -411,7 +441,7 @@ class _ShardState:
         for t in terms:
             if t in self._contrib or t in todo:
                 continue
-            i = self.term_row.get(t)
+            i = self._row(t)
             if i is None:
                 self._contrib[t] = None
             else:
@@ -457,7 +487,9 @@ class _ShardState:
         if hit is not None or members in self._gcontrib:
             return hit
         df_g = max((plan.term_df.get(m, 0) for m in members), default=0)
-        row_list = [self.term_row[m] for m in members if m in self.term_row] if df_g > 0 else []
+        row_list = (
+            [r for m in members if (r := self._row(m)) is not None] if df_g > 0 else []
+        )
         rows = np.array(row_list, dtype=np.int64)
         _, allpos, alltf = self._decode_rows(rows)
         n_blocks = sum(self._n_blocks[r] for r in row_list)
@@ -492,13 +524,10 @@ class _ShardState:
         decode in one pass and are cached; no mask -> the stored df, no
         decode."""
         if self._dead_pos is None:
-            return [
-                int(self._df[i]) if (i := self.term_row.get(t)) is not None else 0
-                for t in terms
-            ]
+            return [int(self._df[i]) if (i := self._row(t)) is not None else 0 for t in terms]
         todo = {
-            t: self.term_row[t] for t in terms
-            if t in self.term_row and t not in self._live_df
+            t: i for t in terms
+            if t not in self._live_df and (i := self._row(t)) is not None
         }
         if todo:
             row_of, _, _ = self._decode_rows(np.array(list(todo.values()), dtype=np.int64))
@@ -555,10 +584,11 @@ class _ShardState:
                      approx_factor: float = 1.0, msm: int = 0,
                      slop: int = 0, flt: str | None = None,
                      sort_by: str | None = None,
-                     flt_len: tuple[int | None, int | None] | None = None) -> pa.Table:
+                     flt_len: tuple[int | None, int | None] | None = None,
+                     with_urls: bool = True) -> pa.Table:
         """Score every query in the plan against this shard; return partial
-        top-k rows. Accumulation order per query: lexicographic terms (pinned
-        float order).
+        top-k rows (the url column only `with_urls`). Accumulation order per
+        query: lexicographic terms (pinned float order).
 
         method="taat"/"maxscore": cached term-at-a-time (contributions decoded
         + scored once per term, reused across the whole batch) — optimal for
@@ -794,33 +824,26 @@ class _ShardState:
             s_out.append(ssc)
             n_out.append((docs.size, n_cand, n_blocks))
         if not d_out:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "url": pa.array([], type=pa.string()),
-                    "score": pa.array([], type=pa.float64()),
-                    "docs_scored": pa.array([], type=pa.int64()),
-                    "blocks_decoded": pa.array([], type=pa.int64()),
-                }
-            )
+            return _empty_partials(with_urls)
         all_docs = np.concatenate(d_out)
-        url_pos = np.searchsorted(self.docmap_ids, all_docs)
         sizes = np.array([x[0] for x in n_out], dtype=np.int64)
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(q_out), type=pa.int64()),
-                "doc_id": pa.array(all_docs, type=pa.int64()),
-                "url": self.docmap_urls.take(pa.array(url_pos)),
-                "score": pa.array(np.concatenate(s_out), type=pa.float64()),
-                "docs_scored": pa.array(
-                    np.repeat(np.array([x[1] for x in n_out], dtype=np.int64), sizes)
-                ),
-                "blocks_decoded": pa.array(
-                    np.repeat(np.array([x[2] for x in n_out], dtype=np.int64), sizes)
-                ),
-            }
+        cols = {
+            "query_id": pa.array(np.concatenate(q_out), type=pa.int64()),
+            "doc_id": pa.array(all_docs, type=pa.int64()),
+        }
+        if with_urls:
+            found, url_pos = self._id_positions(all_docs)
+            if not found.all():
+                raise RuntimeError("a winner doc_id has no row in the shard's docmap")
+            cols["url"] = self.docmap_urls.take(pa.array(url_pos))
+        cols["score"] = pa.array(np.concatenate(s_out), type=pa.float64())
+        cols["docs_scored"] = pa.array(
+            np.repeat(np.array([x[1] for x in n_out], dtype=np.int64), sizes)
         )
+        cols["blocks_decoded"] = pa.array(
+            np.repeat(np.array([x[2] for x in n_out], dtype=np.int64), sizes)
+        )
+        return pa.table(cols)
 
 
     # ---- conjunctive intersection path (method="and") ----
@@ -1597,6 +1620,136 @@ class _ShardState:
         return out
 
 
+def _scores_as_group(method: str, msm: int) -> bool:
+    """Whether a shard worker scores `method` over its whole `_ShardGroup`
+    (the cached taat/maxscore body) rather than per member state (wand, and,
+    phrase and min-should-match keep per-list pruning state per segment)."""
+    return method in ("taat", "maxscore") and msm == 0
+
+
+def _empty_partials(with_urls: bool) -> pa.Table:
+    cols = {"query_id": pa.array([], type=pa.int64()), "doc_id": pa.array([], type=pa.int64())}
+    if with_urls:
+        cols["url"] = pa.array([], type=pa.string())
+    cols["score"] = pa.array([], type=pa.float64())
+    cols["docs_scored"] = pa.array([], type=pa.int64())
+    cols["blocks_decoded"] = pa.array([], type=pa.int64())
+    return pa.table(cols)
+
+
+def _chunked(cols) -> pa.ChunkedArray:
+    """Arrow columns end to end, zero-copy."""
+    chunks = [c for col in cols for c in (col.chunks if isinstance(col, pa.ChunkedArray) else [col])]
+    return pa.chunked_array(chunks, type=cols[0].type if cols else pa.string())
+
+
+class _ShardGroup(_ShardState):
+    """A shard worker's `_ShardState`s — its partitions, and in a generation
+    stack every generation of each — scored as ONE shard: one decode, one
+    score and one top-k per query per worker, not one per member.
+
+    The members' docmap columns are laid end to end (member j's position p
+    is group position `_base[j] + p`) under one dead mask, one scratch set
+    and one term-contribution cache. A group row is a term: it stands for
+    that term's segment row in every member holding it, so `_decode_rows`
+    reads them all, term-major, as one stream per blob column
+    (`decode_postings_rows` over several segments; no segment bytes are
+    copied to keep), and the inherited taat/maxscore body of `search_batch`
+    with `fill_contrib`, `group_contrib` and `live_term_dfs` runs unchanged
+    on group rows. The top-k equals the members' own top-k merged:
+    positions are disjoint per member, each doc accumulates its terms in
+    the same lexicographic order and `topk_select` keeps the (score desc,
+    doc_id asc) order. wand/and/phrase/msm run on the members
+    (`_scores_as_group`)."""
+
+    def __init__(self, members: list[_ShardState], block_size: int):
+        self.members = members
+        self.block_size = block_size
+        self._base = np.cumsum([0] + [m.docmap_ids.size for m in members])[:-1]
+        self.docmap_ids = np.concatenate([m.docmap_ids for m in members] or [np.empty(0, np.int64)])
+        self.docmap_lens = np.concatenate([m.docmap_lens for m in members] or [np.empty(0, np.int64)])
+        self.docmap_langs = _chunked([m.docmap_langs for m in members])
+        self._dead_pos = None
+        if any(m._dead_pos is not None for m in members):
+            self._dead_pos = np.concatenate([
+                m._dead_pos if m._dead_pos is not None else np.zeros(m.docmap_ids.size, bool)
+                for m in members
+            ])
+        # the members' segment views, as decode_postings_rows takes them
+        self._views = tuple(
+            [getattr(m, a) for m in members]
+            for a in ("_df", "_doc_offs", "_doc_vals", "_tf_offs", "_tf_vals")
+        )
+        # group rows, added as terms are first looked up: per row the
+        # (members, segment rows) holding the term, its stored df and block
+        # count summed over them, and block-list offsets shaped as a
+        # segment's, so code reading a state's block counts reads these
+        self.term_row: dict[str, int] = {}
+        self._pairs: list[tuple[list[int], list[int]]] = []
+        self._df: list[int] = []
+        self._n_blocks: list[int] = []
+        self._bl_off: list[int] = [0]
+        self._urls: pa.Array | None = None
+        self._by_id: tuple[np.ndarray, np.ndarray] | None = None
+        self._init_caches()
+
+    def _row(self, term: str) -> int | None:
+        i = self.term_row.get(term)
+        if i is not None:
+            return i
+        ms, rs, df, nb = [], [], 0, 0
+        for j, m in enumerate(self.members):
+            r = m.term_row.get(term)
+            if r is not None:
+                ms.append(j)
+                rs.append(r)
+                df += int(m._df[r])
+                nb += m._n_blocks[r]
+        if not ms:
+            return None
+        i = self.term_row[term] = len(self._pairs)
+        self._pairs.append((ms, rs))
+        self._df.append(df)
+        self._n_blocks.append(nb)
+        self._bl_off.append(self._bl_off[-1] + nb)
+        return i
+
+    def _decode_rows(self, rows: np.ndarray):
+        """(index into `rows`, group position, tf) per live posting of the
+        group rows `rows`: every member's segment row of each, in one
+        decode pass, term-major and position-ascending within a term."""
+        ms: list[int] = []
+        rs: list[int] = []
+        owner: list[int] = []
+        for j, i in enumerate(rows.tolist()):
+            m, r = self._pairs[i]
+            ms += m
+            rs += r
+            owner += [j] * len(m)
+        mem = np.array(ms, dtype=np.int64)
+        pair_of, pos, tfs = decode_postings_rows(
+            *self._views, np.array(rs, dtype=np.int64), self.block_size, members=mem
+        )
+        pos = pos + self._base[mem][pair_of]
+        return self._drop_dead(np.array(owner, dtype=np.int64)[pair_of], pos, tfs)
+
+    def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on first use: the concatenated docmap is not id-sorted. A
+        # shadowed copy may answer for its doc_id; it has the same url
+        # (doc_id <-> url is 1:1 by construction)
+        if self._by_id is None:
+            order = np.argsort(self.docmap_ids, kind="stable")
+            self._by_id = (self.docmap_ids[order], order)
+        return self._by_id
+
+    @property
+    def docmap_urls(self) -> pa.Array:
+        """The members' url columns end to end, built on first use."""
+        if self._urls is None:
+            self._urls = _chunked([m.docmap_urls for m in self.members]).combine_chunks()
+        return self._urls
+
+
 def score_docs_rows(
     index_dir: str, partition: int, block_size: int, plan: QueryPlan,
     scorer_name: str, qids: np.ndarray, docs: np.ndarray,
@@ -1694,6 +1847,8 @@ def explain_rows(
 
 class ShardSearcher:
     """One-shot shard stage: a table of {partition} rows -> partial top-k.
+    taat/maxscore score the task's partitions as one `_ShardGroup` (one
+    top-k per query per task); wand/and/phrase/msm one top-k per partition.
 
     The query plan arrives as an object-store ref (`ray.put` once, zero-copy
     read in every task)."""
@@ -1719,34 +1874,24 @@ class ShardSearcher:
         return st
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for part in batch.column("partition").to_pylist():
-            part = int(part)
-            if not os.path.exists(segment_path(self.index_dir, part)):
-                continue
-            outs.append(
-                self._state(part).search_batch(
-                    self.plan, self.scorer, self.cfg.method,
-                    getattr(self.cfg, "approx_factor", 1.0),
-                    getattr(self.cfg, "min_should_match", 0),
-                    getattr(self.cfg, "phrase_slop", 0),
-                    getattr(self.cfg, "filter_lang", None),
-                    getattr(self.cfg, "sort_by", None),
-                    _len_bounds(self.cfg),
-                )
-            )
-        if not outs:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "url": pa.array([], type=pa.string()),
-                    "score": pa.array([], type=pa.float64()),
-                    "docs_scored": pa.array([], type=pa.int64()),
-                    "blocks_decoded": pa.array([], type=pa.int64()),
-                }
-            )
-        return pa.concat_tables(outs)
+        states = [
+            self._state(p) for p in map(int, batch.column("partition").to_pylist())
+            if os.path.exists(segment_path(self.index_dir, p))
+        ]
+        if not states:
+            return _empty_partials(True)
+        msm = getattr(self.cfg, "min_should_match", 0)
+        args = (
+            self.plan, self.scorer, self.cfg.method,
+            getattr(self.cfg, "approx_factor", 1.0), msm,
+            getattr(self.cfg, "phrase_slop", 0),
+            getattr(self.cfg, "filter_lang", None),
+            getattr(self.cfg, "sort_by", None),
+            _len_bounds(self.cfg),
+        )
+        if _scores_as_group(self.cfg.method, msm):
+            return _ShardGroup(states, self.block_size).search_batch(*args)
+        return pa.concat_tables([st.search_batch(*args) for st in states])
 
 
 class ShardFacets:
@@ -2274,6 +2419,12 @@ def _shard_actor_cls():
         """Server-mode shard (the persistent query server, SURVEY.md T2):
         `load` gives it a session's partitions, it serves many query batches.
 
+        Its member states — one per (generation, partition) it serves — form
+        one `_ShardGroup`, built once per `load`: taat/maxscore queries,
+        live df and url lookups are one group call each, so the actor's cost
+        per query does not grow with its generation and partition count;
+        wand/and/phrase/msm run per member and the actor merges them.
+
         Actors outlive sessions (see `_acquire_actors`): an actor keeps the
         files it loaded keyed by `_file_identity`, and a later `load` that
         needs an unchanged file builds a fresh `_ShardState` over the same
@@ -2281,6 +2432,7 @@ def _shard_actor_cls():
 
         def __init__(self):
             self.states: dict[tuple[int, int], _ShardState] = {}
+            self.group: _ShardGroup | None = None
             self._files: dict[tuple, _ShardState] = {}
 
         def load(self, index_dirs, partitions: list[int], block_size: int,
@@ -2318,33 +2470,12 @@ def _shard_actor_cls():
                     dirs, p, tombstones, lambda g, dead: open_state(g, p, dead)
                 ):
                     self.states[(g, p)] = st
-            n, s = 0, 0
-            for st in self.states.values():
-                a, b = st.live_counts()
-                n += a
-                s += b
+            self.group = _ShardGroup(list(self.states.values()), block_size)
+            n, s = self.group.live_counts()
             return n, s, counts["loaded"], counts["reused"]
 
         def live_df(self, terms: list[str]) -> dict[str, int]:
-            out = np.zeros(len(terms), dtype=np.int64)
-            for st in self.states.values():
-                out += st.live_term_dfs(terms)
-            return dict(zip(terms, out.tolist()))
-
-        def search(self, plan: QueryPlan, scorer_name: str, method: str,
-                   approx_factor: float = 1.0, msm: int = 0,
-                   slop: int = 0, flt: str | None = None,
-                   sort_by: str | None = None,
-                   flt_len: tuple[int | None, int | None] | None = None) -> pa.Table:
-            scorer = SCORERS[scorer_name]
-            outs = [
-                st.search_batch(
-                    plan, scorer, method, approx_factor, msm, slop, flt,
-                    sort_by, flt_len,
-                )
-                for st in self.states.values()
-            ]
-            return pa.concat_tables(outs) if outs else None
+            return dict(zip(terms, self.group.live_term_dfs(terms)))
 
         def search_packed(self, plan: QueryPlan, scorer_name: str, method: str,
                           approx_factor: float = 1.0, msm: int = 0,
@@ -2352,50 +2483,43 @@ def _shard_actor_cls():
                           sort_by: str | None = None,
                           flt_len: tuple[int | None, int | None] | None = None,
                           k: int = 10, with_urls: bool = False) -> pa.Table | None:
-            """search(), packed for the serving shuffle: drops the url and
-            per-query stats columns (~80 B/row -> 24 B/row of fixed-width
-            arrays) and pre-merges this ACTOR's partitions to top-k per
-            query, so an actor owning P/N partitions ships one bounded
-            partial instead of P/N. For LARGE batches urls resolve
-            post-merge for the final winners only (lookup_urls) — the
-            k x P x Q string traffic was the serving shuffle's dominant
-            byte cost; for SMALL batches (with_urls=True) the partial keeps
-            its url column so the session skips the extra lookup round trip
-            that would dominate single-query latency."""
-            t = self.search(plan, scorer_name, method, approx_factor, msm,
-                            slop, flt, sort_by, flt_len)
+            """This ACTOR's top-k per query, packed for the serving shuffle:
+            (query_id, doc_id, score), 24 B/row of fixed-width arrays, so an
+            actor owning P/N partitions ships one bounded partial instead of
+            P/N. For LARGE batches urls resolve post-merge for the final
+            winners only (lookup_urls) — the k x P x Q string traffic was
+            the serving shuffle's dominant byte cost; for SMALL batches
+            (with_urls=True) the partial keeps a url column so the session
+            skips the extra lookup round trip that would dominate
+            single-query latency."""
+            scorer = SCORERS[scorer_name]
+            args = (plan, scorer, method, approx_factor, msm, slop, flt, sort_by,
+                    flt_len, with_urls)
+            if _scores_as_group(method, msm):
+                t = self.group.search_batch(*args)
+            else:
+                outs = [st.search_batch(*args) for st in self.states.values()]
+                t = pa.concat_tables(outs) if outs else None
+                if len(outs) > 1:
+                    t = merge_topk_table(t, k)
             if t is None or len(t) == 0:
                 return None
-            cols = ["query_id", "doc_id", "url", "score"] if with_urls else [
-                "query_id", "doc_id", "score"]
-            t = t.select(cols)
-            if len(self.states) > 1:
-                t = merge_topk_table(t, k).select(cols)
-            return t
+            return t.select(
+                ["query_id", "doc_id", "url", "score"] if with_urls
+                else ["query_id", "doc_id", "score"]
+            )
 
         def lookup_urls(self, doc_ids: np.ndarray) -> pa.Table | None:
             """Resolve urls for the doc_ids this actor owns (co-resident
-            docmap, SURVEY.md J1). Ids owned by other actors are ignored;
-            in a generation stack any generation's copy resolves the same
-            url (doc_id <-> url is 1:1 by construction)."""
+            docmap, SURVEY.md J1). Ids owned by other actors are ignored."""
             ids = np.asarray(doc_ids, dtype=np.int64)
-            outs = []
-            for st in self.states.values():
-                dm = st.docmap_ids
-                if dm.size == 0:
-                    continue
-                pos = np.clip(np.searchsorted(dm, ids), 0, dm.size - 1)
-                hit = dm[pos] == ids
-                if hit.any():
-                    outs.append(
-                        pa.table(
-                            {
-                                "doc_id": pa.array(ids[hit], type=pa.int64()),
-                                "url": st.docmap_urls.take(pa.array(pos[hit])),
-                            }
-                        )
-                    )
-            return pa.concat_tables(outs) if outs else None
+            hit, pos = self.group._id_positions(ids)
+            if not hit.any():
+                return None
+            return pa.table({
+                "doc_id": pa.array(ids[hit], type=pa.int64()),
+                "url": self.group.docmap_urls.take(pa.array(pos[hit])),
+            })
 
     return ShardActor
 
@@ -2839,7 +2963,9 @@ class StackedSearchSession(SearchSession):
         means collisions share a partition);
       * global stats — n_docs / avgdl sum the actors' live counts;
       * live df — per-term df is the sum of live posting counts across the
-        stack (one RPC per cold term, cached per session).
+        stack: the batch's uncached terms go to every actor in one RPC, and
+        each actor counts them over its `_ShardGroup` in one decode pass;
+        the session caches the sums.
     """
 
     def __init__(self, index_dirs: list[str], num_actors: int | None = None,

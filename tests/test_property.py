@@ -123,6 +123,46 @@ def test_rows_decode_across_a_long_list(rows):
     _check_rows_decode(_long_segment(), rows, 128)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 32, 128]), st.data())
+def test_multi_segment_rows_decode_equals_each_segments_own(block_size, data):
+    # several segments of one block size (one may hold a 70,000-posting
+    # list); each "term" sits at a random row of a random subset of them,
+    # possibly none; the (segment, row) pairs decode term-major in one pass
+    df = st.sampled_from([1, block_size, block_size + 1]) | st.integers(1, 3 * block_size + 1)
+    n_seg = data.draw(st.integers(1, 5))
+    segs = [
+        _segment(data.draw(st.lists(df, min_size=1, max_size=6)), block_size, seed=i)
+        for i in range(n_seg)
+    ]
+    if block_size == 128 and data.draw(st.booleans()):
+        segs[data.draw(st.integers(0, n_seg - 1))] = _long_segment()
+    views = [
+        (c["df"].to_numpy().astype(np.int64), *binary_views(c["doc_blob"]),
+         *binary_views(c["tf_blob"]))
+        for c in segs
+    ]
+    members, rows = [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        for m in sorted(data.draw(st.sets(st.integers(0, n_seg - 1)))):
+            members.append(m)
+            rows.append(data.draw(st.integers(0, len(views[m][0]) - 1)))
+    row_of, pos, tfs = decode_postings_rows(
+        *([v[i] for v in views] for i in range(5)),
+        np.asarray(rows, dtype=np.int64), block_size, members=np.asarray(members, dtype=np.int64),
+    )
+    want = [
+        decode_postings_rows(*views[m], np.array([r]), block_size)
+        for m, r in zip(members, rows)
+    ]
+    e = np.empty(0, np.int64)
+    assert np.array_equal(row_of, np.concatenate(
+        [np.full(w[0].size, j) for j, w in enumerate(want)] or [e]))
+    assert np.array_equal(pos, np.concatenate([w[1] for w in want] or [e]))
+    assert np.array_equal(tfs, np.concatenate([w[2] for w in want] or [e]))
+    assert pos.dtype == tfs.dtype == np.int64
+
+
 def _per_block_decode(ep, mask):
     """The reference masked decode: each selected block on its own."""
     d_ends = np.append(ep.block_doc_offs[1:], len(ep.doc_blob))

@@ -5,6 +5,9 @@
   scores, positions, block counts) on a generation stack with shadowed and
   tombstoned documents, for every scorer, including negated, must and
   absent terms.
+* A `_ShardGroup` scores all of those states as one shard; its top-k must
+  equal the members' own partials merged, for every scorer and query
+  feature of the taat/maxscore path, and its live df the members' sum.
 * The `docs_scored` / `blocks_decoded` columns of `search_partials` (the
   reference's distance-computation counters, Index.h:83-84) must equal a
   direct count over the segment files.
@@ -21,7 +24,13 @@ from flatnav_ray.functions.codec import decode_postings
 from flatnav_ray.functions.tokenize import tokenize_py
 from flatnav_ray.pipelines.build import build_index
 from flatnav_ray.stages.build import docmap_path, segment_path
-from flatnav_ray.stages.search import _ShardState, make_query_plan, stack_states
+from flatnav_ray.stages.search import (
+    _ShardGroup,
+    _ShardState,
+    make_query_plan,
+    merge_topk_table,
+    stack_states,
+)
 
 VOCAB = 1500
 
@@ -71,20 +80,28 @@ def stacked(ray_session, tmp_path_factory):
     return states
 
 
-def _plan(states, scorer_name):
+def _queries():
     from flatnav_ray.sources.synth import queries_table
 
-    q = queries_table(30, seed=11, vocab_size=VOCAB)
-    n = len(q)
-    texts = q.column("text").to_pylist()
-    q = q.append_column(
-        "neg_text", pa.array([texts[(i + 1) % n].split(" ")[0] for i in range(n)])
-    ).append_column(
-        "must_text", pa.array([texts[i].split(" ")[-1] + " zzqqabsent" for i in range(n)])
-    )
+    return queries_table(30, seed=11, vocab_size=VOCAB)
+
+
+def _plan(states, scorer_name, q=None, **kw):
+    """A plan over the stack's live stats; by default for `_queries()` with a
+    negated term and two must terms (one absent) per query."""
+    if q is None:
+        q = _queries()
+        n = len(q)
+        texts = q.column("text").to_pylist()
+        q = q.append_column(
+            "neg_text", pa.array([texts[(i + 1) % n].split(" ")[0] for i in range(n)])
+        ).append_column(
+            "must_text", pa.array([texts[i].split(" ")[-1] + " zzqqabsent" for i in range(n)])
+        )
     terms = sorted(
-        {t for c in ("text", "neg_text", "must_text") for x in q.column(c).to_pylist()
-         for t in tokenize_py(x)}
+        {t for c in ("text", "neg_text", "must_text") if c in q.column_names
+         for x in q.column(c).to_pylist() for t in tokenize_py(x)}
+        | {t for syn in kw.get("synonyms", {}).values() for t in syn}
     )
     df = dict.fromkeys(terms, 0)
     n_docs = total_len = 0
@@ -93,7 +110,7 @@ def _plan(states, scorer_name):
             df[t] += v
         a, b = st.live_counts()
         n_docs, total_len = n_docs + a, total_len + b
-    plan = make_query_plan(q, df, n_docs, total_len / n_docs, 10)
+    plan = make_query_plan(q, df, n_docs, total_len / n_docs, 10, **kw)
     if scorer_name == "lmd":  # any positive collection frequencies will do
         plan.term_cf = {t: 3 * d + 1 for t, d in df.items()}
         plan.total_len = total_len
@@ -170,6 +187,111 @@ def test_live_term_dfs_counts_live_postings(stacked):
             )
             want.append(int(pos.size if st._dead_pos is None else (~st._dead_pos[pos]).sum()))
         assert st.live_term_dfs(terms) == want
+
+
+def _variants(states, scorer_name):
+    """(name, plan, search_batch keyword arguments) for each query feature of
+    the taat/maxscore path."""
+    q = _queries()
+    texts = q.column("text").to_pylist()
+    plain = _plan(states, scorer_name, q)
+    neg = pa.array([texts[(i + 1) % len(texts)].split(" ")[0] for i in range(len(texts))])
+    must = pa.array([t.split(" ")[-1] for t in texts])
+    # page 2: a cursor at each query's 3rd result (none when it has fewer)
+    top = merge_topk_table(pa.concat_tables([st.search_batch(plain, SCORERS[scorer_name])
+                                             for st in states]), 10)
+    third = {qid: (sc, d) for qid, r, d, sc in zip(
+        *(top.column(c).to_pylist() for c in ("query_id", "rank", "doc_id", "score")))
+        if r == 2}
+    cursors = [third.get(qid) for qid in q.column("query_id").to_pylist()]
+    after = q.append_column(
+        "after_score", pa.array([c and c[0] for c in cursors], pa.float64())
+    ).append_column("after_doc", pa.array([c and c[1] for c in cursors], pa.int64()))
+    assert sum(c is not None for c in cursors) >= 10
+    out = [
+        ("plain", plain, {}),
+        ("neg", _plan(states, scorer_name, q.append_column("neg_text", neg)), {}),
+        ("must", _plan(states, scorer_name, q.append_column("must_text", must)), {}),
+        ("neg+must", _plan(states, scorer_name, q.append_column("neg_text", neg)
+                           .append_column("must_text", must)), {}),
+        ("after", _plan(states, scorer_name, after), {}),
+        ("sort_by", plain, {"sort_by": "doc_len"}),
+        ("filter_lang", plain, {"flt": "en"}),
+        ("filter_len", plain, {"flt_len": (20, 60)}),
+        ("filter_lang+len", plain, {"flt": "en", "flt_len": (None, 45)}),
+        ("boosts", _plan(states, scorer_name, q, boosts={
+            t.split(" ")[0]: 2.5 for t in texts[::2]}), {}),
+    ]
+    if scorer_name != "lmd":  # synonyms are refused with a cf-based scorer
+        out.append(("synonyms", _plan(states, scorer_name, q, synonyms={
+            texts[i].split(" ")[0]: (texts[i + 1].split(" ")[-1],)
+            for i in range(len(texts) - 1)}), {}))
+    return out
+
+
+@pytest.mark.parametrize("scorer_name", ["bm25", "tfidf", "lmd"])
+def test_group_topk_equals_member_merge(stacked, scorer_name):
+    states = stacked()
+    group = _ShardGroup(states, 128)
+    scorer = SCORERS[scorer_name]
+    cols = ["query_id", "doc_id", "url", "score"]
+    for name, plan, kw in _variants(states, scorer_name):
+        for method in ("maxscore", "taat"):
+            want = merge_topk_table(pa.concat_tables(
+                [st.search_batch(plan, scorer, method, **kw) for st in states]
+            ), plan.k).select(cols)
+            got = group.search_batch(plan, scorer, method, **kw)
+            assert len(want) >= 50, name
+            assert got.select(cols).equals(want), (name, method)
+            packed = group.search_batch(plan, scorer, method, **kw, with_urls=False)
+            assert "url" not in packed.column_names
+            assert packed.select(["query_id", "doc_id", "score"]).equals(
+                want.select(["query_id", "doc_id", "score"])), (name, method)
+
+
+def test_group_live_term_dfs_sums_members(stacked):
+    states = stacked()
+    terms = sorted({t for st in states for t in st._terms_list[::5]}) + ["zzqqabsent"]
+    want = np.sum([st.live_term_dfs(terms) for st in states], axis=0)
+    group = _ShardGroup(states, 128)
+    assert group.live_term_dfs(terms) == want.tolist()
+    assert group.live_term_dfs(terms[::-1]) == want[::-1].tolist()  # cached
+    assert group.live_counts() == tuple(np.sum([st.live_counts() for st in states], axis=0))
+
+
+def test_group_scratch_self_heals_after_a_raise(stacked, monkeypatch):
+    import flatnav_ray.stages.search as S
+
+    states = stacked()
+    st0 = states[0]
+    by_df = np.argsort(-st0._df)
+    t0, t1, t2, t50 = (st0._terms_list[i] for i in by_df[[0, 1, 2, 50]])
+
+    def plan(text, neg):
+        return _plan(states, "bm25", pa.table({
+            "query_id": pa.array([0], pa.int64()), "text": pa.array([text]),
+            "neg_text": pa.array([neg]),
+        }))
+
+    # two frequent terms scored and a third negated: the body marks the
+    # negation scratch and accumulates scores before its top-k, which fails;
+    # the next query scores the negated term, on other candidates
+    first, second = plan(f"{t0} {t1}", t2), plan(t2, t50)
+    scorer = SCORERS["bm25"]
+    want = _ShardGroup(states, 128).search_batch(second, scorer)
+    assert len(want) == 10
+    group = _ShardGroup(states, 128)
+
+    def boom(*a, **kw):
+        raise RuntimeError("mid-body failure")
+
+    monkeypatch.setattr(S, "topk_select", boom)
+    with pytest.raises(RuntimeError, match="mid-body"):
+        group.search_batch(first, scorer)
+    assert group._scores_dirty is not None and group._neg_dirty
+    monkeypatch.undo()
+    assert group.search_batch(second, scorer).equals(want)
+    assert not group._scores.any() and not group._touched.any()
 
 
 # ---- work counters -------------------------------------------------------
@@ -249,6 +371,15 @@ def test_counters_equal_direct_count(small_index):
         assert len(got) >= 50
         for key, val in got.items():
             assert val == want[key], (cfg.method, key)
+    # one task over all 3 partitions scores them as one group: its counters
+    # are the sums over the partitions
+    got = _partials(small_index, queries, QueryConfig(k=10, method="maxscore", concurrency=1))
+    n_checked = 0
+    for q, n, b in zip(*(got.column(c).to_pylist()
+                         for c in ("query_id", "docs_scored", "blocks_decoded"))):
+        assert (n, b) == tuple(np.sum([want[(q, p)] for p in range(3)], axis=0)), q
+        n_checked += 1
+    assert n_checked >= 100
     # one term: wand's first term is always fully decoded and scored
     single = pa.table({
         "query_id": pa.array(range(8), pa.int64()),
