@@ -248,25 +248,6 @@ def run_bench(sf_dir: str, num_cpus: int, pages_n: int) -> dict:
             **_round_extras(extras),
         }
 
-    # ---- term-layout serving vs doc-layout (same corpus, same queries) ----
-    from flatnav_ray.stages.termbuild import TermSearchSession, build_term_index
-
-    term_ix = f"/tmp/flatnav_bench/ixterm_{pages_n}"
-    if not os.path.exists(os.path.join(term_ix, "stats.json")):
-        build_term_index(
-            ray.data.read_parquet(pages_dir), term_ix,
-            IndexConfig(num_partitions=32, layout="term"),
-        )
-    tsess = TermSearchSession(term_ix, num_actors=num_cpus)
-    tsess.search(queries.slice(0, 32))  # warm actor load + fetch caches
-    t0 = time.perf_counter()
-    tsess.search(queries)
-    extras["query_qps_termlayout_cold"] = len(queries) / (time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    tsess.search(queries)
-    extras["query_qps_termlayout"] = len(queries) / (time.perf_counter() - t0)
-    tsess.shutdown()
-
     # ---- phrase serving (positional sidecar) + facet counts ----
     import pyarrow.parquet as _pq
 

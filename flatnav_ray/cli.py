@@ -56,7 +56,7 @@ def cmd_query(args) -> int:
     import pyarrow.parquet as pq
 
     from .config import QueryConfig
-    from .pipelines.query import search_to_table
+    from .pipelines.ingest import open_session
     from .stages.termbuild import TermIndexSearcher
     from .state.stats import load_stats
 
@@ -66,7 +66,12 @@ def cmd_query(args) -> int:
     if load_stats(args.index).get("layout") == "term":
         out = TermIndexSearcher(args.index).search(queries, k=args.k)
     else:
-        out = search_to_table(args.index, queries, QueryConfig(k=args.k, method=args.method))
+        # the session serves stacked deltas and tombstones (after `delete`)
+        sess = open_session(args.index)
+        try:
+            out = sess.search(queries, QueryConfig(k=args.k, method=args.method))
+        finally:
+            sess.shutdown()
     dt = time.perf_counter() - t0
     pq.write_table(out, args.out)
     print(json.dumps({"stage": "query", "n_queries": len(queries), "rows": len(out),

@@ -117,3 +117,86 @@ class QueryConfig:
     # >1.0 inflates the wand pruning threshold: more blocks skipped, recall
     # may drop below 1 (measure with pipelines.oracle.recall_at_k).
     approx_factor: float = 1.0
+
+    def _features(self, columns) -> dict[str, str]:
+        """The non-default query features this config and the query table's
+        `columns` use: feature -> how an error message names it."""
+        from .functions.bm25 import SCORERS
+
+        f = {}
+        if self.method not in ("taat", "maxscore"):
+            f["method"] = f"method={self.method!r}"
+        for name in ("min_should_match", "offset", "fuzzy_max_edits", "synonyms", "boosts",
+                     "filter_lang", "sort_by"):
+            if getattr(self, name) not in (0, None, {}):
+                f[name] = name
+        if self.filter_len_min is not None or self.filter_len_max is not None:
+            f["filter_len"] = "filter_len_min/filter_len_max"
+        if getattr(SCORERS[self.scorer], "needs_cf", False):
+            f["cf"] = f"scorer={self.scorer!r} (needs cf)"
+        for col, what in _QUERY_COLUMNS.items():
+            if col in columns:
+                f[col] = f"{what} (query column {col})"
+        return f
+
+    def check(self, columns, dead_docs: bool = False, op: str | None = None,
+              rejects: tuple[str, ...] = ()) -> None:
+        """The capability table: raise ValueError when this config and the
+        query table's `columns` ask for features that do not go together.
+        Both serving stacks call it once per search, before any task or actor
+        runs. `dead_docs`: the session masks dead documents (a generation
+        stack or tombstones). An op that serves a stricter subset names
+        itself in `op` and the features it refuses in `rejects`."""
+        f = self._features(columns)
+        refused = [n for n in rejects if n in f]
+        if refused:
+            cols = [n for n in refused if n in _QUERY_COLUMNS]
+            names = [f[n] for n in refused if n not in cols]
+            names += [f"query columns {cols}"] if cols else []
+            raise ValueError(f"{op} does not serve every query feature; "
+                             f"unsupported here: {', '.join(names)}")
+        if "method" in f or "min_should_match" in f:
+            for name in _DEFAULT_PATH_ONLY:
+                if name in f:
+                    raise ValueError(
+                        f"{f[name]} is supported on the default scoring methods "
+                        f"(taat/maxscore without min_should_match), not "
+                        f"method={self.method!r}/min_should_match={self.min_should_match}"
+                    )
+        for a, b, msg in _EXCLUSIVE:
+            if a in f and b in f:
+                raise ValueError(msg.format(scorer=self.scorer))
+        if self.sort_by not in (None, "doc_len"):
+            raise ValueError(f"unsupported sort_by attribute {self.sort_by!r}")
+        if dead_docs and ("cf" in f or self.method == "phrase"):
+            raise ValueError(
+                f"{f.get('cf') or f['method']} is unsupported on a generation stack "
+                "or a tombstoned index (cf sums and the positional sidecar count "
+                "dead documents); compact the index first"
+            )
+
+
+# optional query-table columns, and what they ask for
+_QUERY_COLUMNS = {
+    "neg_text": "exclude terms",
+    "must_text": "must terms",
+    "after_score": "search_after cursors",
+    "after_doc": "search_after cursors",
+}
+
+# features only the default scoring path implements (taat/maxscore with
+# min_should_match 0); wand/and/phrase/msm keep per-segment pruning state
+_DEFAULT_PATH_ONLY = ("fuzzy_max_edits", "synonyms", "boosts", "filter_lang", "filter_len",
+                      "sort_by", *_QUERY_COLUMNS)
+
+# pairs of features that do not go together, and why
+_EXCLUSIVE = (
+    ("synonyms", "fuzzy_max_edits", "synonyms cannot combine with fuzzy_max_edits"),
+    # must terms score through the plain term path, which the group scorer
+    # replaces: their contribution would silently drop
+    ("synonyms", "must_text", "synonyms cannot combine with must_text queries"),
+    # a boost keyed on one member of a pooled group is ambiguous
+    ("synonyms", "boosts", "boosts cannot combine with synonyms"),
+    ("synonyms", "cf", "synonyms are unsupported with scorer {scorer!r} "
+                       "(pooled-group cf semantics are ambiguous)"),
+)

@@ -1,22 +1,31 @@
-"""End-to-end query pipeline (SURVEY.md §3.1 flagship trace, search side).
+"""One-shot queries over a doc-layout index (SURVEY.md §3.1 flagship trace,
+search side).
 
     queries (small table)
-      -> tokenize + global df lookup -> QueryPlan   [driver, tiny]
-      -> ray.put(plan)                              [broadcast once, J3]
-      -> one Ray task per partition group           [ShardSearcher etc.]
+      -> QueryConfig.check: the capability table     [caller, at the door]
+      -> make_query_plan: tokenize + df lookup        [caller, tiny]
+      -> ray.put(plan)                                [broadcast once, J3]
+      -> one Ray task per partition group             [_run_op]
       -> merge partials: driver-side vectorized when k×P×Q is small,
-         groupby(query_id).map_groups otherwise    [partial -> final top-k]
+         groupby(query_id).map_groups otherwise      [partial -> final top-k]
 
 The fan-out axis is PARTITIONS (the big side); queries ride along as one
 broadcast object — the reference's 'every query probes the whole index'
 (bindings.cpp:196-212 parallel query loop) turned inside out for sharding.
-A one-shot call runs its shard stage as plain `num_cpus=1` tasks on the
-cluster's already-started workers (no per-call actor pool to spawn and
-tear down); callers concatenate the tasks' tables, and partial sets too
-large for the driver merge stream through `_stream_merge` instead.
+Every op (search, facets, match stats, significant terms, collapse,
+snippets, wildcard counts, suggestions) is one shard-op runner: a plain
+`num_cpus=1` task on the cluster's already-started workers loads each
+partition of its group once, with the op's term filter, and runs the op's
+`_ShardState` method (search: `ShardSearcher` over the group); callers
+concatenate the tasks' tables, and partial sets too large to merge in the
+calling process stream through `_stream_merge` instead.
 
-For repeated query batches over one index use stages.search.SearchSession
-(persistent shard actors, load-once/serve-many).
+The capability table, the planner and pagination (`paged`) are the ones
+`SearchSession` uses. One-shot ops read the base generation only: an index
+with stacked deltas or tombstones raises and must be served through
+`pipelines.ingest.open_session` (or compacted). For repeated query batches
+over one index use `SearchSession` too (persistent shard actors,
+load-once/serve-many).
 """
 
 from __future__ import annotations
@@ -28,11 +37,15 @@ import ray.data
 import pyarrow as pa
 
 from ..config import QueryConfig
+from ..stages.build import segment_path
 from ..stages.search import (
     ShardSearcher,
+    _ShardState,
+    load_term_cf,
     make_query_plan,
     merge_topk,
     merge_topk_table,
+    paged,
 )
 from ..functions.tokenize import tokenize_py
 from ..state.stats import load_stats, lookup_term_df
@@ -41,66 +54,57 @@ from ..state.stats import load_stats, lookup_term_df
 DRIVER_MERGE_MAX_ROWS = 5_000_000
 
 
-def plan_for(
-    index_dir: str, queries: pa.Table, k: int, fuzzy_max_edits: int = 0,
-    synonyms: dict[str, tuple[str, ...]] | None = None,
-    boosts: dict[str, float] | None = None,
-    scorer: str = "bm25",
-):
-    stats = load_stats(index_dir)
-    text_terms: set[str] = set()
-    for t in queries.column("text").to_pylist():
-        text_terms.update(tokenize_py(t))
-    distinct = set(text_terms)
-    # negation / must terms need their true df too (must terms also score)
-    for aux in ("neg_text", "must_text"):
-        if aux in queries.column_names:
-            for t in queries.column(aux).to_pylist():
-                distinct.update(tokenize_py(t or ""))
-    expansions = None
-    if fuzzy_max_edits:
-        from ..functions.fuzzy import fuzzy_expand_terms
+def _base_stats(index_dir: str) -> dict:
+    """The stats of an index a one-shot op may serve. One-shot ops read the
+    base generation only, so an index with stacked deltas or tombstones
+    raises instead of answering with stale or deleted documents."""
+    from .ingest import list_generations, list_tombstone_files
 
-        # fuzzy applies to POSITIVE tokens only (negation stays exact)
-        expansions = fuzzy_expand_terms(index_dir, sorted(text_terms), fuzzy_max_edits)
-        for s in expansions.values():
-            distinct.update(s)
-    if not synonyms:
-        synonyms = None  # empty map == no synonym mode (plain term path)
-    else:
-        # group members need their true global df (group df = max member df)
-        for tok in text_terms:
-            distinct.update(synonyms.get(tok, ()))
-    term_df = lookup_term_df(index_dir, sorted(distinct))
-    plan = make_query_plan(
-        queries, term_df, int(stats["n_docs"]), float(stats["avgdl"]), k,
-        expansions=expansions, synonyms=synonyms, boosts=(boosts or None),
-    )
-    from ..functions.bm25 import SCORERS
-
-    if getattr(SCORERS[scorer], "needs_cf", False):
-        # cf-based similarities (LM Dirichlet): collection frequency for the
-        # plan's distinct terms, loaded via a pruned per-partition read
-        import dataclasses
-
-        from ..stages.search import load_term_cf
-
-        plan = dataclasses.replace(
-            plan,
-            term_cf=load_term_cf(
-                index_dir, stats["partitions"], sorted(plan.term_idf.keys()),
-                int(stats["block_size"]),
-            ),
-            total_len=int(stats["sum_doc_len"]),
+    if len(list_generations(index_dir)) > 1 or list_tombstone_files(index_dir):
+        raise ValueError(
+            f"{index_dir} has stacked generations or tombstones, which one-shot "
+            "ops do not read: serve it with pipelines.ingest.open_session(...)"
+            ".search, or compact it first (pipelines.ingest.compact)"
         )
+    return load_stats(index_dir)
+
+
+def _plan(index_dir: str, queries: pa.Table, k: int, cfg: QueryConfig | None = None):
+    """(plan, stats) of a one-shot op: df from the index's term stats, fuzzy
+    expansions from its dictionary, cf from a pruned segment read."""
+    from ..functions.fuzzy import fuzzy_expand_terms
+
+    stats = _base_stats(index_dir)
+    plan = make_query_plan(
+        queries, lambda terms: lookup_term_df(index_dir, terms),
+        int(stats["n_docs"]), float(stats["avgdl"]), k, cfg,
+        pre_tokens=[tokenize_py(t) for t in queries.column("text").to_pylist()],
+        expand=lambda terms, edits: fuzzy_expand_terms(index_dir, terms, edits),
+        term_cf=lambda terms: load_term_cf(
+            index_dir, stats["partitions"], terms, int(stats["block_size"])
+        ),
+        total_len=stats.get("sum_doc_len"),
+    )
     return plan, stats
 
 
-def _run_shard(shard_cls, ctor_kwargs: dict, batch: pa.Table) -> pa.Table:
-    return shard_cls(**ctor_kwargs)(batch)
+def _run_op(index_dir: str, block_size: int, parts: list[int], terms, op: str, *args):
+    """The shard-op runner, one task: load each partition of `parts` once
+    (only the segment rows of `terms`; None = the whole dictionary), then run
+    the op — "search" runs `ShardSearcher(*args)` over the group, any other
+    name that `_ShardState` method per partition. Returns the op's table,
+    None when no partition of the group has a segment."""
+    states = [
+        _ShardState(index_dir, p, block_size, terms)
+        for p in parts if os.path.exists(segment_path(index_dir, p))
+    ]
+    if op == "search":
+        return ShardSearcher(*args)(states)
+    tabs = [getattr(st, op)(*args) for st in states]
+    return pa.concat_tables(tabs) if tabs else None
 
 
-_shard_task = ray.remote(num_cpus=1)(_run_shard)
+_op_task = ray.remote(num_cpus=1)(_run_op)
 
 
 def _n_tasks(concurrency: int, n_items: int) -> int:
@@ -108,27 +112,31 @@ def _n_tasks(concurrency: int, n_items: int) -> int:
     return max(1, min(concurrency, n_items, ncpu))
 
 
-def _shard_tasks(
-    shard_cls, index_dir: str, stats: dict, concurrency: int, **ctor_kwargs
-) -> list:
-    """Fan a shard stage (ShardSearcher, ShardFacets, ...) out over the
-    index's partitions: at most `concurrency` (and cluster-CPU) tasks, each
-    constructing `shard_cls` and calling it on its group of partition ids.
-    Returns the tasks' ObjectRefs, unawaited."""
+def _shard_tasks(index_dir: str, stats: dict, concurrency: int, terms, op: str, *args) -> list:
+    """Fan a shard op out over the index's partitions: at most
+    `concurrency` (and cluster-CPU) `_run_op` tasks over round-robin
+    partition groups. Returns the tasks' ObjectRefs, unawaited."""
     parts = [int(p) for p in stats["partitions"]]
     n = _n_tasks(concurrency, len(parts))
-    ctor_kwargs.update(index_dir=index_dir, block_size=int(stats["block_size"]))
     return [
-        _shard_task.remote(
-            shard_cls, ctor_kwargs, pa.table({"partition": pa.array(parts[i::n], pa.int64())})
-        )
+        _op_task.remote(index_dir, int(stats["block_size"]), parts[i::n], terms, op, *args)
         for i in range(n)
     ]
 
 
+def _plan_tasks(index_dir: str, queries: pa.Table, k: int, concurrency: int, op: str,
+                *args, all_terms: bool = False) -> tuple[list, dict]:
+    """Plan the batch and fan `op(plan, *args)` out over the shards, each
+    task reading only the plan's terms' segment rows (all_terms: the whole
+    dictionary). Returns (unawaited refs, stats)."""
+    plan, stats = _plan(index_dir, queries, k)
+    terms = None if all_terms else sorted(plan.term_idf)
+    return _shard_tasks(index_dir, stats, concurrency, terms, op, ray.put(plan), *args), stats
+
+
 def _gather(refs) -> pa.Table | None:
     """The tasks' non-empty tables concatenated, or None when all are empty."""
-    tabs = [t for t in ray.get(refs) if len(t)]
+    tabs = [t for t in ray.get(refs) if t is not None and len(t)]
     return pa.concat_tables(tabs) if tabs else None
 
 
@@ -137,44 +145,13 @@ def search_partials(
 ) -> tuple[list, dict]:
     """Plan the batch and submit the per-shard partial top-k tasks; returns
     their unawaited ObjectRefs (tables carrying the per-query counters —
-    the reference's distance-computation stats, Index.h:83-84) + stats."""
+    the reference's distance-computation stats, Index.h:83-84) + stats.
+    Top-k only: the caller checks the config and pages (search_to_table)."""
     query_cfg = query_cfg or QueryConfig()
-    fz = getattr(query_cfg, "fuzzy_max_edits", 0)
-    if fz and query_cfg.method not in ("taat", "maxscore"):
-        raise ValueError(
-            "fuzzy matching is supported on the default scoring methods "
-            f"(taat/maxscore), not method={query_cfg.method!r}"
-        )
-    syn = getattr(query_cfg, "synonyms", None)
-    if syn and query_cfg.method not in ("taat", "maxscore"):
-        raise ValueError(
-            "synonyms are supported on the default scoring methods "
-            f"(taat/maxscore), not method={query_cfg.method!r}"
-        )
-    if syn and fz:
-        raise ValueError("synonyms cannot combine with fuzzy_max_edits")
-    from ..functions.bm25 import SCORERS as _SC
-
-    if syn and getattr(_SC[query_cfg.scorer], "needs_cf", False):
-        raise ValueError(
-            f"synonyms are unsupported with scorer {query_cfg.scorer!r} "
-            "(pooled-group cf semantics are ambiguous)"
-        )
-    boosts = getattr(query_cfg, "boosts", None)
-    if boosts and query_cfg.method not in ("taat", "maxscore"):
-        raise ValueError(
-            "term boosts are supported on the default scoring methods "
-            f"(taat/maxscore), not method={query_cfg.method!r}"
-        )
-    # pagination: shards must return top-(offset+k) partials for the final
-    # slice to be exact (direct callers merge + slice themselves)
-    plan, stats = plan_for(
-        index_dir, queries, query_cfg.k + getattr(query_cfg, "offset", 0),
-        fuzzy_max_edits=fz, synonyms=syn, boosts=boosts, scorer=query_cfg.scorer,
-    )
+    plan, stats = _plan(index_dir, queries, query_cfg.k, query_cfg)
     refs = _shard_tasks(
-        ShardSearcher, index_dir, stats, query_cfg.concurrency,
-        plan_ref=ray.put(plan), query_cfg=query_cfg,
+        index_dir, stats, query_cfg.concurrency, sorted(plan.term_idf), "search",
+        ray.put(plan), query_cfg,
     )
     return refs, stats
 
@@ -191,56 +168,36 @@ def federated_search(
     (tf, dl, df, n, avgdl), all identical here). Every index's shard tasks
     run at once and their partials meet in one deterministic merge."""
     query_cfg = query_cfg or QueryConfig()
-    # federation covers the plain disjunctive BM25/TF-IDF path; every other
-    # QueryConfig feature either needs per-index state the merged plan does
-    # not carry (fuzzy/synonym expansion, cf) or extra merge handling
-    # (offset) — reject loudly instead of returning plausible wrong results
-    from ..functions.bm25 import SCORERS as _SC
-
-    unsupported = [
-        name
-        for name, val in (
-            ("offset", getattr(query_cfg, "offset", 0)),
-            ("fuzzy_max_edits", getattr(query_cfg, "fuzzy_max_edits", 0)),
-            ("synonyms", getattr(query_cfg, "synonyms", None)),
-            ("boosts", getattr(query_cfg, "boosts", None)),
-        )
-        if val
-    ]
-    if getattr(_SC[query_cfg.scorer], "needs_cf", False):
-        unsupported.append(f"scorer={query_cfg.scorer!r} (needs cf)")
-    bad_cols = {"neg_text", "must_text", "after_score", "after_doc"} & set(
-        queries.column_names
+    # federation covers the plain disjunctive BM25/TF-IDF path: every other
+    # feature either needs per-index state the merged plan does not carry
+    # (fuzzy/synonym expansion, cf, the extra query columns' terms) or extra
+    # merge handling (offset)
+    query_cfg.check(
+        queries.column_names, op="federated_search",
+        rejects=("offset", "fuzzy_max_edits", "synonyms", "boosts", "cf",
+                 "neg_text", "must_text", "after_score", "after_doc"),
     )
-    if bad_cols:
-        unsupported.append(f"query columns {sorted(bad_cols)}")
-    if unsupported:
-        raise ValueError(
-            f"federated_search supports the plain disjunctive path only; "
-            f"unsupported here: {', '.join(unsupported)}"
-        )
-    stats_list = [load_stats(d) for d in index_dirs]
+    stats_list = [_base_stats(d) for d in index_dirs]
     fp = {s.get("analyzer") for s in stats_list}
     if len(fp) != 1:
         raise ValueError(f"federated indexes use different analyzers: {fp}")
-    distinct: set[str] = set()
-    for t in queries.column("text").to_pylist():
-        distinct.update(tokenize_py(t))
-    terms = sorted(distinct)
-    merged_df: dict[str, int] = {t: 0 for t in terms}
-    for d in index_dirs:
-        for t_, v in lookup_term_df(d, terms).items():
-            merged_df[t_] += int(v)
+
+    def merged_df(terms):
+        out = dict.fromkeys(terms, 0)
+        for d in index_dirs:
+            for t, v in lookup_term_df(d, terms).items():
+                out[t] += int(v)
+        return out
+
     n = sum(int(s["n_docs"]) for s in stats_list)
     sdl = sum(int(s["sum_doc_len"]) for s in stats_list)
-    avgdl = sdl / n if n else 0.0
-    plan = make_query_plan(queries, merged_df, n, avgdl, query_cfg.k)
+    plan = make_query_plan(queries, merged_df, n, sdl / n if n else 0.0, query_cfg.k)
     plan_ref = ray.put(plan)
     refs = [
         r
         for d, s in zip(index_dirs, stats_list)
         for r in _shard_tasks(
-            ShardSearcher, d, s, query_cfg.concurrency, plan_ref=plan_ref, query_cfg=query_cfg
+            d, s, query_cfg.concurrency, sorted(plan.term_idf), "search", plan_ref, query_cfg
         )
     ]
     total_parts = sum(len(s["partitions"]) for s in stats_list)
@@ -292,14 +249,9 @@ def facet_counts(
     attribute. Shards count disjoint doc sets, so the cross-shard merge is a
     plain sum per (query_id, facet) — no dedup shuffle needed. Columns:
     (query_id, <facet>, n_docs), sorted."""
-    from ..stages.search import ShardFacets
-
     numeric = facet.startswith("len:")
     fcol = "bucket" if numeric else facet
-    plan, stats = plan_for(index_dir, queries, k=1)
-    t = _gather(
-        _shard_tasks(ShardFacets, index_dir, stats, concurrency, plan_ref=ray.put(plan), facet=facet)
-    )
+    t = _gather(_plan_tasks(index_dir, queries, 1, concurrency, "facet_counts", facet)[0])
     if t is None:
         return pa.table(
             {
@@ -319,18 +271,6 @@ def facet_counts(
     return out.sort_by([("query_id", "ascending"), (fcol, "ascending")])
 
 
-def _shard_partials(
-    index_dir: str, queries: pa.Table, shard_cls, concurrency: int = 8
-) -> tuple[pa.Table | None, dict]:
-    """Shared orchestration for the per-shard partial-aggregation stages
-    (match stats / histograms / significant terms): plan_for -> shard tasks
-    over partition ids -> concatenated partial table (None when the match
-    set is empty) + the index stats."""
-    plan, stats = plan_for(index_dir, queries, k=1)
-    refs = _shard_tasks(shard_cls, index_dir, stats, concurrency, plan_ref=ray.put(plan))
-    return _gather(refs), stats
-
-
 def match_stats(
     index_dir: str, queries: pa.Table, concurrency: int = 8
 ) -> pa.Table:
@@ -339,9 +279,7 @@ def match_stats(
     Per-shard integer partials merge with sum/min/max/sum (exact under
     disjoint doc partitioning); dl_avg divides the exact integers once at
     the end, so even the float column hash-matches the SQL oracle."""
-    from ..stages.search import ShardMatchStats
-
-    t, _ = _shard_partials(index_dir, queries, ShardMatchStats, concurrency)
+    t = _gather(_plan_tasks(index_dir, queries, 1, concurrency, "match_stats")[0])
     if t is None:
         return pa.table(
             {
@@ -386,9 +324,7 @@ def match_percentiles(
     dl and dyadic q, so the float columns hash-match the SQL oracle."""
     import numpy as np
 
-    from ..stages.search import ShardMatchHist
-
-    t, _ = _shard_partials(index_dir, queries, ShardMatchHist, concurrency)
+    t = _gather(_plan_tasks(index_dir, queries, 1, concurrency, "match_dl_hist")[0])
     cols = {"query_id": pa.array([], type=pa.int64()),
             "n_docs": pa.array([], type=pa.int64())}
     for q in qs:
@@ -433,15 +369,16 @@ def significant_terms(
     by the background lift (match_df / match_n) / (df / N) — computed as
     (match_df·N) / (match_n·df) with float64 products (overflow-free at any
     corpus size) and ONE IEEE division, identical in the SQL oracle. Integer
-    foreground counts come from per-shard partials (ShardSigTerms) that merge
+    foreground counts come from per-shard partials (sig_term_counts) that merge
     by sum; df/N come from the index's own segment stats. Returns the top_n
     rows per query by (lift desc, term asc)."""
     import numpy as np
 
     from ..stages.introspect import df_distribution
-    from ..stages.search import ShardSigTerms
 
-    t, stats = _shard_partials(index_dir, queries, ShardSigTerms, concurrency)
+    refs, stats = _plan_tasks(index_dir, queries, 1, concurrency, "sig_term_counts",
+                              all_terms=True)
+    t = _gather(refs)
     if t is None:
         return pa.table(
             {
@@ -512,16 +449,11 @@ def explain_to_table(
     from ..stages.search import explain_rows
 
     query_cfg = query_cfg or QueryConfig()
-    if query_cfg.method not in ("taat", "maxscore"):
-        raise ValueError(
-            "explain supports the default scoring methods (taat/maxscore), "
-            f"not method={query_cfg.method!r}"
-        )
-    if getattr(query_cfg, "fuzzy_max_edits", 0) or getattr(query_cfg, "synonyms", None):
-        raise ValueError("explain does not support fuzzy/synonym expansion")
-    for col in ("neg_text", "must_text", "after_score", "after_doc"):
-        if col in queries.column_names:
-            raise ValueError(f"explain does not support the {col} query column")
+    query_cfg.check(
+        queries.column_names, op="explain_to_table",
+        rejects=("method", "fuzzy_max_edits", "synonyms",
+                 "neg_text", "must_text", "after_score", "after_doc"),
+    )
     results = search_to_table(index_dir, queries, query_cfg)
     empty = pa.table(
         {
@@ -534,9 +466,7 @@ def explain_to_table(
     )
     if len(results) == 0:
         return empty
-    plan, stats = plan_for(
-        index_dir, queries, query_cfg.k, boosts=getattr(query_cfg, "boosts", None)
-    )
+    plan, stats = _plan(index_dir, queries, query_cfg.k, query_cfg)
     num_p = int(stats["num_partitions"])
     qids = results.column("query_id").to_numpy(zero_copy_only=False).astype(np.int64)
     docs = results.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -570,9 +500,8 @@ def fetch_docs(index_dir: str, doc_ids) -> pa.Table:
     import pyarrow.parquet as pq
 
     from ..stages.build import docmap_path
-    from ..state.stats import load_stats
 
-    stats = load_stats(index_dir)
+    stats = _base_stats(index_dir)
     if stats.get("docid_strategy", "hash") != "hash":
         raise ValueError("fetch_docs requires the hash docid_strategy")
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
@@ -636,7 +565,7 @@ def rescore_topk(
     first = search_to_table(index_dir, queries, QueryConfig(k=window, scorer=scorer))
     if len(first) == 0:
         return first
-    plan, stats = plan_for(index_dir, queries, window, scorer=rescore_scorer)
+    plan, stats = _plan(index_dir, queries, window, QueryConfig(scorer=rescore_scorer))
     if stats.get("docid_strategy", "hash") != "hash":
         raise ValueError("rescore_topk requires the hash docid_strategy")
     num_p = int(stats["num_partitions"])
@@ -687,9 +616,9 @@ def search_with_snippets(
 ) -> pa.Table:
     """Top-k search + best highlight window per result (snippet_start,
     snippet_len token coordinates): the smallest window containing every
-    query term present in the doc. Results go to SnippetExtractor tasks
+    query term present in the doc. Results go to `snippet_windows` tasks
     grouped by owning shard; requires the positional sidecar."""
-    from ..stages.search import SnippetExtractor
+    import numpy as np
 
     query_cfg = query_cfg or QueryConfig()
     results = search_to_table(index_dir, queries, query_cfg)
@@ -701,29 +630,22 @@ def search_with_snippets(
     # fuzzy/synonyms on, a result may match only via an expansion, and the
     # window must cover the expanded term that actually occurs in the doc
     # (synonym members flatten into query_terms, which drives the window)
-    plan, stats = plan_for(
+    plan, stats = _plan(
         index_dir, queries, query_cfg.k,
-        fuzzy_max_edits=getattr(query_cfg, "fuzzy_max_edits", 0),
-        synonyms=getattr(query_cfg, "synonyms", None),
+        QueryConfig(fuzzy_max_edits=query_cfg.fuzzy_max_edits, synonyms=query_cfg.synonyms),
     )
     num_p = int(stats["num_partitions"])
     n = _n_tasks(concurrency, num_p)
-    group = results.column("doc_id").to_numpy(zero_copy_only=False) % num_p % n
-    kw = {
-        "index_dir": index_dir,
-        "plan_ref": ray.put(plan),
-        "block_size": int(stats["block_size"]),
-        "num_partitions": num_p,
-    }
-    t = pa.concat_tables(
-        ray.get(
-            [
-                _shard_task.remote(SnippetExtractor, kw, results.filter(pa.array(group == i)))
-                for i in range(n)
-            ]
+    owner = results.column("doc_id").to_numpy(zero_copy_only=False) % num_p
+    plan_ref, terms = ray.put(plan), sorted(plan.term_idf)
+    refs = [
+        _op_task.remote(
+            index_dir, int(stats["block_size"]), np.unique(owner[sel]).tolist(), terms,
+            "snippet_windows", plan_ref, results.filter(pa.array(sel)), num_p,
         )
-    )
-    return t.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+        for sel in (owner % n == i for i in range(n)) if sel.any()
+    ]
+    return _gather(refs).sort_by([("query_id", "ascending"), ("rank", "ascending")])
 
 
 def prefix_doc_counts(
@@ -735,14 +657,10 @@ def prefix_doc_counts(
     mode="infix": wildcard `*term*` (per-shard vectorized substring scan of
     the dictionary). Both count the postings union, summing exactly across
     disjoint shards. Columns: (query_id, n_docs), query_id = pattern index."""
-    from ..stages.search import ShardPrefixCounts
-
-    t = _gather(
-        _shard_tasks(
-            ShardPrefixCounts, index_dir, load_stats(index_dir), concurrency,
-            prefixes=list(prefixes), mode=mode,
-        )
-    )
+    t = _gather(_shard_tasks(
+        index_dir, _base_stats(index_dir), concurrency, None,
+        "pattern_doc_counts", list(prefixes), mode,
+    ))
     if t is None:
         return pa.table(
             {
@@ -773,13 +691,9 @@ def suggest_terms(
     import numpy as np
     import pyarrow.compute as pc
 
-    from ..stages.search import ShardSuggest
-
-    t = _gather(
-        _shard_tasks(
-            ShardSuggest, index_dir, load_stats(index_dir), concurrency, prefixes=list(prefixes)
-        )
-    )
+    t = _gather(_shard_tasks(
+        index_dir, _base_stats(index_dir), concurrency, None, "suggest_partials", list(prefixes)
+    ))
     if t is None:
         return pa.table(
             {
@@ -824,12 +738,11 @@ def search_collapsed(
     import numpy as np
     import pyarrow.compute as pc
 
-    from ..stages.search import ShardCollapse
+    from ..functions.bm25 import SCORERS
 
-    plan, stats = plan_for(index_dir, queries, k=k)
-    t = _gather(
-        _shard_tasks(ShardCollapse, index_dir, stats, concurrency, plan_ref=ray.put(plan), facet=facet)
-    )
+    t = _gather(_plan_tasks(
+        index_dir, queries, k, concurrency, "collapse_best", SCORERS["bm25"], facet
+    )[0])
     if t is None:
         return pa.table(
             {
@@ -893,7 +806,7 @@ def more_like_this(
 
     from ..functions.bm25 import idf as idf_fn
 
-    stats = load_stats(index_dir)
+    stats = _base_stats(index_dir)
     n_docs = int(stats["n_docs"])
     src_ids = np.asarray(docs.column("doc_id").to_pylist(), dtype=np.int64)
     counts = [Counter(tokenize_py(t)) for t in docs.column("text").to_pylist()]
@@ -938,13 +851,10 @@ def search_to_table(index_dir: str, queries: pa.Table, query_cfg: QueryConfig | 
     """Materialized, deterministically ordered results. Merges driver-side
     when the partial set is small (k × partitions × queries rows)."""
     query_cfg = query_cfg or QueryConfig()
-    if getattr(query_cfg, "offset", 0) > 0:
-        import dataclasses
+    query_cfg.check(queries.column_names)
 
-        import pyarrow.compute as pc
+    def top_k(queries: pa.Table, cfg: QueryConfig) -> pa.Table:
+        refs, stats = search_partials(index_dir, queries, cfg)
+        return _merge_partials(refs, cfg.k, cfg.k * len(stats["partitions"]) * len(queries))
 
-        deep = dataclasses.replace(query_cfg, k=query_cfg.k + query_cfg.offset, offset=0)
-        res = search_to_table(index_dir, queries, deep)
-        return res.filter(pc.greater_equal(res.column("rank"), query_cfg.offset))
-    refs, stats = search_partials(index_dir, queries, query_cfg)
-    return _merge_partials(refs, query_cfg.k, query_cfg.k * len(stats["partitions"]) * len(queries))
+    return paged(top_k, queries, query_cfg)

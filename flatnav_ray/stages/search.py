@@ -1,15 +1,16 @@
-"""Query serving — shard searcher state, actor pool, and top-k merge.
+"""Query serving — shard state, capability-checked planning, actor pool and
+top-k merge.
 
 Graft of the reference's search path
 (/root/reference/python-bindings/src/flatnav/bindings.cpp:161-228 `searchImpl`,
 /root/reference/include/flatnav/index/Index.h:387-409 `search`, 606-659
 `beamSearch`): a loaded, read-mostly index served by a pool of workers.
 
-Two serving modes share one scoring core (`_ShardState`):
+Two serving modes share one front end and one scoring core (`_ShardState`):
 
-* One-shot mode: `ShardSearcher` and its sibling shard stages, constructed
-  and called on a group of partition ids inside a plain Ray task
-  (pipelines/query.py); nothing outlives the call.
+* One-shot mode (pipelines/query.py): every op is a plain Ray task that
+  loads its group of partitions once and runs a `_ShardState` method —
+  `ShardSearcher` for search; nothing outlives the call.
 * Server mode: `SearchSession` — persistent `@ray.remote` shard actors that
   load segments once and serve many query batches (the reference's
   load-once/serve-many lifecycle, Index.h:442-479 loadIndex; bench + any
@@ -18,13 +19,18 @@ Two serving modes share one scoring core (`_ShardState`):
   pool that outlives sessions, so shutdown + reopen reuses the actor
   processes and every unchanged segment.
 
-Both modes score a worker's whole share of the index as one shard: a
-one-shot task's partitions, or a session actor's partitions × generations,
-form one `_ShardGroup` (docmaps end to end, one dead mask, one scratch set,
-one term-contribution cache), so taat/maxscore cost one decode pass, one
-score call and one top-k per query per worker — the reference's one pass
-over one flat arena (Index.h:56,177-178). wand/and/phrase/msm keep
-per-segment pruning state and run per member `_ShardState`.
+Both modes check the query against one capability table
+(`QueryConfig.check`), plan it with one planner (`make_query_plan`, fed by
+the caller's df / fuzzy / cf sources) and page it with one wrapper
+(`paged`) — the reference's one checked, planned search entry
+(bindings.cpp:161-228). Both score a worker's whole share of the index as
+one shard: a one-shot task's partitions, or a session actor's partitions ×
+generations, form one `_ShardGroup` (docmaps end to end, one dead mask, one
+scratch set, one term-contribution cache), so taat/maxscore cost one decode
+pass, one score call and one top-k per query per worker — the reference's
+one pass over one flat arena (Index.h:56,177-178). wand/and/phrase/msm keep
+per-segment pruning state and run per member `_ShardState`
+(`_ShardGroup.partials`, the one search step of tasks and actors).
 
 Scoring: per-term BM25 contributions are query-independent (idf, tf, doc_len
 are all fixed at index time), so each decoded term is scored ONCE and cached;
@@ -136,29 +142,51 @@ def load_term_cf(
 
 
 def make_query_plan(
-    queries: pa.Table, term_df: dict[str, int], n_docs: int, avgdl: float, k: int,
-    expansions: dict[str, set[str]] | None = None,
-    synonyms: dict[str, tuple[str, ...]] | None = None,
-    boosts: dict[str, float] | None = None,
+    queries: pa.Table, term_df, n_docs: int, avgdl: float, k: int,
+    cfg: QueryConfig | None = None, expand=None, term_cf=None, total_len: int | None = None,
     pre_tokens: list[list[str]] | None = None,
 ) -> QueryPlan:
-    """Tokenize the query table (same analyzer as build — SURVEY.md M5) and
-    pre-compute idf. Terms within a query are sorted lexicographically: the
-    fixed accumulation order that pins float summation (§7 'hard parts' #1).
+    """The one query planner of both serving stacks: tokenize the query
+    table once (same analyzer as build — SURVEY.md M5), look up the df of
+    every term the plan scores, negates or requires, and pre-compute idf.
+    Terms within a query are sorted lexicographically: the fixed
+    accumulation order that pins float summation (§7 'hard parts' #1).
 
-    `expansions` (fuzzy matching): maps each query token to the dictionary
-    terms it matches (levenshtein <= 1, functions/fuzzy.py); each match
-    scores with its OWN df/idf and the doc's score is the ordered sum over
-    matched terms — Lucene's fuzzy-as-disjunction rewrite. A token with no
-    dictionary neighbour contributes nothing.
+    The caller says where the corpus figures come from: `term_df(terms)`
+    maps the sorted distinct terms to their df (absent terms may be left
+    out); `expand(tokens, max_edits)` maps query tokens to the dictionary
+    terms they fuzzy-match; `term_cf(terms)` and `total_len` give the
+    collection frequencies and corpus token count a cf-based scorer needs.
+    A one-shot op reads them from the index files, a session from its caches
+    and live counts. `pre_tokens`: the query texts already tokenized by the
+    caller (each text is tokenized once). `cfg` (checked by
+    `QueryConfig.check`) supplies:
+
+    `fuzzy_max_edits`: each query token expands to the dictionary terms it
+    matches (functions/fuzzy.py); each match scores with its OWN df/idf and
+    the doc's score is the ordered sum over matched terms — Lucene's
+    fuzzy-as-disjunction rewrite. A token with no dictionary neighbour
+    contributes nothing.
 
     `synonyms` (SynonymQuery): maps a query token to its synonym terms; the
     token and its synonyms form ONE scoring group (see QueryPlan
     .query_syn_groups). Each token's group is {token} | synonyms[token] —
     the analyzer's synonym-graph analog, applied query-side only (the index
-    stays literal). Mutually exclusive with fuzzy expansions."""
+    stays literal).
+
+    `boosts` (term^boost) and the scorer (cf is loaded only for scorers with
+    needs_cf)."""
+    cfg = cfg or QueryConfig()
+    synonyms = cfg.synonyms or None
     qids = queries.column("query_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    texts = queries.column("text").to_pylist()
+    toks_all = pre_tokens if pre_tokens is not None else [
+        tokenize_py(t) for t in queries.column("text").to_pylist()
+    ]
+    # fuzzy applies to POSITIVE tokens only (negation and must stay exact)
+    expansions = (
+        expand(sorted({t for toks in toks_all for t in toks}), cfg.fuzzy_max_edits)
+        if cfg.fuzzy_max_edits else None
+    )
     # boolean MUST: required terms score like should terms but also gate the
     # candidate set (Lucene BooleanQuery MUST + SHOULD)
     must_texts = (
@@ -166,16 +194,6 @@ def make_query_plan(
         if "must_text" in queries.column_names
         else None
     )
-    if synonyms is not None and expansions is not None:
-        raise ValueError("synonyms cannot combine with fuzzy expansions")
-    if boosts is not None and synonyms is not None:
-        # a boost keyed on one member of a pooled group is ambiguous
-        raise ValueError("boosts cannot combine with synonyms")
-    if synonyms is not None and must_texts is not None:
-        # must terms score through the PLAIN term path (folded into
-        # query_terms), which the group scorer replaces — combining would
-        # silently drop their score contribution
-        raise ValueError("synonyms cannot combine with must_text queries")
     qmusts: list[list[str]] | None = [] if must_texts is not None else None
     qterms: list[list[tuple[str, int]]] = []
     qgroups: list[list[tuple[tuple[str, ...], int]]] | None = (
@@ -183,11 +201,7 @@ def make_query_plan(
     )
     qseqs: list[list[str]] = []
     distinct: set[str] = set()
-    for i, t in enumerate(texts):
-        # pre_tokens: the session already tokenized every text once to
-        # collect df-lookup terms — reuse instead of re-running the
-        # analyzer over the whole batch on the serial driver path
-        toks = pre_tokens[i] if pre_tokens is not None else tokenize_py(t)
+    for i, toks in enumerate(toks_all):
         counts: dict[str, int] = {}
         if qgroups is not None:
             # each token expands to one GROUP {token} | synonyms[token];
@@ -249,14 +263,19 @@ def make_query_plan(
                 )
             else:
                 qafter.append((float(s), int(d)))
-    tdf = {t: int(term_df.get(t, 0)) for t in distinct}
+    found = term_df(sorted(distinct))
+    tdf = {t: int(found.get(t, 0)) for t in distinct}
     tidf = {t: float(idf_fn(df, n_docs)) if df > 0 else 0.0 for t, df in tdf.items()}
-    return QueryPlan(
+    plan = QueryPlan(
         query_ids=qids, query_terms=qterms, term_idf=tidf, term_df=tdf,
         n_docs=n_docs, avgdl=avgdl, k=k, query_seqs=qseqs, query_neg_terms=qnegs,
         query_after=qafter, query_must_terms=qmusts, query_syn_groups=qgroups,
-        query_boosts=(dict(boosts) if boosts else None),
+        query_boosts=(dict(cfg.boosts) if cfg.boosts else None),
     )
+    if getattr(SCORERS[cfg.scorer], "needs_cf", False):
+        plan.term_cf = term_cf(sorted(tidf))
+        plan.total_len = int(total_len)
+    return plan
 
 
 class _ShardState:
@@ -478,10 +497,6 @@ class _ShardState:
         (Lucene SynonymQuery): union of member postings, per-doc tf = sum of
         member tfs, df = max of member GLOBAL dfs — BM25 saturation applies
         once to the pooled tf. Decoded + scored once, cached per group."""
-        if getattr(scorer, "needs_cf", False):
-            # pooled-group cf semantics are ambiguous (sum vs max of member
-            # cfs); keep the cf-based similarity on the plain term path
-            raise ValueError(f"synonyms are unsupported with scorer {scorer.name!r}")
         self._sync_stats(plan, scorer)
         hit = self._gcontrib.get(members)
         if hit is not None or members in self._gcontrib:
@@ -596,7 +611,9 @@ class _ShardState:
         decodes only blocks that can affect the top-k (no cache) — the scale
         path for long posting lists / ad-hoc queries. method="and":
         conjunctive posting-list intersection (docs must match EVERY query
-        term; SURVEY.md §2.7 — the grafted set-intersect). All exact."""
+        term; SURVEY.md §2.7 — the grafted set-intersect). All exact.
+        Which features combine with which method is decided before any
+        shard runs (`QueryConfig.check`)."""
         q_out: list[np.ndarray] = []
         d_out: list[np.ndarray] = []
         s_out: list[np.ndarray] = []
@@ -615,70 +632,13 @@ class _ShardState:
         if dirty_sc is not None:
             scores[dirty_sc] = 0.0
             self._scores_dirty = None
-        if flt is not None and method not in ("taat", "maxscore"):
-            raise ValueError(
-                f"filter_lang is supported on the default scoring methods "
-                f"(taat/maxscore), not method={method!r}"
-            )
-        if flt_len is not None and method not in ("taat", "maxscore"):
-            raise ValueError(
-                f"filter_len is supported on the default scoring methods "
-                f"(taat/maxscore), not method={method!r}"
-            )
-        neg_lists = getattr(plan, "query_neg_terms", None)
-        if (
-            neg_lists is not None
-            and any(neg_lists)
-            and (method not in ("taat", "maxscore") or msm > 0)
-        ):
-            raise ValueError(
-                "exclude terms (neg_text) are supported on the default "
-                f"scoring methods (taat/maxscore), not method={method!r}/msm={msm}"
-            )
-        after_list = getattr(plan, "query_after", None)
-        if (
-            after_list is not None
-            and any(a is not None for a in after_list)
-            and (method not in ("taat", "maxscore") or msm > 0)
-        ):
-            raise ValueError(
-                "search_after cursors are supported on the default scoring "
-                f"methods (taat/maxscore), not method={method!r}/msm={msm}"
-            )
-        must_lists = getattr(plan, "query_must_terms", None)
-        if (
-            must_lists is not None
-            and any(must_lists)
-            and (method not in ("taat", "maxscore") or msm > 0)
-        ):
-            raise ValueError(
-                "must terms (must_text) are supported on the default scoring "
-                f"methods (taat/maxscore), not method={method!r}/msm={msm}"
-            )
-        syn_lists = getattr(plan, "query_syn_groups", None)
-        if (
-            syn_lists is not None
-            and (method not in ("taat", "maxscore") or msm > 0 or sort_by is not None)
-        ):
-            raise ValueError(
-                "synonym groups are supported on the default scoring methods "
-                f"(taat/maxscore), not method={method!r}/msm={msm}/sort_by={sort_by!r}"
-            )
-        boosts = getattr(plan, "query_boosts", None)
-        if boosts and (method not in ("taat", "maxscore") or msm > 0):
-            raise ValueError(
-                "term boosts are supported on the default scoring methods "
-                f"(taat/maxscore), not method={method!r}/msm={msm}"
-            )
+        neg_lists = plan.query_neg_terms
+        after_list = plan.query_after
+        must_lists = plan.query_must_terms
+        syn_lists = plan.query_syn_groups
+        boosts = plan.query_boosts
         sort_vals: np.ndarray | None = None
-        if sort_by is not None:
-            if method not in ("taat", "maxscore") or msm > 0:
-                raise ValueError(
-                    "sort_by is supported on the default scoring methods "
-                    f"(taat/maxscore), not method={method!r}/msm={msm}"
-                )
-            if sort_by != "doc_len":
-                raise ValueError(f"unsupported sort_by attribute {sort_by!r}")
+        if sort_by is not None:  # "doc_len", the one sortable attribute
             sort_vals = getattr(self, "_len_f", None)
             if sort_vals is None:  # ints <= 2^53: exact as doubles
                 sort_vals = self._len_f = self.docmap_lens.astype(np.float64)
@@ -1267,7 +1227,56 @@ class _ShardState:
                 lo += 1
         return best if best[0] >= 0 else (int(mpos[0]), 1)
 
+    def snippet_windows(self, plan: QueryPlan, rows: pa.Table, num_partitions: int) -> pa.Table:
+        """`rows` (final results) of the docs this partition owns (doc_id %
+        num_partitions locates the shard under every docid strategy —
+        reordered ids are constructed to preserve it), each with its best
+        highlight window appended as (snippet_start, snippet_len)."""
+        ids = rows.column("doc_id").to_numpy(zero_copy_only=False)
+        rows = rows.filter(pa.array(ids % num_partitions == self.partition))
+        qi_of = {int(q): i for i, q in enumerate(plan.query_ids)}
+        win = [
+            self.snippet_window(plan, qi_of[q], d)
+            for q, d in zip(rows.column("query_id").to_pylist(), rows.column("doc_id").to_pylist())
+        ]
+        return rows.append_column(
+            "snippet_start", pa.array([w[0] for w in win], type=pa.int64())
+        ).append_column("snippet_len", pa.array([w[1] for w in win], type=pa.int64()))
+
     # ---- prefix (wildcard term*) dictionary range scan ----
+
+    def pattern_doc_counts(self, patterns: list[str], mode: str) -> pa.Table:
+        """(query_id = pattern index, n_docs) for every pattern: this
+        shard's docs holding ANY term that matches it — mode "prefix"
+        (`term*`), "infix" (`*term*`) or "regex". Partials sum exactly
+        across shards (disjoint docs)."""
+        count = {
+            "prefix": self.prefix_doc_count,
+            "infix": self.substr_doc_count,
+            "regex": self.regex_doc_count,
+        }[mode]
+        return pa.table({
+            "query_id": pa.array(np.arange(len(patterns)), type=pa.int64()),
+            "n_docs": pa.array([count(p) for p in patterns], type=pa.int64()),
+        })
+
+    def suggest_partials(self, prefixes: list[str]) -> pa.Table:
+        """(query_id = prefix index, term, local df) for each prefix's
+        dictionary range — the suggester's shard partial; callers sum df per
+        term across shards and rank."""
+        q_out: list[int] = []
+        t_out: list[str] = []
+        d_out: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for qi, prefix in enumerate(prefixes):
+            terms, dfs = self.prefix_terms(prefix)
+            q_out += [qi] * len(terms)
+            t_out += terms
+            d_out.append(dfs)
+        return pa.table({
+            "query_id": pa.array(q_out, type=pa.int64()),
+            "term": pa.array(t_out, type=pa.string()),
+            "df": pa.array(np.concatenate(d_out), type=pa.int64()),
+        })
 
     def prefix_doc_count(self, prefix: str) -> int:
         """Count docs containing ANY term with the given prefix: bisect the
@@ -1397,11 +1406,6 @@ class _ShardState:
         lexicographic accumulation over the phrase's distinct terms with
         phrase term counts as qtf), so phrase scores are bit-identical to the
         same doc's TAAT score for the bag-of-words query."""
-        if self._dead_pos is not None:
-            raise NotImplementedError(
-                "phrase search over a generation stack is not supported; "
-                "compact the stack first"
-            )
         empty = np.empty(0, dtype=np.int64)
         seq = plan.query_seqs[qi] if plan.query_seqs else []
         if not seq:
@@ -1620,13 +1624,6 @@ class _ShardState:
         return out
 
 
-def _scores_as_group(method: str, msm: int) -> bool:
-    """Whether a shard worker scores `method` over its whole `_ShardGroup`
-    (the cached taat/maxscore body) rather than per member state (wand, and,
-    phrase and min-should-match keep per-list pruning state per segment)."""
-    return method in ("taat", "maxscore") and msm == 0
-
-
 def _empty_partials(with_urls: bool) -> pa.Table:
     cols = {"query_id": pa.array([], type=pa.int64()), "doc_id": pa.array([], type=pa.int64())}
     if with_urls:
@@ -1659,8 +1656,7 @@ class _ShardGroup(_ShardState):
     on group rows. The top-k equals the members' own top-k merged:
     positions are disjoint per member, each doc accumulates its terms in
     the same lexicographic order and `topk_select` keeps the (score desc,
-    doc_id asc) order. wand/and/phrase/msm run on the members
-    (`_scores_as_group`)."""
+    doc_id asc) order. wand/and/phrase/msm run on the members (`partials`)."""
 
     def __init__(self, members: list[_ShardState], block_size: int):
         self.members = members
@@ -1692,6 +1688,18 @@ class _ShardGroup(_ShardState):
         self._urls: pa.Array | None = None
         self._by_id: tuple[np.ndarray, np.ndarray] | None = None
         self._init_caches()
+
+    def partials(self, plan: QueryPlan, cfg: QueryConfig, with_urls: bool = True) -> list[pa.Table]:
+        """The worker's partial top-k tables for `plan` — the one search
+        step of one-shot tasks and session actors: one table over the whole
+        group for taat/maxscore, one per member state for wand, and, phrase
+        and min_should_match (they keep per-segment pruning state)."""
+        args = (plan, SCORERS[cfg.scorer], cfg.method, cfg.approx_factor,
+                cfg.min_should_match, cfg.phrase_slop, cfg.filter_lang, cfg.sort_by,
+                _len_bounds(cfg), with_urls)
+        if cfg.method in ("taat", "maxscore") and cfg.min_should_match == 0:
+            return [self.search_batch(*args)]
+        return [st.search_batch(*args) for st in self.members]
 
     def _row(self, term: str) -> int | None:
         i = self.term_row.get(term)
@@ -1846,386 +1854,20 @@ def explain_rows(
 
 
 class ShardSearcher:
-    """One-shot shard stage: a table of {partition} rows -> partial top-k.
-    taat/maxscore score the task's partitions as one `_ShardGroup` (one
-    top-k per query per task); wand/and/phrase/msm one top-k per partition.
+    """The search op of a one-shot task (pipelines/query.py): the partial
+    top-k of the task's partitions, which the task loaded once — taat/
+    maxscore as one `_ShardGroup` (one top-k per query per task),
+    wand/and/phrase/msm one top-k per partition."""
 
-    The query plan arrives as an object-store ref (`ray.put` once, zero-copy
-    read in every task)."""
-
-    def __init__(self, index_dir: str, plan_ref, query_cfg: QueryConfig, block_size: int):
-        import ray
-
-        self.index_dir = index_dir
-        self.plan: QueryPlan = ray.get(plan_ref) if not isinstance(plan_ref, QueryPlan) else plan_ref
+    def __init__(self, plan: QueryPlan, query_cfg: QueryConfig):
+        self.plan = plan
         self.cfg = query_cfg
-        self.block_size = block_size
-        self.scorer = SCORERS[query_cfg.scorer]
-        self._states: dict[int, _ShardState] = {}
-        self._needed_terms = sorted(self.plan.term_idf.keys())
 
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(self.index_dir, partition, self.block_size, self._needed_terms)
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        states = [
-            self._state(p) for p in map(int, batch.column("partition").to_pylist())
-            if os.path.exists(segment_path(self.index_dir, p))
-        ]
+    def __call__(self, states: list[_ShardState]) -> pa.Table:
         if not states:
             return _empty_partials(True)
-        msm = getattr(self.cfg, "min_should_match", 0)
-        args = (
-            self.plan, self.scorer, self.cfg.method,
-            getattr(self.cfg, "approx_factor", 1.0), msm,
-            getattr(self.cfg, "phrase_slop", 0),
-            getattr(self.cfg, "filter_lang", None),
-            getattr(self.cfg, "sort_by", None),
-            _len_bounds(self.cfg),
-        )
-        if _scores_as_group(self.cfg.method, msm):
-            return _ShardGroup(states, self.block_size).search_batch(*args)
-        return pa.concat_tables([st.search_batch(*args) for st in states])
-
-
-class ShardFacets:
-    """One-shot facet counter (over partition ids, like ShardSearcher):
-    per-shard `_ShardState.facet_counts` partials; callers
-    sum per (query_id, facet) across shards — exact under disjoint doc
-    partitioning."""
-
-    def __init__(self, index_dir: str, plan_ref, block_size: int, facet: str = "lang"):
-        import ray
-
-        self.index_dir = index_dir
-        self.plan: QueryPlan = (
-            ray.get(plan_ref) if not isinstance(plan_ref, QueryPlan) else plan_ref
-        )
-        self.block_size = block_size
-        self.facet = facet
-        self._states: dict[int, _ShardState] = {}
-        self._needed_terms = sorted(self.plan.term_idf.keys())
-
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(self.index_dir, partition, self.block_size, self._needed_terms)
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for part in batch.column("partition").to_pylist():
-            part = int(part)
-            if not os.path.exists(segment_path(self.index_dir, part)):
-                continue
-            outs.append(self._state(part).facet_counts(self.plan, self.facet))
-        if not outs:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    self.facet: pa.array([], type=pa.string()),
-                    "n_docs": pa.array([], type=pa.int64()),
-                }
-            )
-        return pa.concat_tables(outs)
-
-
-class _ShardPartialStage:
-    """Base for the one-shot per-shard partial-aggregation stages (over
-    partition-id rows): shared plan_ref unwrap, a 64-entry FIFO
-    _ShardState cache, and the segment-exists skip loop. Subclasses define
-    `_empty()` (the stage's empty output schema) and `_compute(state)`
-    (the per-shard partial); `_terms_filter()` controls segment-read
-    pruning (None = load the full dictionary)."""
-
-    def __init__(self, index_dir: str, plan_ref, block_size: int):
-        import ray
-
-        self.index_dir = index_dir
-        self.plan: QueryPlan = (
-            ray.get(plan_ref) if not isinstance(plan_ref, QueryPlan) else plan_ref
-        )
-        self.block_size = block_size
-        self._states: dict[int, _ShardState] = {}
-
-    def _terms_filter(self):
-        return sorted(self.plan.term_idf.keys())
-
-    def _empty(self) -> pa.Table:
-        raise NotImplementedError
-
-    def _compute(self, st: _ShardState) -> pa.Table:
-        raise NotImplementedError
-
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(
-                self.index_dir, partition, self.block_size, self._terms_filter()
-            )
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for part in batch.column("partition").to_pylist():
-            part = int(part)
-            if not os.path.exists(segment_path(self.index_dir, part)):
-                continue
-            outs.append(self._compute(self._state(part)))
-        return pa.concat_tables(outs) if outs else self._empty()
-
-
-class ShardMatchStats(_ShardPartialStage):
-    """Per-shard `_ShardState.match_stats` partials; callers merge per
-    query with sum/min/max/sum — exact under disjoint doc partitioning."""
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {
-                "query_id": pa.array([], type=pa.int64()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "dl_min": pa.array([], type=pa.int64()),
-                "dl_max": pa.array([], type=pa.int64()),
-                "dl_sum": pa.array([], type=pa.int64()),
-            }
-        )
-
-    def _compute(self, st: _ShardState) -> pa.Table:
-        return st.match_stats(self.plan)
-
-
-class ShardMatchHist(_ShardPartialStage):
-    """Per-shard `_ShardState.match_dl_hist` partials; callers merge per
-    (query, dl) with a sum, then take exact quantiles."""
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {
-                "query_id": pa.array([], type=pa.int64()),
-                "dl": pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-            }
-        )
-
-    def _compute(self, st: _ShardState) -> pa.Table:
-        return st.match_dl_hist(self.plan)
-
-
-class ShardSigTerms(_ShardPartialStage):
-    """Per-shard `_ShardState.sig_term_counts` partials — state loaded with
-    NO terms filter (the dictionary scan needs the full vocabulary);
-    callers merge per (query, term) with a sum."""
-
-    def _terms_filter(self):
-        return None
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {
-                "query_id": pa.array([], type=pa.int64()),
-                "term": pa.array([], type=pa.string()),
-                "match_df": pa.array([], type=pa.int64()),
-            }
-        )
-
-    def _compute(self, st: _ShardState) -> pa.Table:
-        return st.sig_term_counts(self.plan)
-
-
-class ShardCollapse:
-    """One-shot field-collapse stage (like ShardFacets): per shard,
-    `_ShardState.collapse_best` partials; callers re-collapse per
-    (query_id, facet) across shards — exact under disjoint doc partitioning."""
-
-    def __init__(self, index_dir: str, plan_ref, block_size: int,
-                 facet: str = "lang", scorer: str = "bm25"):
-        import ray
-
-        self.index_dir = index_dir
-        self.plan: QueryPlan = (
-            ray.get(plan_ref) if not isinstance(plan_ref, QueryPlan) else plan_ref
-        )
-        self.block_size = block_size
-        self.facet = facet
-        self.scorer = SCORERS[scorer]
-        self._states: dict[int, _ShardState] = {}
-        self._needed_terms = sorted(self.plan.term_idf.keys())
-
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(self.index_dir, partition, self.block_size, self._needed_terms)
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for part in batch.column("partition").to_pylist():
-            part = int(part)
-            if not os.path.exists(segment_path(self.index_dir, part)):
-                continue
-            outs.append(self._state(part).collapse_best(self.plan, self.scorer, self.facet))
-        if not outs:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    self.facet: pa.array([], type=pa.string()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "score": pa.array([], type=pa.float64()),
-                }
-            )
-        return pa.concat_tables(outs)
-
-
-class SnippetExtractor:
-    """One-shot snippet stage: maps final result rows (query_id, doc_id)
-    to their best highlight window via the owning shard's positional sidecar
-    (doc_id % num_partitions locates the shard under every docid strategy —
-    reordered ids are constructed to preserve it)."""
-
-    def __init__(self, index_dir: str, plan_ref, block_size: int, num_partitions: int):
-        import ray
-
-        self.index_dir = index_dir
-        self.plan: QueryPlan = (
-            ray.get(plan_ref) if not isinstance(plan_ref, QueryPlan) else plan_ref
-        )
-        self.block_size = block_size
-        self.num_partitions = num_partitions
-        self._qi_of = {int(q): i for i, q in enumerate(self.plan.query_ids)}
-        self._states: dict[int, _ShardState] = {}
-        self._needed_terms = sorted(self.plan.term_idf.keys())
-
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(self.index_dir, partition, self.block_size, self._needed_terms)
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch.column("query_id").to_pylist()
-        dids = batch.column("doc_id").to_pylist()
-        starts: list[int] = []
-        lens: list[int] = []
-        for q, d in zip(qids, dids):
-            st = self._state(int(d) % self.num_partitions)
-            s, w = st.snippet_window(self.plan, self._qi_of[int(q)], int(d))
-            starts.append(s)
-            lens.append(w)
-        return batch.append_column(
-            "snippet_start", pa.array(starts, type=pa.int64())
-        ).append_column("snippet_len", pa.array(lens, type=pa.int64()))
-
-
-class ShardPrefixCounts:
-    """One-shot wildcard-count stage: per shard, `prefix_doc_count`
-    (mode="prefix", sorted-dictionary bisect) or `substr_doc_count`
-    (mode="infix", vectorized substring scan) for each pattern query (loads
-    the FULL term dictionary — no terms_filter: the expansion set is unknown
-    until the scan). Partials sum exactly across shards (disjoint docs)."""
-
-    def __init__(self, index_dir: str, prefixes: list[str], block_size: int,
-                 mode: str = "prefix"):
-        self.index_dir = index_dir
-        self.prefixes = prefixes
-        self.block_size = block_size
-        self.mode = mode
-        self._states: dict[int, _ShardState] = {}
-
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(self.index_dir, partition, self.block_size)
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        q_out: list[int] = []
-        n_out: list[int] = []
-        for part in batch.column("partition").to_pylist():
-            part = int(part)
-            if not os.path.exists(segment_path(self.index_dir, part)):
-                continue
-            st = self._state(part)
-            count = {
-                "prefix": st.prefix_doc_count,
-                "infix": st.substr_doc_count,
-                "regex": st.regex_doc_count,
-            }[self.mode]
-            for qi, prefix in enumerate(self.prefixes):
-                q_out.append(qi)
-                n_out.append(count(prefix))
-        return pa.table(
-            {
-                "query_id": pa.array(q_out, type=pa.int64()),
-                "n_docs": pa.array(n_out, type=pa.int64()),
-            }
-        )
-
-
-class ShardSuggest:
-    """One-shot suggester stage: per shard and prefix query, the
-    dictionary range's (term, local df) rows. Callers sum df per term
-    across shards (each shard holds disjoint docs) and rank."""
-
-    def __init__(self, index_dir: str, prefixes: list[str], block_size: int):
-        self.index_dir = index_dir
-        self.prefixes = prefixes
-        self.block_size = block_size
-        self._states: dict[int, _ShardState] = {}
-
-    def _state(self, partition: int) -> _ShardState:
-        st = self._states.get(partition)
-        if st is None:
-            st = _ShardState(self.index_dir, partition, self.block_size)
-            if len(self._states) >= 64:
-                self._states.pop(next(iter(self._states)))
-            self._states[partition] = st
-        return st
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        q_out: list[int] = []
-        t_out: list[str] = []
-        d_out: list[np.ndarray] = []
-        for part in batch.column("partition").to_pylist():
-            part = int(part)
-            if not os.path.exists(segment_path(self.index_dir, part)):
-                continue
-            st = self._state(part)
-            for qi, prefix in enumerate(self.prefixes):
-                terms, dfs = st.prefix_terms(prefix)
-                q_out.extend([qi] * len(terms))
-                t_out.extend(terms)
-                d_out.append(dfs)
-        return pa.table(
-            {
-                "query_id": pa.array(q_out, type=pa.int64()),
-                "term": pa.array(t_out, type=pa.string()),
-                "df": pa.array(
-                    np.concatenate(d_out) if d_out else np.empty(0, dtype=np.int64),
-                    type=pa.int64(),
-                ),
-            }
-        )
+        group = _ShardGroup(states, states[0].block_size)
+        return pa.concat_tables(group.partials(self.plan, self.cfg))
 
 
 def _len_bounds(cfg: QueryConfig) -> tuple[int | None, int | None] | None:
@@ -2325,6 +1967,22 @@ def _expand_dedup_results(
     return out.take(
         pc.sort_indices(out, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
     )
+
+
+def paged(search, queries: pa.Table, query_cfg: QueryConfig) -> pa.Table:
+    """Pagination for both serving stacks: `search(queries, cfg)` for the
+    top-(offset+k), sliced to ranks offset..offset+k-1 — the rank column
+    keeps GLOBAL rank numbers, exactly SQL's `WHERE rank >= offset AND rank
+    < offset+k`."""
+    import dataclasses
+
+    import pyarrow.compute as pc
+
+    if query_cfg.offset <= 0:
+        return search(queries, query_cfg)
+    deep = dataclasses.replace(query_cfg, k=query_cfg.k + query_cfg.offset, offset=0)
+    res = search(queries, deep)
+    return res.filter(pc.greater_equal(res.column("rank"), query_cfg.offset))
 
 
 def _merge_partial_range(refs, lo, hi, k: int) -> pa.Table:
@@ -2431,7 +2089,6 @@ def _shard_actor_cls():
         arrays instead of rereading it."""
 
         def __init__(self):
-            self.states: dict[tuple[int, int], _ShardState] = {}
             self.group: _ShardGroup | None = None
             self._files: dict[tuple, _ShardState] = {}
 
@@ -2449,7 +2106,7 @@ def _shard_actor_cls():
             # drop what this session does not need BEFORE loading, so the
             # actor never holds two sessions' worth of files
             wanted = set(keys.values())
-            self.states = {}
+            self.group = None
             self._files = {k: v for k, v in self._files.items() if k in wanted}
             counts = {"loaded": 0, "reused": 0}
 
@@ -2465,24 +2122,19 @@ def _shard_actor_cls():
                 self._files[key] = st
                 return st
 
-            for p in partitions:
-                for g, st in stack_states(
-                    dirs, p, tombstones, lambda g, dead: open_state(g, p, dead)
-                ):
-                    self.states[(g, p)] = st
-            self.group = _ShardGroup(list(self.states.values()), block_size)
+            states = [
+                st for p in partitions
+                for _, st in stack_states(dirs, p, tombstones, lambda g, dead: open_state(g, p, dead))
+            ]
+            self.group = _ShardGroup(states, block_size)
             n, s = self.group.live_counts()
             return n, s, counts["loaded"], counts["reused"]
 
         def live_df(self, terms: list[str]) -> dict[str, int]:
             return dict(zip(terms, self.group.live_term_dfs(terms)))
 
-        def search_packed(self, plan: QueryPlan, scorer_name: str, method: str,
-                          approx_factor: float = 1.0, msm: int = 0,
-                          slop: int = 0, flt: str | None = None,
-                          sort_by: str | None = None,
-                          flt_len: tuple[int | None, int | None] | None = None,
-                          k: int = 10, with_urls: bool = False) -> pa.Table | None:
+        def search_packed(self, plan: QueryPlan, query_cfg: QueryConfig,
+                          with_urls: bool = False) -> pa.Table | None:
             """This ACTOR's top-k per query, packed for the serving shuffle:
             (query_id, doc_id, score), 24 B/row of fixed-width arrays, so an
             actor owning P/N partitions ships one bounded partial instead of
@@ -2492,18 +2144,10 @@ def _shard_actor_cls():
             (with_urls=True) the partial keeps a url column so the session
             skips the extra lookup round trip that would dominate
             single-query latency."""
-            scorer = SCORERS[scorer_name]
-            args = (plan, scorer, method, approx_factor, msm, slop, flt, sort_by,
-                    flt_len, with_urls)
-            if _scores_as_group(method, msm):
-                t = self.group.search_batch(*args)
-            else:
-                outs = [st.search_batch(*args) for st in self.states.values()]
-                t = pa.concat_tables(outs) if outs else None
-                if len(outs) > 1:
-                    t = merge_topk_table(t, k)
-            if t is None or len(t) == 0:
+            outs = [t for t in self.group.partials(plan, query_cfg, with_urls) if len(t)]
+            if not outs:
                 return None
+            t = outs[0] if len(outs) == 1 else merge_topk_table(pa.concat_tables(outs), plan.k)
             return t.select(
                 ["query_id", "doc_id", "url", "score"] if with_urls
                 else ["query_id", "doc_id", "score"]
@@ -2615,6 +2259,10 @@ class SearchSession:
     `files_loaded` / `files_reused` count the segments this session's open
     read from disk and took over from the pool."""
 
+    # whether the actors mask dead documents (a generation stack or
+    # tombstones) — an input of the capability table
+    dead_docs = False
+
     def __init__(self, index_dir: str, num_actors: int | None = None):
         from ..state.stats import load_stats
 
@@ -2654,6 +2302,16 @@ class SearchSession:
                     self.actors[i], _ = _spawn_loaded(self._groups[i], self._load_kw)
             return call(self.actors)
 
+    def _term_df(self, terms: list[str]) -> dict[str, int]:
+        """df per term through the session cache; the misses are looked up
+        in one call and absent terms cached as 0."""
+        missing = [t for t in terms if t not in self._df_cache]
+        if missing:
+            self._df_cache.update(self._lookup_missing_df(missing))
+            for t in missing:
+                self._df_cache.setdefault(t, 0)
+        return {t: self._df_cache[t] for t in terms}
+
     def _lookup_missing_df(self, missing: list[str]) -> dict[str, int]:
         from ..state.stats import lookup_term_df
 
@@ -2684,52 +2342,35 @@ class SearchSession:
     MAX_PLAN_QUERIES = 16_384
 
     def search(self, queries: pa.Table, query_cfg: QueryConfig | None = None) -> pa.Table:
+        query_cfg = query_cfg or QueryConfig()
+        query_cfg.check(queries.column_names, self.dead_docs)
+        return paged(self._search, queries, query_cfg)
+
+    def _search(self, queries: pa.Table, query_cfg: QueryConfig) -> pa.Table:
         import ray
 
-        query_cfg = query_cfg or QueryConfig()
-        # pagination: fetch top-(offset+k) and slice — the rank column keeps
-        # GLOBAL rank numbers (offset..offset+k-1), exactly SQL's
-        # `WHERE rank >= offset AND rank < offset+k`
-        if getattr(query_cfg, "offset", 0) > 0:
-            import dataclasses
-
-            import pyarrow.compute as pc
-
-            deep = dataclasses.replace(
-                query_cfg, k=query_cfg.k + query_cfg.offset, offset=0
-            )
-            res = self.search(queries, deep)
-            return res.filter(
-                pc.greater_equal(res.column("rank"), query_cfg.offset)
-            )
         # collapse duplicate query texts: plan, broadcast, per-shard scoring
         # and merge all scale with DISTINCT queries; results are replicated
         # per original query_id afterwards (bit-identical — scoring is a pure
-        # function of the text)
-        has_neg = "neg_text" in queries.column_names
-        has_must = "must_text" in queries.column_names
-        # either half of the cursor pair disables the collapse so a malformed
-        # half-cursor batch always reaches make_query_plan's BOTH-columns check
-        has_after = (
-            "after_score" in queries.column_names
-            or "after_doc" in queries.column_names
-        )
+        # function of the text). Negated / must / cursored queries skip the
+        # collapse (the dedup key would need the extra columns; such batches
+        # are small); either half of the cursor pair disables it, so a
+        # malformed half-cursor batch still reaches make_query_plan's check
         texts_all = queries.column("text").to_pylist()
         uniq: dict[str, int] = {}
         rep = np.fromiter(
             (uniq.setdefault(t, len(uniq)) for t in texts_all),
             dtype=np.int64, count=len(texts_all),
         )
-        # negated / must / cursored queries skip the text-keyed collapse (the
-        # dedup key would need the extra columns; such batches are small)
-        if len(uniq) < len(texts_all) and not (has_neg or has_must or has_after):
+        extra = {"neg_text", "must_text", "after_score", "after_doc"} & set(queries.column_names)
+        if len(uniq) < len(texts_all) and not extra:
             dq = pa.table(
                 {
                     "query_id": pa.array(np.arange(len(uniq), dtype=np.int64)),
                     "text": pa.array(list(uniq.keys()), type=pa.string()),
                 }
             )
-            res = self.search(dq, query_cfg)
+            res = self._search(dq, query_cfg)
             return _expand_dedup_results(
                 res,
                 queries.column("query_id").to_numpy(zero_copy_only=False).astype(np.int64),
@@ -2737,87 +2378,19 @@ class SearchSession:
             )
         if len(queries) > self.MAX_PLAN_QUERIES:
             parts = [
-                self.search(queries.slice(i, self.MAX_PLAN_QUERIES), query_cfg)
+                self._search(queries.slice(i, self.MAX_PLAN_QUERIES), query_cfg)
                 for i in range(0, len(queries), self.MAX_PLAN_QUERIES)
             ]
             return pa.concat_tables(parts)
-        text_terms: set[str] = set()
-        toks_per_query = [tokenize_py(t) for t in queries.column("text").to_pylist()]
-        for toks in toks_per_query:
-            text_terms.update(toks)
-        distinct = set(text_terms)
-        if has_neg:  # negation terms need their true df in the plan too
-            for t in queries.column("neg_text").to_pylist():
-                distinct.update(tokenize_py(t or ""))
-        if has_must:  # must terms score, so their df must be real too
-            for t in queries.column("must_text").to_pylist():
-                distinct.update(tokenize_py(t or ""))
-        expansions = None
-        fz = getattr(query_cfg, "fuzzy_max_edits", 0)
-        if fz:
-            if query_cfg.method not in ("taat", "maxscore"):
-                raise ValueError(
-                    "fuzzy matching is supported on the default scoring "
-                    f"methods (taat/maxscore), not method={query_cfg.method!r}"
-                )
-            expansions = self._fuzzy_expand(sorted(text_terms), fz)
-            for s in expansions.values():
-                distinct.update(s)
-        syn = getattr(query_cfg, "synonyms", None) or None
-        if syn:
-            if query_cfg.method not in ("taat", "maxscore"):
-                raise ValueError(
-                    "synonyms are supported on the default scoring methods "
-                    f"(taat/maxscore), not method={query_cfg.method!r}"
-                )
-            if fz:
-                raise ValueError("synonyms cannot combine with fuzzy_max_edits")
-            if getattr(SCORERS[query_cfg.scorer], "needs_cf", False):
-                raise ValueError(
-                    f"synonyms are unsupported with scorer {query_cfg.scorer!r} "
-                    "(pooled-group cf semantics are ambiguous)"
-                )
-            for tok in text_terms:
-                distinct.update(syn.get(tok, ()))
-        boosts = getattr(query_cfg, "boosts", None) or None
-        if boosts and query_cfg.method not in ("taat", "maxscore"):
-            raise ValueError(
-                "term boosts are supported on the default scoring methods "
-                f"(taat/maxscore), not method={query_cfg.method!r}"
-            )
-        missing = sorted(distinct - self._df_cache.keys())
-        if missing:
-            self._df_cache.update(self._lookup_missing_df(missing))
-            for t in missing:  # absent terms -> df 0, cached too
-                self._df_cache.setdefault(t, 0)
-        term_df = {t: self._df_cache[t] for t in distinct}
         plan = make_query_plan(
-            queries, term_df, self._n_docs, self._avgdl, query_cfg.k,
-            expansions=expansions, synonyms=syn, boosts=boosts,
-            pre_tokens=toks_per_query,
+            queries, self._term_df, self._n_docs, self._avgdl, query_cfg.k, query_cfg,
+            pre_tokens=[tokenize_py(t) for t in texts_all],
+            expand=self._fuzzy_expand,
+            term_cf=lambda terms: load_term_cf(
+                self.index_dir, self.stats["partitions"], terms, int(self.stats["block_size"])
+            ),
+            total_len=self.stats.get("sum_doc_len"),
         )
-        if getattr(SCORERS[query_cfg.scorer], "needs_cf", False):
-            import dataclasses
-
-            from ..state.stats import load_stats as _ls
-
-            if len(getattr(self, "index_dirs", [self.index_dir])) > 1:
-                # stacked stacks shadow upserts/tombstones per shard; a
-                # driver-side cf sum over generations would double-count
-                # shadowed docs — compact first to use a cf-based scorer
-                raise ValueError(
-                    f"scorer {query_cfg.scorer!r} is unsupported on a "
-                    "generation stack; compact the index first"
-                )
-            st = _ls(self.index_dir)
-            plan = dataclasses.replace(
-                plan,
-                term_cf=load_term_cf(
-                    self.index_dir, st["partitions"],
-                    sorted(plan.term_idf.keys()), int(st["block_size"]),
-                ),
-                total_len=int(st["sum_doc_len"]),
-            )
         plan_ref = ray.put(plan)
         # small batches keep urls inline (one fewer actor round trip — it
         # would dominate single-query latency); large batches ship packed
@@ -2825,20 +2398,7 @@ class SearchSession:
         inline_urls = len(queries) * query_cfg.k <= _INLINE_URL_ROWS
 
         def merged_topk(actors):
-            futs = [
-                a.search_packed.remote(
-                    plan_ref, query_cfg.scorer, query_cfg.method,
-                    getattr(query_cfg, "approx_factor", 1.0),
-                    getattr(query_cfg, "min_should_match", 0),
-                    getattr(query_cfg, "phrase_slop", 0),
-                    getattr(query_cfg, "filter_lang", None),
-                    getattr(query_cfg, "sort_by", None),
-                    _len_bounds(query_cfg),
-                    query_cfg.k,
-                    inline_urls,
-                )
-                for a in actors
-            ]
+            futs = [a.search_packed.remote(plan_ref, query_cfg, inline_urls) for a in actors]
             # big batches: fan the k x P x Q merge out by query range — each raw
             # task reads the shard partials zero-copy and merges its slice
             est_rows = len(queries) * len(actors) * query_cfg.k
@@ -2979,6 +2539,9 @@ class StackedSearchSession(SearchSession):
         # index_dirs) from pipelines.ingest.load_tombstones — masked inside
         # the shard actors exactly like newer-generation shadows
         self._tombstones = tombstones
+        self.dead_docs = len(index_dirs) > 1 or any(
+            t is not None and len(t) for t in tombstones or ()
+        )
         all_stats = [load_stats(d) for d in index_dirs]
         self.stats = dict(all_stats[-1])
         for st in all_stats:  # same config contract as compact.merge_indexes

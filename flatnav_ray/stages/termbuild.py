@@ -473,33 +473,10 @@ class _TermShardState:
             tf, dl, int(self._df[i]), self.n_docs, self.avgdl, self.k1, self.b
         )
         out = (d, contrib)
-        if len(self._contrib) > 100_000:  # bounded actor memory
+        if len(self._contrib) > 100_000:  # bounded memory
             self._contrib.clear()
         self._contrib[term] = out
         return out
-
-    def fetch(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Posting-fetch RPC surface for TermSearchSession actors: the decoded
-        (doc_ids, per-posting contribution) arrays of each OWNED term."""
-        out = {}
-        for t in terms:
-            hit = self.term_contrib(t)
-            if hit is not None:
-                out[t] = hit
-        return out
-
-    def score_query(
-        self, qterms: list[tuple[str, int]], k: int,
-        rows: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if rows is not None:
-            return _score_query_rows(rows, qterms, k)
-        got = {}
-        for term, _ in qterms:
-            hit = self.term_contrib(term)
-            if hit is not None:
-                got[term] = hit
-        return _score_query_rows(got, qterms, k)
 
 
 def _score_query_rows(
@@ -619,400 +596,3 @@ class TermIndexSearcher:
             float(self.stats["avgdl"]), k1, b,
         )
         return _score_queries_table(state, queries, k)
-
-
-def _term_shard_actor_cls():
-    import ray
-
-    @ray.remote
-    class TermShardActor:
-        """Server-mode term shard: owns a contiguous range of the term-sorted
-        segment files (loaded once), serves posting-fetch RPCs — the
-        term-partitioned analog of search.SearchSession's doc shards. Serving
-        ships each requested term's decoded (doc_ids, contribution) arrays to
-        the coordinator, which keeps the float fold order identical to the
-        single-process searcher (bit-exact rank identity)."""
-
-        def __init__(self, files: list[str], block_size: int, n_docs: int,
-                     avgdl: float, k1: float, b: float):
-            import pyarrow.parquet as pq
-
-            tbl = (
-                pa.concat_tables([pq.read_table(f) for f in files])
-                if files
-                else TERM_SEGMENT_SCHEMA.empty_table()
-            )
-            self.state = _TermShardState(tbl, block_size, n_docs, avgdl, k1, b)
-
-        def fetch(self, terms: list[str]):
-            return self.state.fetch(terms)
-
-        def post_ranges(self, terms_sorted: list, n_ranges: int):
-            """Ship each OWNED query term's decoded in-range postings ONCE:
-            per doc-range (tid, doc, contrib) triples, tid-ascending within
-            every range — the term-partitioned -> doc-range exchange.
-            Payload is Σ df(owned query terms), independent of how many
-            queries share a term; the coordinator never touches it (actor
-            output objects flow straight to the range reducers)."""
-            return _emit_term_ranges(self.state, terms_sorted, n_ranges)
-
-    return TermShardActor
-
-
-def _emit_term_ranges(state: "_TermShardState", terms_sorted: list, n_ranges: int):
-    """(tid, doc, contrib) arrays per doc-range for the query terms `state`
-    owns, each term's postings emitted exactly once. tid is the term's index
-    in the globally-sorted distinct query-term list — which is also every
-    query's own lexicographic term order, i.e. the accumulation-order key.
-    The stable split of a tid-ordered concatenation keeps every range's rows
-    tid-ascending, so reducers need no re-sort beyond a cheap stable merge."""
-    tid_parts, d_parts, c_parts = [], [], []
-    for tid, term in enumerate(terms_sorted):
-        hit = state.term_contrib(term)
-        if hit is None:
-            continue
-        d, contrib = hit
-        tid_parts.append(np.full(d.size, tid, dtype=np.int32))
-        d_parts.append(d)
-        c_parts.append(contrib)
-    if not d_parts:
-        e = np.empty(0)
-        return [
-            (e.astype(np.int32), e.astype(np.int64), e) for _ in range(n_ranges)
-        ]
-    tids = np.concatenate(tid_parts)
-    docs = np.concatenate(d_parts)
-    cs = np.concatenate(c_parts)
-    rng = (docs % n_ranges).astype(np.int64)
-    order = np.argsort(rng, kind="stable")
-    counts = np.bincount(rng, minlength=n_ranges)
-    offs = np.concatenate(([0], np.cumsum(counts)))
-    tids, docs, cs = tids[order], docs[order], cs[order]
-    return [
-        (tids[offs[r]: offs[r + 1]], docs[offs[r]: offs[r + 1]],
-         cs[offs[r]: offs[r + 1]])
-        for r in range(n_ranges)
-    ]
-
-
-def _reduce_range(k: int, qinc, *parts):
-    """Doc-range reducer: dense per-(query, in-range doc) accumulation from
-    once-per-term posting triples + the query<-term incidence lists, then
-    each query's exact in-range top-k.
-
-    Bit-exactness: terms apply in ascending tid order, and global tid order
-    IS each query's lexicographically-sorted term order, so per (query, doc)
-    the fold is the same sequential ((c1+c2)+c3) from 0.0 as the
-    single-process searcher (equality pytest vs TermIndexSearcher). A term's
-    posting list has unique docs, so the vectorized `row[cols] += vals`
-    scatter has no duplicate indices and needs no unbuffered np.add.at.
-    Scratch is chunked to ≤32 MiB regardless of batch size."""
-    inc_offs, inc_qi, inc_qtf, n_queries = qinc
-    tids = np.concatenate([p[0] for p in parts])
-    if tids.size == 0:
-        e = np.empty(0)
-        return e.astype(np.int32), e.astype(np.int64), e
-    docs = np.concatenate([p[1] for p in parts])
-    cs = np.concatenate([p[2] for p in parts])
-    # per-actor parts are already tid-ascending; a stable sort merges them
-    order = np.argsort(tids, kind="stable")
-    tids, docs, cs = tids[order], docs[order], cs[order]
-    uniq, inv = np.unique(docs, return_inverse=True)
-    n_uniq = uniq.size
-    t_starts = np.flatnonzero(np.concatenate(([True], tids[1:] != tids[:-1])))
-    t_ends = np.concatenate((t_starts[1:], [tids.size]))
-    t_ids = tids[t_starts]
-    from ..functions.bm25 import topk_select
-
-    out_q, out_d, out_s = [], [], []
-    chunk = max(1, min(n_queries, (1 << 22) // max(1, n_uniq)))
-    for q0 in range(0, n_queries, chunk):
-        q1 = min(n_queries, q0 + chunk)
-        scratch = np.zeros((q1 - q0, n_uniq), dtype=np.float64)
-        touched = np.zeros((q1 - q0, n_uniq), dtype=bool)
-        for t, s, e in zip(t_ids, t_starts, t_ends):
-            cols = inv[s:e]
-            vals = cs[s:e]
-            for j in range(inc_offs[t], inc_offs[t + 1]):
-                qi = inc_qi[j]
-                if qi < q0 or qi >= q1:
-                    continue
-                qtf = inc_qtf[j]
-                row = scratch[qi - q0]
-                if qtf != 1:
-                    row[cols] += qtf * vals  # same expression as _score_query_rows
-                else:
-                    row[cols] += vals
-                touched[qi - q0, cols] = True
-        for qi in range(q0, q1):
-            sel = np.flatnonzero(touched[qi - q0])
-            if sel.size == 0:
-                continue
-            dd, ss = topk_select(scratch[qi - q0, sel], uniq[sel], k)
-            out_q.append(np.full(dd.size, qi, dtype=np.int32))
-            out_d.append(dd)
-            out_s.append(ss)
-    if not out_q:
-        e = np.empty(0)
-        return e.astype(np.int32), e.astype(np.int64), e
-    return (
-        np.concatenate(out_q), np.concatenate(out_d), np.concatenate(out_s)
-    )
-
-
-_REDUCE_REMOTE = None
-
-
-def _reduce_remote():
-    """Module-cached Ray remote wrapper of _reduce_range (a per-call
-    ray.remote() re-exports the function to the cluster every batch)."""
-    global _REDUCE_REMOTE
-    if _REDUCE_REMOTE is None:
-        import ray
-
-        _REDUCE_REMOTE = ray.remote(num_cpus=1)(_reduce_range)
-    return _REDUCE_REMOTE
-
-
-class TermSearchSession:
-    """Persistent actor pool over a term-layout index: each actor owns a
-    contiguous term range (the term-sorted parquet files, split round-robin
-    by file), the coordinator broadcasts the distinct query terms and
-    accumulates fetched postings in lexicographic term order — bit-identical
-    scores to TermIndexSearcher.
-
-    Two scoring modes, both bit-identical to TermIndexSearcher (pytest),
-    picked by a size cutoff under the default mode="auto" (the same
-    planner-cutoff shape as the dedup semi-join's broadcast-vs-hash-join
-    switch, stages/dedup.py):
-
-    * mode="fetch" (auto below EXCHANGE_MIN_DOCS): the decoded (doc_ids,
-      contribution) arrays of each cold term ship to the coordinator once
-      per session and are cached; scoring fans out over query slices.
-      Postings ship ONCE PER DISTINCT TERM, so per-batch cost is the pure
-      accumulation work — the right constant factors whenever the largest
-      posting list (≤ n_docs rows ≈ 16 bytes each) is cheap to ship.
-    * mode="exchange" (auto at or above EXCHANGE_MIN_DOCS, the scale path):
-      actors emit each OWNED query term's decoded postings ONCE,
-      range-partitioned by doc hash straight to range reducers, which do the
-      dense per-(query, in-range doc) accumulation and return each query's
-      in-range top-k — posting lists NEVER reach the coordinator, which
-      sees only n_ranges × k candidates per query regardless of df.
-      Per-batch posting volume equals fetch's (Σ df over distinct query
-      terms) but is spread actor->reducer instead of funneled into one
-      process, so it stays the only shape that works once a head term's
-      posting list (df ≈ 10⁹ at the 100 TB corpus → 16 GB decoded) cannot
-      live in the coordinator. Below that scale fetch wins on constants:
-      its coordinator cache persists decoded terms across batches, while
-      exchange re-ships postings and pays the per-batch task fan-out
-      (measured ~5× warm at 93k docs / 4k queries — EXCHANGE_MIN_DOCS keeps
-      the small-corpus regime on fetch).
-
-    The doc layout (search.SearchSession) keeps scoring shard-local and is
-    the default serving path — this session exists so the term layout is a
-    first-class, pool-served index too (the reference serves both orderings
-    through one search path, Index.h:412-427)."""
-
-    # auto-mode cutover: below this corpus size any single posting list
-    # (df ≤ n_docs, ~16 B/row decoded) ships to the coordinator in < ~1 GB
-    # and fetch's once-per-distinct-term shipping wins; above it a head
-    # term's posting list alone is too large for one process and the
-    # doc-range exchange is the only shape that scales.
-    EXCHANGE_MIN_DOCS = 64_000_000
-
-    def __init__(self, index_dir: str, num_actors: int | None = None,
-                 mode: str = "auto"):
-        import ray
-
-        from ..state.stats import load_stats
-
-        self.index_dir = index_dir
-        self.stats = load_stats(index_dir)
-        assert self.stats.get("layout") == "term"
-        seg_dir = os.path.join(index_dir, "term_segments")
-        files = sorted(
-            os.path.join(seg_dir, f) for f in os.listdir(seg_dir) if f.endswith(".parquet")
-        )
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        n = max(1, min(num_actors or ncpu, max(1, len(files))))
-        cls = _term_shard_actor_cls()
-        assign: list[list[str]] = [[] for _ in range(n)]
-        for i, f in enumerate(files):
-            assign[i % n].append(f)
-        args = (
-            int(self.stats["block_size"]), int(self.stats["n_docs"]),
-            float(self.stats["avgdl"]), float(self.stats["k1"]), float(self.stats["b"]),
-        )
-        self.actors = [cls.remote(a, *args) for a in assign]
-        if mode == "auto":
-            mode = (
-                "exchange"
-                if int(self.stats["n_docs"]) >= self.EXCHANGE_MIN_DOCS
-                else "fetch"
-            )
-        self.mode = mode
-        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._rows_ref = None  # object-store copy shared by scoring tasks
-        self._n_workers = max(1, n)
-
-    def search(self, queries: pa.Table, k: int = 10) -> pa.Table:
-        import ray
-
-        from ..functions.tokenize import tokenize_py
-        from .search import _expand_dedup_results
-
-        qids = queries.column("query_id").to_pylist()
-        texts = queries.column("text").to_pylist()
-        # duplicate query texts score once (see SearchSession.search)
-        uniq: dict[str, int] = {}
-        rep = np.fromiter(
-            (uniq.setdefault(t, len(uniq)) for t in texts), dtype=np.int64, count=len(texts)
-        )
-        if len(uniq) < len(texts):
-            dq = pa.table(
-                {
-                    "query_id": pa.array(np.arange(len(uniq), dtype=np.int64)),
-                    "text": pa.array(list(uniq.keys()), type=pa.string()),
-                }
-            )
-            res = self.search(dq, k)
-            return _expand_dedup_results(
-                res, np.asarray(qids, dtype=np.int64), rep, len(uniq)
-            )
-        qitems: list[tuple[int, list]] = []
-        distinct: set[str] = set()
-        for qid, text in zip(qids, texts):
-            counts: dict[str, int] = {}
-            for tok in tokenize_py(text):
-                counts[tok] = counts.get(tok, 0) + 1
-            qitems.append((int(qid), sorted(counts.items())))
-            distinct.update(counts)
-        if self.mode == "exchange":
-            return self._search_exchange(qitems, k)
-        needed = sorted(distinct - set(self._rows))
-        if needed:
-            futs = [a.fetch.remote(needed) for a in self.actors]
-            for part in ray.get(futs):
-                self._rows.update(part)
-            for t in needed:
-                self._rows.setdefault(t, None)  # absent terms cached too
-            self._rows_ref = None  # invalidate the shared object-store copy
-
-        # small batches score inline; large ones fan the per-query
-        # accumulation out as raw Ray tasks over an object-store copy of the
-        # fetched rows (read zero-copy by every task) — the coordinator was
-        # otherwise a single-core bottleneck on Σ df(query terms) postings
-        live_rows = {t: v for t, v in self._rows.items() if v is not None}
-        if len(qitems) <= 64 or self._n_workers == 1:
-            out = _score_slice_table(live_rows, qitems, k)
-        else:
-            if self._rows_ref is None:
-                self._rows_ref = ray.put(live_rows)
-            task = ray.remote(num_cpus=1)(_score_slice_table)
-            n_slices = min(self._n_workers * 2, max(1, len(qitems) // 32))
-            step = (len(qitems) + n_slices - 1) // n_slices
-            futs = [
-                task.remote(self._rows_ref, qitems[s : s + step], k)
-                for s in range(0, len(qitems), step)
-            ]
-            out = pa.concat_tables(ray.get(futs))
-        import pyarrow.compute as pc
-
-        return out.take(
-            pc.sort_indices(out, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
-        )
-
-    def _search_exchange(self, qitems: list[tuple[int, list]], k: int) -> pa.Table:
-        """Distributed term-partitioned scoring via the doc-range exchange
-        (see class docstring). Posting volume: each distinct query term's
-        decoded postings move ONCE, range-partitioned actor->reducer;
-        coordinator traffic: n_ranges × ≤k candidate rows per query —
-        independent of any term's df."""
-        import ray
-
-        import pyarrow.compute as pc
-
-        from ..functions.bm25 import topk_select
-
-        n_ranges = self._n_workers
-        # global tid order == every query's lexicographically-sorted term
-        # order (qterms are sorted), so tid-ascending application in the
-        # reducers reproduces the single-process per-query fold exactly
-        terms_sorted = sorted({t for _, qterms in qitems for t, _ in qterms})
-        tid_of = {t: i for i, t in enumerate(terms_sorted)}
-        n_terms = len(terms_sorted)
-        inc_t = np.fromiter(
-            (tid_of[t] for _, qterms in qitems for t, _ in qterms), dtype=np.int64
-        )
-        inc_q = np.fromiter(
-            (qi for qi, (_qid, qterms) in enumerate(qitems) for _ in qterms),
-            dtype=np.int32,
-        )
-        inc_f = np.fromiter(
-            (float(qtf) for _, qterms in qitems for _, qtf in qterms),
-            dtype=np.float64,
-        )
-        order = np.argsort(inc_t, kind="stable")
-        inc_t, inc_q, inc_f = inc_t[order], inc_q[order], inc_f[order]
-        inc_offs = np.searchsorted(inc_t, np.arange(n_terms + 1))
-        qinc_ref = ray.put((inc_offs, inc_q, inc_f, len(qitems)))
-        terms_ref = ray.put(terms_sorted)
-        # actor r-th return object flows straight to reducer r — the
-        # coordinator never touches the posting partials
-        per_actor = [
-            a.post_ranges.options(num_returns=n_ranges).remote(terms_ref, n_ranges)
-            for a in self.actors
-        ]
-        if n_ranges == 1:  # num_returns=1 yields a bare ref, not a list
-            per_actor = [[r] for r in per_actor]
-        reduce_task = _reduce_remote()
-        futs = [
-            reduce_task.remote(
-                k, qinc_ref, *[per_actor[a][r] for a in range(len(self.actors))]
-            )
-            for r in range(n_ranges)
-        ]
-        outs = ray.get(futs)
-        qis = np.concatenate([o[0] for o in outs])
-        if qis.size == 0:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "rank": pa.array([], type=pa.int32()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "score": pa.array([], type=pa.float64()),
-                }
-            )
-        docs = np.concatenate([o[1] for o in outs])
-        scores = np.concatenate([o[2] for o in outs])
-        # final exact top-k per query over the ranges' disjoint candidates
-        order = np.lexsort((docs, qis))
-        qis, docs, scores = qis[order], docs[order], scores[order]
-        starts = np.flatnonzero(np.concatenate(([True], qis[1:] != qis[:-1])))
-        ends = np.concatenate((starts[1:], [qis.size]))
-        out_q, out_r, out_d, out_s = [], [], [], []
-        qid_of = np.array([q for q, _ in qitems], dtype=np.int64)
-        for s, e in zip(starts, ends):
-            dd, ss = topk_select(scores[s:e], docs[s:e], k)
-            out_q.append(np.full(dd.size, qid_of[qis[s]], dtype=np.int64))
-            out_r.append(np.arange(dd.size, dtype=np.int32))
-            out_d.append(dd)
-            out_s.append(ss)
-        out = pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), type=pa.int64()),
-                "rank": pa.array(np.concatenate(out_r), type=pa.int32()),
-                "doc_id": pa.array(np.concatenate(out_d), type=pa.int64()),
-                "score": pa.array(np.concatenate(out_s), type=pa.float64()),
-            }
-        )
-        return out.take(
-            pc.sort_indices(out, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
-        )
-
-    def shutdown(self) -> None:
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []

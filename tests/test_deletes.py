@@ -289,3 +289,46 @@ def test_reopen_after_same_path_restore_serves_new_files(ray_session, tmp_path):
     finally:
         sess.shutdown()
         ref.shutdown()
+
+
+def test_oneshot_ops_refuse_stacked_or_tombstoned_index(ray_session, tmp_path):
+    """One-shot ops read the base generation only: over a tombstoned or
+    stacked index they must raise (naming open_session and compaction)
+    instead of answering with deleted or missing documents. The CLI query
+    command serves such an index through the session."""
+    import ray.data
+    import pyarrow.parquet as pq
+    import pytest
+
+    from flatnav_ray.cli import main
+    from flatnav_ray.pipelines.ingest import add_documents, compact, delete_documents
+    from flatnav_ray.pipelines.query import facet_counts, fetch_docs, search_to_table
+
+    pages, queries = _corpus_and_queries(seed=66, n=240)
+    ix = str(tmp_path / "ix")
+    build_index(ray.data.from_arrow(pages.slice(0, 200)), ix, IndexConfig(num_partitions=4))
+    winners = search_to_table(ix, queries, QueryConfig(k=10))
+    dead = sorted(set(winners.column("url").to_pylist()))[:10]
+    delete_documents(ix, urls=dead)
+
+    def refused(call):
+        with pytest.raises(ValueError, match="open_session.*compact"):
+            call()
+
+    refused(lambda: search_to_table(ix, queries, QueryConfig(k=10)))
+    refused(lambda: facet_counts(ix, queries))
+    refused(lambda: fetch_docs(ix, winners.column("doc_id").to_pylist()))
+
+    qpath, out = str(tmp_path / "q.parquet"), str(tmp_path / "out.parquet")
+    pq.write_table(queries, qpath)
+    assert main(["query", "--index", ix, "--queries", qpath, "--out", out, "--k", "10"]) == 0
+    got = pq.read_table(out)
+    assert len(got) and not set(dead) & set(got.column("url").to_pylist())
+
+    compact(ix)  # tombstones applied: one-shot ops serve the index again
+    after = search_to_table(ix, queries, QueryConfig(k=10))
+    assert not set(dead) & set(after.column("url").to_pylist())
+    assert got.equals(after)
+
+    add_documents(ix, ray.data.from_arrow(pages.slice(200)), mode="stack")
+    refused(lambda: search_to_table(ix, queries, QueryConfig(k=10)))

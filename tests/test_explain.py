@@ -68,11 +68,11 @@ class TestExplain:
 
     def test_df_column_is_global(self, exp_index):
         """df in explain rows equals the corpus-wide df used for idf."""
-        from flatnav_ray.pipelines.query import plan_for
+        from flatnav_ray.pipelines.query import _plan
 
         ix, queries = exp_index
         explain = explain_to_table(ix, queries, QueryConfig(k=5))
-        plan, _ = plan_for(ix, queries, 5)
+        plan, _ = _plan(ix, queries, 5)
         for t, df in zip(
             explain.column("term").to_pylist(), explain.column("df").to_pylist()
         ):

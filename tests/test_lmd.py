@@ -121,19 +121,26 @@ def test_lmd_scores_nonnegative_and_sorted(lmd_index):
 
 
 def test_lmd_rejected_on_generation_stack(ray_session, small_corpus, tmp_path_factory):
-    """cf over a stack would double-count shadowed docs — must raise."""
+    """cf over a stack would double-count shadowed docs — must raise. So
+    must cf over one generation with tombstones: the stored cf and corpus
+    length still count the deleted docs."""
     import ray.data
 
-    from flatnav_ray.pipelines.ingest import add_documents, open_session
+    from flatnav_ray.pipelines.ingest import add_documents, delete_documents, open_session
 
     pages, queries = small_corpus
-    ix = str(tmp_path_factory.mktemp("lmdstack") / "main")
     half = len(pages) // 2
-    build_index(ray.data.from_arrow(pages.slice(0, half)), ix, IndexConfig(num_partitions=4))
-    add_documents(ix, ray.data.from_arrow(pages.slice(half)), mode="stack")
-    sess = open_session(ix, num_actors=2)
-    try:
-        with pytest.raises(ValueError, match="generation stack"):
-            sess.search(queries.slice(0, 2), QueryConfig(k=5, scorer="lmd"))
-    finally:
-        sess.shutdown()
+    for case in ("delta stack", "tombstones only"):
+        ix = str(tmp_path_factory.mktemp("lmdstack") / "main")
+        build_index(ray.data.from_arrow(pages.slice(0, half)), ix, IndexConfig(num_partitions=4))
+        if case == "delta stack":
+            add_documents(ix, ray.data.from_arrow(pages.slice(half)), mode="stack")
+        else:
+            delete_documents(ix, urls=pages.column("url").to_pylist()[:5])
+        sess = open_session(ix, num_actors=2)
+        try:
+            assert len(getattr(sess, "index_dirs", [ix])) == (2 if case == "delta stack" else 1)
+            with pytest.raises(ValueError, match="generation stack"):
+                sess.search(queries.slice(0, 2), QueryConfig(k=5, scorer="lmd"))
+        finally:
+            sess.shutdown()

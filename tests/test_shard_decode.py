@@ -110,7 +110,7 @@ def _plan(states, scorer_name, q=None, **kw):
             df[t] += v
         a, b = st.live_counts()
         n_docs, total_len = n_docs + a, total_len + b
-    plan = make_query_plan(q, df, n_docs, total_len / n_docs, 10, **kw)
+    plan = make_query_plan(q, lambda terms: df, n_docs, total_len / n_docs, 10, QueryConfig(**kw))
     if scorer_name == "lmd":  # any positive collection frequencies will do
         plan.term_cf = {t: 3 * d + 1 for t, d in df.items()}
         plan.total_len = total_len

@@ -57,98 +57,6 @@ class TestTermLayout:
             a.column("score").to_numpy(), b.column("score").to_numpy(), rtol=0, atol=1e-9
         )
 
-    def test_term_session_fetch_mode_bit_identical_to_searcher(self, both_indexes):
-        """Actor-pool term serving (posting-fetch mode) must return
-        byte-identical results to the single-process term searcher — same
-        float fold order."""
-        from flatnav_ray.stages.termbuild import TermSearchSession
-
-        _, term_ix, _, _, queries = both_indexes
-        import pyarrow as pa
-
-        sess = TermSearchSession(term_ix, num_actors=3, mode="fetch")
-        try:
-            a = sess.search(queries, k=10)
-            b = TermIndexSearcher(term_ix).search(queries, k=10)
-            assert a.equals(b)
-            # warm path (coordinator + actor caches) stays identical
-            assert sess.search(queries, k=10).equals(b)
-            # large batch takes the fan-out (raw-task) scoring path — results
-            # must still be bit-identical per query
-            reps = 1 + (70 // max(1, len(queries)))
-            big = pa.concat_tables(
-                [
-                    pa.table(
-                        {
-                            "query_id": pa.array(
-                                [q + 1000 * r for q in queries.column("query_id").to_pylist()],
-                                type=pa.int64(),
-                            ),
-                            "text": queries.column("text"),
-                        }
-                    )
-                    for r in range(reps)
-                ]
-            )
-            assert len(big) > 64
-            big_out = sess.search(big, k=10)
-            first = big_out.filter(
-                pa.compute.less(big_out.column("query_id"), 1000)
-            )
-            assert first.equals(b)
-        finally:
-            sess.shutdown()
-
-    def test_term_session_auto_mode_cutover(self, both_indexes, monkeypatch):
-        """mode='auto' (the default) resolves by corpus size: fetch below
-        EXCHANGE_MIN_DOCS (posting lists cheaply shippable to the
-        coordinator), exchange at/above it (a head term's posting list
-        cannot live in one process) — the planner-cutoff shape shared with
-        the dedup semi-join's broadcast-vs-hash switch."""
-        from flatnav_ray.stages.termbuild import TermSearchSession
-
-        _, term_ix, _, _, _ = both_indexes
-        sess = TermSearchSession(term_ix, num_actors=2)
-        try:
-            assert sess.mode == "fetch"  # tiny corpus resolves below cutoff
-        finally:
-            sess.shutdown()
-        monkeypatch.setattr(TermSearchSession, "EXCHANGE_MIN_DOCS", 1)
-        sess = TermSearchSession(term_ix, num_actors=2)
-        try:
-            assert sess.mode == "exchange"
-        finally:
-            sess.shutdown()
-
-    def test_term_session_exchange_mode_bit_identical_to_searcher(self, both_indexes):
-        """The doc-range-exchange scoring (the at-scale serving mode —
-        each distinct term's postings ship once, range-partitioned straight
-        to range reducers; the coordinator sees only k-bounded candidates)
-        must be bit-identical to the single-process term searcher, including
-        repeat batches (actor contribution caches) and duplicate queries."""
-        import pyarrow as pa
-
-        from flatnav_ray.stages.termbuild import TermSearchSession
-
-        _, term_ix, _, _, queries = both_indexes
-        sess = TermSearchSession(term_ix, num_actors=3, mode="exchange")
-        try:
-            b = TermIndexSearcher(term_ix).search(queries, k=10)
-            a = sess.search(queries, k=10)
-            assert a.equals(b)
-            assert sess.search(queries, k=10).equals(b)  # warm actor caches
-            # duplicate query texts collapse then re-expand identically
-            dup = pa.concat_tables([queries, queries.set_column(
-                0, "query_id",
-                pa.array([q + 500 for q in queries.column("query_id").to_pylist()],
-                         type=pa.int64()),
-            )])
-            d = sess.search(dup, k=10)
-            first = d.filter(pa.compute.less(d.column("query_id"), 500))
-            assert first.equals(b)
-        finally:
-            sess.shutdown()
-
 
 class TestTermBuildResume:
     def test_completed_build_skipped(self, both_indexes, small_corpus):
