@@ -396,9 +396,8 @@ def gopher_keep(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 class Percolator:
     """Reverse search (the Lucene/ES percolator): a SMALL set of stored
-    queries matched against a STREAM of documents — `map_batches` callable
-    class, stored-query state compiled once per actor in __init__ (the
-    actor-pool pattern for stateful stages).
+    queries matched against a STREAM of documents — the stored queries
+    compile once in __init__, then each call matches one document batch.
 
     A document matches a stored query iff it contains EVERY distinct query
     term (conjunctive percolation — BooleanQuery MUST semantics). Matching

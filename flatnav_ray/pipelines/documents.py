@@ -1794,14 +1794,23 @@ def fetch_stored_docs(sf_dir: str, modulus: int = 20, residue: int = 3) -> pa.Ta
     return fetch_docs(ix, ids)
 
 
+def _percolate_batch(batch: pa.Table, queries: list[tuple[int, list[str]]]) -> pa.Table:
+    from ..functions.textstats import Percolator
+
+    return Percolator(queries)(batch)
+
+
 def percolate_matches(sf_dir: str) -> pa.Table:
     """Reverse search (the Lucene/ES percolator): the 10 stored 2-term
-    queries are compiled ONCE per actor (functions/textstats.Percolator) and
-    the document corpus STREAMS through map_batches — a doc matches a stored
-    query iff it contains every distinct query term (MUST semantics). The
-    100-TB shape: stored queries are tiny actor state, docs never shuffle.
-    Output: (doc_id, query_id) match pairs."""
-    from ..functions.textstats import Percolator
+    queries (functions/textstats.Percolator) match the document corpus as
+    it STREAMS through map_batches — a doc matches a stored query iff it
+    contains every distinct query term (MUST semantics). The 100-TB shape:
+    stored queries are tiny per-batch state, docs never shuffle.
+
+    The map runs as plain tasks fused with the read, compiling the stored
+    queries per batch (microseconds): an actor pool holds its CPUs for the
+    whole map, so on a cluster with no CPU to spare the read tasks never
+    run. Output: (doc_id, query_id) match pairs."""
     from ..functions.tokenize import tokenize_py
 
     ix = build_documents_index(sf_dir)
@@ -1811,8 +1820,7 @@ def percolate_matches(sf_dir: str) -> pa.Table:
         for q, t in zip(qt.column("query_id").to_pylist(), qt.column("text").to_pylist())
     ]
     ds = _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        Percolator, batch_format="pyarrow", concurrency=4,
-        fn_constructor_kwargs={"queries": stored},
+        _percolate_batch, batch_format="pyarrow", fn_kwargs={"queries": stored},
     )
     return _concat(ds).sort_by([("doc_id", "ascending"), ("query_id", "ascending")])
 

@@ -14,10 +14,13 @@ Two serving modes share one front end and one scoring core (`_ShardState`):
 * Server mode: `SearchSession` — persistent `@ray.remote` shard actors that
   load segments once and serve many query batches (the reference's
   load-once/serve-many lifecycle, Index.h:442-479 loadIndex; bench + any
-  interactive use). Queries broadcast via ray.put; partials merge driver-side
-  when small, via groupby(query_id) when not. The actors come from a warm
-  pool that outlives sessions, so shutdown + reopen reuses the actor
-  processes and every unchanged segment.
+  interactive use). A call is one `search_packed` per actor and one driver
+  wait: the plan travels inside the call (via ray.put for large batches)
+  and the actors fill in the df of the terms the session has not cached;
+  partials merge driver-side when small, on Ray tasks by query range when
+  not. The actors come from a warm pool that outlives sessions, so
+  shutdown + reopen reuses the actor processes and every unchanged
+  segment.
 
 Both modes check the query against one capability table
 (`QueryConfig.check`), plan it with one planner (`make_query_plan`, fed by
@@ -61,8 +64,9 @@ from .build import docmap_path, segment_path
 
 @dataclass
 class QueryPlan:
-    """Tokenized queries + global stats, broadcast (ray.put) to every shard —
-    the small side never reshuffles (SURVEY.md §2.4 J3 broadcast pattern)."""
+    """Tokenized queries + global stats, broadcast to every shard (by value,
+    or one ray.put for a large batch) — the small side never reshuffles
+    (SURVEY.md §2.4 J3 broadcast pattern)."""
 
     query_ids: np.ndarray          # (Q,) int64
     query_terms: list[list[tuple[str, int]]]  # per query: [(term, qtf)] sorted
@@ -107,6 +111,13 @@ class QueryPlan:
     # (load_term_cf), never by a full-vocabulary scan.
     term_cf: dict[str, int] | None = None
     total_len: int | None = None
+
+    def set_df(self, dfs: dict[str, int]) -> None:
+        """Set the df and idf of the terms in `dfs` (an absent term, df 0,
+        scores nothing) — the planner's and the shard actor's one rule."""
+        for t, df in dfs.items():
+            self.term_df[t] = int(df)
+            self.term_idf[t] = float(idf_fn(df, self.n_docs)) if df > 0 else 0.0
 
 
 def load_term_cf(
@@ -153,14 +164,15 @@ def make_query_plan(
     accumulation order that pins float summation (§7 'hard parts' #1).
 
     The caller says where the corpus figures come from: `term_df(terms)`
-    maps the sorted distinct terms to their df (absent terms may be left
-    out); `expand(tokens, max_edits)` maps query tokens to the dictionary
+    maps the sorted distinct terms to their df (a term left out plans as
+    df 0); `expand(tokens, max_edits)` maps query tokens to the dictionary
     terms they fuzzy-match; `term_cf(terms)` and `total_len` give the
     collection frequencies and corpus token count a cf-based scorer needs.
-    A one-shot op reads them from the index files, a session from its caches
-    and live counts. `pre_tokens`: the query texts already tokenized by the
-    caller (each text is tokenized once). `cfg` (checked by
-    `QueryConfig.check`) supplies:
+    A one-shot op reads them from the index files; a session plans with the
+    df it has cached and its shard actors fill in the rest
+    (`QueryPlan.set_df`, in `ShardActor.search_packed`). `pre_tokens`: the
+    query texts already tokenized by the caller (each text is tokenized
+    once). `cfg` (checked by `QueryConfig.check`) supplies:
 
     `fuzzy_max_edits`: each query token expands to the dictionary terms it
     matches (functions/fuzzy.py); each match scores with its OWN df/idf and
@@ -264,16 +276,15 @@ def make_query_plan(
             else:
                 qafter.append((float(s), int(d)))
     found = term_df(sorted(distinct))
-    tdf = {t: int(found.get(t, 0)) for t in distinct}
-    tidf = {t: float(idf_fn(df, n_docs)) if df > 0 else 0.0 for t, df in tdf.items()}
     plan = QueryPlan(
-        query_ids=qids, query_terms=qterms, term_idf=tidf, term_df=tdf,
+        query_ids=qids, query_terms=qterms, term_idf={}, term_df={},
         n_docs=n_docs, avgdl=avgdl, k=k, query_seqs=qseqs, query_neg_terms=qnegs,
         query_after=qafter, query_must_terms=qmusts, query_syn_groups=qgroups,
         query_boosts=(dict(cfg.boosts) if cfg.boosts else None),
     )
+    plan.set_df({t: found.get(t, 0) for t in distinct})
     if getattr(SCORERS[cfg.scorer], "needs_cf", False):
-        plan.term_cf = term_cf(sorted(tidf))
+        plan.term_cf = term_cf(sorted(distinct))
         plan.total_len = int(total_len)
     return plan
 
@@ -2083,6 +2094,12 @@ def _shard_actor_cls():
         per query does not grow with its generation and partition count;
         wand/and/phrase/msm run per member and the actor merges them.
 
+        A session call is one `search_packed` per actor: the actor counts
+        the df of the terms the session has not cached over its own group,
+        adds the peers' `live_df` counts (object refs Ray resolves inside
+        the cluster), completes the plan and scores it, so the driver waits
+        once per call and, with one actor, runs one actor task.
+
         Actors outlive sessions (see `_acquire_actors`): an actor keeps the
         files it loaded keyed by `_file_identity`, and a later `load` that
         needs an unchanged file builds a fresh `_ShardState` over the same
@@ -2131,10 +2148,14 @@ def _shard_actor_cls():
             return n, s, counts["loaded"], counts["reused"]
 
         def live_df(self, terms: list[str]) -> dict[str, int]:
+            """This actor's live df of `terms` — a peer's `search_packed`
+            input."""
             return dict(zip(terms, self.group.live_term_dfs(terms)))
 
+        @ray.method(num_returns=2)
         def search_packed(self, plan: QueryPlan, query_cfg: QueryConfig,
-                          with_urls: bool = False) -> pa.Table | None:
+                          with_urls: bool = False, missing: list[str] = (),
+                          *peer_dfs: dict[str, int]):
             """This ACTOR's top-k per query, packed for the serving shuffle:
             (query_id, doc_id, score), 24 B/row of fixed-width arrays, so an
             actor owning P/N partitions ships one bounded partial instead of
@@ -2143,15 +2164,28 @@ def _shard_actor_cls():
             the serving shuffle's dominant byte cost; for SMALL batches
             (with_urls=True) the partial keeps a url column so the session
             skips the extra lookup round trip that would dominate
-            single-query latency."""
+            single-query latency.
+
+            `missing`: the plan's terms whose df the session has not cached
+            (planned as df 0). Their global df is this actor's live count
+            plus every peer's (`peer_dfs`, the other actors' `live_df` of
+            `missing`); it is set on the plan before scoring and returned
+            as the second value (None when nothing was missing)."""
+            df = None
+            if missing:
+                df = dict(zip(missing, self.group.live_term_dfs(missing)))
+                for part in peer_dfs:
+                    for t, n in part.items():
+                        df[t] += n
+                plan.set_df(df)
             outs = [t for t in self.group.partials(plan, query_cfg, with_urls) if len(t)]
             if not outs:
-                return None
+                return None, df
             t = outs[0] if len(outs) == 1 else merge_topk_table(pa.concat_tables(outs), plan.k)
             return t.select(
                 ["query_id", "doc_id", "url", "score"] if with_urls
                 else ["query_id", "doc_id", "score"]
-            )
+            ), df
 
         def lookup_urls(self, doc_ids: np.ndarray) -> pa.Table | None:
             """Resolve urls for the doc_ids this actor owns (co-resident
@@ -2272,9 +2306,8 @@ class SearchSession:
                    dict(index_dirs=index_dir, block_size=int(self.stats["block_size"])))
         self._n_docs = int(self.stats["n_docs"])
         self._avgdl = float(self.stats["avgdl"])
-        # per-session term->df cache: a serving process would otherwise re-read
-        # the term_stats parquet on EVERY search call (dominates single-query
-        # latency); misses are looked up per batch, absent terms cached as 0
+        # per-session term->df cache, filled from the df the shard actors
+        # return for the terms a call missed (absent terms cached as 0)
         self._df_cache: dict[str, int] = {}
 
     def _open(self, parts: list[int], num_actors: int | None, load_kw: dict):
@@ -2302,20 +2335,14 @@ class SearchSession:
                     self.actors[i], _ = _spawn_loaded(self._groups[i], self._load_kw)
             return call(self.actors)
 
-    def _term_df(self, terms: list[str]) -> dict[str, int]:
-        """df per term through the session cache; the misses are looked up
-        in one call and absent terms cached as 0."""
-        missing = [t for t in terms if t not in self._df_cache]
-        if missing:
-            self._df_cache.update(self._lookup_missing_df(missing))
-            for t in missing:
-                self._df_cache.setdefault(t, 0)
-        return {t: self._df_cache[t] for t in terms}
-
-    def _lookup_missing_df(self, missing: list[str]) -> dict[str, int]:
-        from ..state.stats import lookup_term_df
-
-        return lookup_term_df(self.index_dir, missing)
+    def _lookup_missing_df(self, missing: list[str], actors: list) -> list:
+        """Submit every actor's `live_df` of the call's uncached terms and
+        return the refs, without waiting: actor i's `search_packed` takes
+        the others' refs and counts its own share itself. Nothing is
+        submitted for one actor."""
+        if len(actors) == 1:
+            return []
+        return [a.live_df.remote(missing) for a in actors]
 
     def _fuzzy_expand(self, terms: list[str], max_edits: int) -> dict[str, set[str]]:
         """Per-session expansion cache (the df-cache pattern): hot query
@@ -2382,8 +2409,16 @@ class SearchSession:
                 for i in range(0, len(queries), self.MAX_PLAN_QUERIES)
             ]
             return pa.concat_tables(parts)
+        # plan with the cached df; the terms it misses travel with the plan
+        # and the shard actors fill in their df (ShardActor.search_packed)
+        missing: list[str] = []
+
+        def cached_df(terms: list[str]) -> dict[str, int]:
+            missing.extend(t for t in terms if t not in self._df_cache)
+            return {t: self._df_cache[t] for t in terms if t in self._df_cache}
+
         plan = make_query_plan(
-            queries, self._term_df, self._n_docs, self._avgdl, query_cfg.k, query_cfg,
+            queries, cached_df, self._n_docs, self._avgdl, query_cfg.k, query_cfg,
             pre_tokens=[tokenize_py(t) for t in texts_all],
             expand=self._fuzzy_expand,
             term_cf=lambda terms: load_term_cf(
@@ -2391,14 +2426,23 @@ class SearchSession:
             ),
             total_len=self.stats.get("sum_doc_len"),
         )
-        plan_ref = ray.put(plan)
         # small batches keep urls inline (one fewer actor round trip — it
-        # would dominate single-query latency); large batches ship packed
-        # urlless partials and resolve winner urls post-merge
+        # would dominate single-query latency) and send the plan inside the
+        # actor call; large batches put the plan in the object store once,
+        # ship packed urlless partials and resolve winner urls post-merge
         inline_urls = len(queries) * query_cfg.k <= _INLINE_URL_ROWS
+        plan_arg = plan if inline_urls else ray.put(plan)
 
         def merged_topk(actors):
-            futs = [a.search_packed.remote(plan_ref, query_cfg, inline_urls) for a in actors]
+            peers = self._lookup_missing_df(missing, actors) if missing else []
+            futs, dfs = [], []
+            for i, a in enumerate(actors):
+                f, d = a.search_packed.remote(
+                    plan_arg, query_cfg, inline_urls, missing,
+                    *(r for j, r in enumerate(peers) if j != i),
+                )
+                futs.append(f)
+                dfs.append(d)  # the same summed df from every actor
             # big batches: fan the k x P x Q merge out by query range — each raw
             # task reads the shard partials zero-copy and merges its slice
             est_rows = len(queries) * len(actors) * query_cfg.k
@@ -2409,32 +2453,33 @@ class SearchSession:
                 # dedupe cut points (repeated qids) while keeping coverage
                 bounds = sorted(set(cuts))
                 task = ray.remote(num_cpus=1)(_merge_partial_range)
-                outs = [
-                    t for t in ray.get(
-                        [
-                            task.remote(
-                                futs, bounds[i],
-                                bounds[i + 1] if i + 1 < len(bounds) else None,
-                                query_cfg.k,
-                            )
-                            for i in range(len(bounds))
-                        ]
-                    )
-                    if t is not None
-                ]
+                *outs, df = ray.get(
+                    [
+                        task.remote(
+                            futs, bounds[i],
+                            bounds[i + 1] if i + 1 < len(bounds) else None,
+                            query_cfg.k,
+                        )
+                        for i in range(len(bounds))
+                    ] + dfs[:1]
+                )
+                outs = [t for t in outs if t is not None]
                 merged = (
                     pa.concat_tables(outs) if outs
                     else merge_topk_table(_EMPTY_PACKED_PARTIALS, query_cfg.k)
                 )
             else:
-                parts = [t for t in ray.get(futs) if t is not None and len(t)]
+                *parts, df = ray.get(futs + dfs[:1])  # the call's one wait
+                parts = [t for t in parts if t is not None and len(t)]
                 merged = merge_topk_table(
                     pa.concat_tables(parts) if parts else _EMPTY_PACKED_PARTIALS,
                     query_cfg.k,
                 )
-            return merged
+            return merged, df
 
-        merged = self._on_actors(merged_topk)
+        merged, df = self._on_actors(merged_topk)
+        if df:
+            self._df_cache.update(df)
         import pyarrow.compute as pc
 
         if "url" not in merged.column_names:
@@ -2523,9 +2568,10 @@ class StackedSearchSession(SearchSession):
         means collisions share a partition);
       * global stats — n_docs / avgdl sum the actors' live counts;
       * live df — per-term df is the sum of live posting counts across the
-        stack: the batch's uncached terms go to every actor in one RPC, and
-        each actor counts them over its `_ShardGroup` in one decode pass;
-        the session caches the sums.
+        stack: the batch's uncached terms travel with the plan, each actor
+        counts them over its `_ShardGroup` in one decode pass and adds its
+        peers' counts inside its `search_packed` call; the session caches
+        the sums the actors return.
     """
 
     def __init__(self, index_dirs: list[str], num_actors: int | None = None,
@@ -2556,20 +2602,15 @@ class StackedSearchSession(SearchSession):
                  tombstones=self._tombstones),
         )
         self._avgdl = (sum_dl / self._n_docs) if self._n_docs else 0.0
-        self.stats["n_docs"] = self._n_docs
-        self.stats["avgdl"] = self._avgdl
+        # the live corpus, not the newest generation's files
+        self.stats.update(
+            n_docs=self._n_docs, sum_doc_len=sum_dl, avgdl=self._avgdl, partitions=parts
+        )
         self._df_cache: dict[str, int] = {}
 
-    def _lookup_missing_df(self, missing: list[str]) -> dict[str, int]:
-        import ray
-
-        out = {t: 0 for t in missing}
-        for part in self._on_actors(
-            lambda actors: ray.get([a.live_df.remote(missing) for a in actors])
-        ):
-            for t, n in part.items():
-                out[t] += int(n)
-        return out
+    # the same submit as the base class, bound on this class too so a
+    # tracer that wraps each class's own attribute sees stacked calls
+    _lookup_missing_df = SearchSession._lookup_missing_df
 
     def _fuzzy_scan(self, terms: list[str], max_edits: int) -> dict[str, set[str]]:
         """Union the expansion over every generation's vocabulary (a term

@@ -363,7 +363,7 @@ def test_dead_shard_actor_respawns_and_retries(ray_session, tmp_path):
         dead = sess.actors[2]
         ray.kill(dead)
         _wait_dead(dead)
-        sess._df_cache.clear()  # the first call to fail is the live-df lookup
+        sess._df_cache.clear()  # the first call to fail is the dead peer's live df
         _assert_oracle(sess.search(queries, QueryConfig(k=10)), docs, queries)
         assert sess.actors[2] is not dead and len(sess.actors) == 4
         dead = sess.actors[0]

@@ -1,0 +1,231 @@
+"""One actor round trip per session call.
+
+A `SearchSession` / `StackedSearchSession` call plans with the df it has
+cached; the terms it misses travel with the plan, and each shard actor
+counts them over its own segments, adds its peers' `live_df` counts and
+completes the plan before scoring (`ShardActor.search_packed`). These tests
+pin that the answers do not depend on the actor count, on the clean index
+and on a stack with tombstones, for every query feature the sessions serve;
+that the df the actors return is the index's df; and that with one actor a
+call is one actor task and one driver wait."""
+
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from flatnav_ray.config import IndexConfig, QueryConfig
+from flatnav_ray.functions.tokenize import tokenize_py
+from flatnav_ray.pipelines.build import build_index
+from flatnav_ray.state.stats import load_stats, lookup_term_df
+
+ABSENT = "zzqxjv"  # in no document
+
+
+@pytest.fixture(scope="module")
+def indexes(ray_session, tmp_path_factory):
+    """A clean index with a positional sidecar, a stack (base + one delta +
+    tombstones) and that stack compacted, plus the queries."""
+    import ray.data
+
+    from flatnav_ray.pipelines.ingest import add_documents, compact, delete_documents
+    from flatnav_ray.sources.synth import PagesGenerator, queries_table
+    from flatnav_ray.stages.positions import build_position_sidecar
+
+    root = tmp_path_factory.mktemp("session_call")
+    gen = PagesGenerator(seed=61, vocab_size=1500, mean_len=40, dup_rate=0.0)
+    a, b = gen.chunk(0, 240), gen.chunk(1, 60)
+    cfg = IndexConfig(num_partitions=8)
+    clean, stack, comp = (str(root / n) for n in ("clean", "stack", "compacted"))
+    build_index(ray.data.from_arrow(a), clean, cfg)
+    build_position_sidecar(ray.data.from_arrow(a), clean, cfg)
+    build_index(ray.data.from_arrow(a), stack, cfg)
+    add_documents(stack, ray.data.from_arrow(b), mode="stack")
+    urls = a.column("url").to_pylist()
+    assert delete_documents(stack, urls=urls[3::7]) == len(urls[3::7])
+    shutil.copytree(stack, comp)
+    compact(comp)
+
+    q = queries_table(12, seed=62, vocab_size=1500)
+    texts = q.column("text").to_pylist()
+    texts[0] = f"{texts[0]} {ABSENT}"
+    toks = [tokenize_py(t) for t in texts]
+    queries = q.set_column(1, "text", pa.array(texts, type=pa.string()))
+    must_neg = queries.append_column(
+        "must_text", pa.array([t[0] if t else "" for t in toks], type=pa.string())
+    ).append_column(
+        "neg_text", pa.array([toks[(i + 1) % len(toks)][-1] for i in range(len(toks))],
+                             type=pa.string())
+    )
+    # two-token phrases taken from the documents, so most have matches
+    doc_toks = [tokenize_py(t) for t in a.column("text").to_pylist()[:12]]
+    phrases = pa.table({
+        "query_id": pa.array(np.arange(12, dtype=np.int64)),
+        "text": pa.array([" ".join(t[5:7]) for t in doc_toks], type=pa.string()),
+    })
+    flat = sorted({t for ts in toks for t in ts} - {ABSENT})
+    synonyms = {flat[i]: (flat[i + 1],) for i in range(0, 20, 2)}
+    boosts = {t: 1.0 + (i % 3) for i, t in enumerate(flat[:15])}
+    cases = {
+        "maxscore": (queries, QueryConfig(k=10)),
+        "wand": (queries, QueryConfig(k=10, method="wand")),
+        "and": (queries, QueryConfig(k=10, method="and")),
+        "msm": (queries, QueryConfig(k=10, min_should_match=2)),
+        "fuzzy": (queries, QueryConfig(k=10, fuzzy_max_edits=1)),
+        "synonyms": (queries, QueryConfig(k=10, synonyms=synonyms)),
+        "boosts": (queries, QueryConfig(k=10, boosts=boosts)),
+        "must_neg": (must_neg, QueryConfig(k=10)),
+        "phrase": (phrases, QueryConfig(k=10, method="phrase")),
+        # queries x k above the inline-url rule: the plan goes by ray.put
+        "large": (queries_table(450, seed=63, vocab_size=1500), QueryConfig(k=10)),
+    }
+    return {"clean": clean, "stack": stack, "compacted": comp}, cases
+
+
+def _answers(ix: str, cases: dict, num_actors: int) -> dict:
+    """Every case's answer from one session, each asked with an empty df
+    cache (so the actors count every term) and then again from the cache."""
+    from flatnav_ray.pipelines.ingest import open_session
+
+    sess = open_session(ix, num_actors=num_actors)
+    try:
+        assert len(sess.actors) == num_actors
+        out = {}
+        for name, (queries, cfg) in cases.items():
+            if name == "phrase" and sess.dead_docs:
+                continue  # refused on a stack (QueryConfig.check)
+            sess._df_cache.clear()
+            out[name] = sess.search(queries, cfg)
+            assert sess.search(queries, cfg).equals(out[name]), name
+        return out
+    finally:
+        sess.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["clean", "stack"])
+def test_answers_equal_across_actor_counts(indexes, kind):
+    dirs, cases = indexes
+    got = {n: _answers(dirs[kind], cases, n) for n in (1, 2, 3)}
+    for name, want in got[1].items():
+        assert len(want) > 0, name
+        for n in (2, 3):
+            assert got[n][name].equals(want), (kind, name, n)
+    if kind == "stack":
+        # live df, n_docs and avgdl make the stack score like its fold
+        comp = _answers(dirs["compacted"], {n: c for n, c in cases.items() if n != "phrase"}, 2)
+        for name, want in got[1].items():
+            assert comp[name].equals(want), name
+
+
+def test_fanned_out_merge_equals_driver_merge(indexes, monkeypatch):
+    """The large-batch path that merges on Ray tasks brings the actors' df
+    back too, and answers the same."""
+    from flatnav_ray.stages import search
+
+    dirs, cases = indexes
+    queries, cfg = cases["large"]
+    want = _answers(dirs["stack"], {"large": cases["large"]}, 2)["large"]
+    monkeypatch.setattr(search, "_MERGE_FANOUT_ROWS", 100)
+    assert _answers(dirs["stack"], {"large": (queries, cfg)}, 2)["large"].equals(want)
+
+
+class _CountingActor:
+    """An actor handle that records which methods the driver submits."""
+
+    def __init__(self, actor, calls: list):
+        self._actor, self._calls = actor, calls
+
+    def __getattr__(self, name):
+        method, calls = getattr(self._actor, name), self._calls
+
+        class _Method:
+            def remote(self, *args, **kwargs):
+                calls.append(name)
+                return method.remote(*args, **kwargs)
+
+        return _Method()
+
+
+def _count_call(sess, queries, monkeypatch):
+    """(answer, submitted actor methods, blocking ray.get calls) of one
+    session call."""
+    import ray
+
+    calls, waits = [], []
+    real_get = ray.get
+
+    def counting_get(*args, **kwargs):
+        waits.append(1)
+        return real_get(*args, **kwargs)
+
+    actors = sess.actors
+    sess.actors = [_CountingActor(a, calls) for a in actors]
+    monkeypatch.setattr(ray, "get", counting_get)
+    try:
+        out = sess.search(queries, QueryConfig(k=10))
+    finally:
+        monkeypatch.setattr(ray, "get", real_get)
+        sess.actors = actors
+    return out, calls, len(waits)
+
+
+@pytest.mark.parametrize("kind", ["clean", "stack"])
+def test_one_actor_call_is_one_task_and_one_wait(indexes, kind, monkeypatch):
+    from flatnav_ray.pipelines.ingest import open_session
+
+    dirs, cases = indexes
+    queries = cases["maxscore"][0].slice(0, 1)  # holds the absent term
+    terms = sorted(set(tokenize_py(queries.column("text")[0].as_py())))
+    sess = open_session(dirs[kind], num_actors=1)
+    try:
+        assert not sess._df_cache
+        out, calls, waits = _count_call(sess, queries, monkeypatch)
+        assert len(out) > 0
+        assert calls == ["search_packed"] and waits == 1
+        # the df the actor returned is the index's df (absent terms as 0)
+        ref = dirs["clean" if kind == "clean" else "compacted"]
+        want = lookup_term_df(ref, terms)
+        assert {t: sess._df_cache[t] for t in terms} == {t: want.get(t, 0) for t in terms}
+        assert sess._df_cache[ABSENT] == 0
+        # cached now: the same single task, and the same answer
+        again, calls, waits = _count_call(sess, queries, monkeypatch)
+        assert again.equals(out) and calls == ["search_packed"] and waits == 1
+    finally:
+        sess.shutdown()
+
+
+def test_many_actor_call_sends_peer_df_in_one_wait(indexes, monkeypatch):
+    from flatnav_ray.pipelines.ingest import open_session
+
+    dirs, cases = indexes
+    queries = cases["maxscore"][0]
+    sess = open_session(dirs["stack"], num_actors=3)
+    try:
+        _, calls, waits = _count_call(sess, queries, monkeypatch)
+        assert sorted(calls) == ["live_df"] * 3 + ["search_packed"] * 3 and waits == 1
+        terms = sorted(sess._df_cache)
+        want = lookup_term_df(dirs["compacted"], terms)
+        assert sess._df_cache == {t: want.get(t, 0) for t in terms}
+        _, calls, waits = _count_call(sess, queries, monkeypatch)
+        assert calls == ["search_packed"] * 3 and waits == 1  # all cached
+    finally:
+        sess.shutdown()
+
+
+def test_stacked_stats_describe_the_live_corpus(indexes):
+    """A stacked session's corpus figures are the compacted index's, not
+    the newest generation's."""
+    from flatnav_ray.pipelines.ingest import open_session
+
+    dirs, _ = indexes
+    want = load_stats(dirs["compacted"])
+    sess = open_session(dirs["stack"], num_actors=2)
+    try:
+        assert sess.dead_docs
+        for key in ("n_docs", "sum_doc_len"):
+            assert sess.stats[key] == want[key], key
+        assert sess.stats["avgdl"] == pytest.approx(want["avgdl"], rel=1e-12)
+        assert set(want["partitions"]) <= set(sess.stats["partitions"])
+    finally:
+        sess.shutdown()
