@@ -850,6 +850,14 @@ def semdedup(
     member vectorized; only the residual in-chunk dependencies run the
     short sequential loop (identical keep-first semantics, see _flag).
 
+    Ties: a cosine equal to tau is a duplicate (>=). The chunk matmuls'
+    shapes follow `_SEMDEDUP_CHUNK` and BLAS may sum each dot product in a
+    shape-dependent order, so for arbitrary vectors a cosine within rounding
+    of tau can compare differently at another chunk width: decisions are
+    the same at every chunk width when the cosines are computed exactly
+    (as for the dyadic vectors in tests/test_semdedup.py), and otherwise
+    only away from exact-tau ties.
+
     Returns (vec_id, centroid, keep, dup_of) — dup_of = the kept member
     that shadowed this one, -1 for kept rows. This table-returning form
     materializes the per-vector labels on the driver (fine for gates and

@@ -15,12 +15,13 @@ Two serving modes share one front end and one scoring core (`_ShardState`):
   load segments once and serve many query batches (the reference's
   load-once/serve-many lifecycle, Index.h:442-479 loadIndex; bench + any
   interactive use). A call is one `search_packed` per actor and one driver
-  wait: the plan travels inside the call (via ray.put for large batches)
-  and the actors fill in the df of the terms the session has not cached;
-  partials merge driver-side when small, on Ray tasks by query range when
-  not. The actors come from a warm pool that outlives sessions, so
-  shutdown + reopen reuses the actor processes and every unchanged
-  segment.
+  wait: the plan travels inside the call's one pickled request (by value,
+  or via ray.put for large batches), the actors fill in the df of the
+  terms the session has not cached, and each sends its partial back as one
+  pickled reply of plain columns; partials merge driver-side when small,
+  on Ray tasks by query range when not. The actors come from a warm pool
+  that outlives sessions, so shutdown + reopen reuses the actor processes
+  and every unchanged segment.
 
 Both modes check the query against one capability table
 (`QueryConfig.check`), plan it with one planner (`make_query_plan`, fed by
@@ -49,6 +50,7 @@ distance-computation counters (`Index.h:83-84,689-691`).
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +66,10 @@ from .build import docmap_path, segment_path
 
 @dataclass
 class QueryPlan:
-    """Tokenized queries + global stats, broadcast to every shard (by value,
-    or one ray.put for a large batch) — the small side never reshuffles
-    (SURVEY.md §2.4 J3 broadcast pattern)."""
+    """Tokenized queries + global stats, broadcast to every shard — the
+    small side never reshuffles (SURVEY.md §2.4 J3 broadcast pattern). A
+    session call pickles it once into its request bytes (by value, or one
+    ray.put for a large batch); a one-shot op ray.puts it once."""
 
     query_ids: np.ndarray          # (Q,) int64
     query_terms: list[list[tuple[str, int]]]  # per query: [(term, qtf)] sorted
@@ -1996,27 +1999,37 @@ def paged(search, queries: pa.Table, query_cfg: QueryConfig) -> pa.Table:
     return res.filter(pc.greater_equal(res.column("rank"), query_cfg.offset))
 
 
+def _partials_table(replies: list[bytes]) -> pa.Table:
+    """The shard actors' `search_packed` replies as one partial table,
+    (query_id, doc_id, [url], score), for `merge_topk_table`. A reply is
+    one pickled (query_id, doc_id, score, urls-or-None) tuple of plain
+    columns; every reply of a call carries urls or none does."""
+    parts = [pickle.loads(r) for r in replies]
+
+    def col(i: int, dtype) -> np.ndarray:
+        return np.concatenate([p[i] for p in parts] + [np.empty(0, dtype)])
+
+    cols = {"query_id": col(0, np.int64), "doc_id": col(1, np.int64)}
+    if parts and parts[0][3] is not None:
+        cols["url"] = pa.array([u for p in parts for u in p[3]], type=pa.string())
+    cols["score"] = col(2, np.float64)
+    return pa.table(cols)
+
+
 def _merge_partial_range(refs, lo, hi, k: int) -> pa.Table:
-    """Raw-task merge worker: fetch every shard's partial table (zero-copy
-    from the object store), keep only queries in [lo, hi), run the vectorized
-    top-k merge on that slice. Fanning the merge out by query range removes
-    the driver's single-core lexsort bottleneck on k x P x Q partial rows."""
+    """Raw-task merge worker: fetch every shard's partial reply, keep only
+    queries in [lo, hi), run the vectorized top-k merge on that slice.
+    Fanning the merge out by query range removes the driver's single-core
+    lexsort bottleneck on k x P x Q partial rows."""
     import ray
 
     import pyarrow.compute as pc
 
-    tabs = [t for t in ray.get(list(refs)) if t is not None and len(t)]
-    kept = []
-    for t in tabs:
-        m = pc.greater_equal(t.column("query_id"), lo)
-        if hi is not None:
-            m = pc.and_(m, pc.less(t.column("query_id"), hi))
-        ft = t.filter(m)
-        if len(ft):
-            kept.append(ft)
-    if not kept:
-        return None
-    return merge_topk_table(pa.concat_tables(kept), k)
+    t = _partials_table(ray.get(list(refs)))
+    m = pc.greater_equal(t.column("query_id"), lo)
+    if hi is not None:
+        m = pc.and_(m, pc.less(t.column("query_id"), hi))
+    return merge_topk_table(t.filter(m), k)
 
 
 # partial-row count above which SearchSession fans the final merge out to
@@ -2027,15 +2040,6 @@ _MERGE_FANOUT_ROWS = 200_000
 # urls inline in their partials — the extra winner-url round trip would
 # dominate single-query latency; above it the packed urlless shuffle wins
 _INLINE_URL_ROWS = 4096
-
-# empty packed-partial table (the urlless serving shuffle schema)
-_EMPTY_PACKED_PARTIALS = pa.table(
-    {
-        "query_id": pa.array([], type=pa.int64()),
-        "doc_id": pa.array([], type=pa.int64()),
-        "score": pa.array([], type=pa.float64()),
-    }
-)
 
 
 def stack_states(dirs: list[str], partition: int, tombstones, open_state):
@@ -2153,24 +2157,30 @@ def _shard_actor_cls():
             return dict(zip(terms, self.group.live_term_dfs(terms)))
 
         @ray.method(num_returns=2)
-        def search_packed(self, plan: QueryPlan, query_cfg: QueryConfig,
-                          with_urls: bool = False, missing: list[str] = (),
-                          *peer_dfs: dict[str, int]):
-            """This ACTOR's top-k per query, packed for the serving shuffle:
-            (query_id, doc_id, score), 24 B/row of fixed-width arrays, so an
-            actor owning P/N partitions ships one bounded partial instead of
-            P/N. For LARGE batches urls resolve post-merge for the final
-            winners only (lookup_urls) — the k x P x Q string traffic was
-            the serving shuffle's dominant byte cost; for SMALL batches
-            (with_urls=True) the partial keeps a url column so the session
-            skips the extra lookup round trip that would dominate
-            single-query latency.
+        def search_packed(self, call: bytes, *peer_dfs: dict[str, int]):
+            """This ACTOR's top-k per query for one session call.
+
+            `call` is the session's one pickled request, (plan, query_cfg,
+            with_urls, missing) — by value for a small batch, an object ref
+            Ray resolves for a large one — and the partial goes back as one
+            pickled reply of plain columns (query_id, doc_id and score
+            arrays, plus a url list when `with_urls`; `_partials_table`
+            rebuilds it): Ray ships one bytes object each way instead of
+            serializing dataclasses and an Arrow table per call. An actor
+            owning P/N partitions ships one bounded partial, not P/N. For
+            LARGE batches urls resolve post-merge for the final winners
+            only (lookup_urls) — the k x P x Q string traffic was the
+            serving shuffle's dominant byte cost; for SMALL batches
+            (with_urls) the partial keeps its urls so the session skips the
+            extra lookup round trip that would dominate single-query
+            latency.
 
             `missing`: the plan's terms whose df the session has not cached
             (planned as df 0). Their global df is this actor's live count
             plus every peer's (`peer_dfs`, the other actors' `live_df` of
             `missing`); it is set on the plan before scoring and returned
             as the second value (None when nothing was missing)."""
+            plan, query_cfg, with_urls, missing = pickle.loads(call)
             df = None
             if missing:
                 df = dict(zip(missing, self.group.live_term_dfs(missing)))
@@ -2179,13 +2189,16 @@ def _shard_actor_cls():
                         df[t] += n
                 plan.set_df(df)
             outs = [t for t in self.group.partials(plan, query_cfg, with_urls) if len(t)]
-            if not outs:
-                return None, df
-            t = outs[0] if len(outs) == 1 else merge_topk_table(pa.concat_tables(outs), plan.k)
-            return t.select(
-                ["query_id", "doc_id", "url", "score"] if with_urls
-                else ["query_id", "doc_id", "score"]
-            ), df
+            if len(outs) > 1:
+                outs = [merge_topk_table(pa.concat_tables(outs), plan.k)]
+            t = outs[0] if outs else _empty_partials(with_urls)
+            reply = (
+                t.column("query_id").to_numpy(),
+                t.column("doc_id").to_numpy(),
+                t.column("score").to_numpy(),
+                t.column("url").to_pylist() if with_urls else None,
+            )
+            return pickle.dumps(reply, protocol=5), df
 
         def lookup_urls(self, doc_ids: np.ndarray) -> pa.Table | None:
             """Resolve urls for the doc_ids this actor owns (co-resident
@@ -2426,25 +2439,26 @@ class SearchSession:
             ),
             total_len=self.stats.get("sum_doc_len"),
         )
-        # small batches keep urls inline (one fewer actor round trip — it
-        # would dominate single-query latency) and send the plan inside the
-        # actor call; large batches put the plan in the object store once,
-        # ship packed urlless partials and resolve winner urls post-merge
+        # the call is one pickled request. Small batches keep urls inline
+        # (one fewer actor round trip — it would dominate single-query
+        # latency) and send the request by value; large batches put it in
+        # the object store once, ship packed urlless partials and resolve
+        # winner urls post-merge
         inline_urls = len(queries) * query_cfg.k <= _INLINE_URL_ROWS
-        plan_arg = plan if inline_urls else ray.put(plan)
+        call = pickle.dumps((plan, query_cfg, inline_urls, missing), protocol=5)
+        call_arg = call if inline_urls else ray.put(call)
 
         def merged_topk(actors):
             peers = self._lookup_missing_df(missing, actors) if missing else []
             futs, dfs = [], []
             for i, a in enumerate(actors):
                 f, d = a.search_packed.remote(
-                    plan_arg, query_cfg, inline_urls, missing,
-                    *(r for j, r in enumerate(peers) if j != i),
+                    call_arg, *(r for j, r in enumerate(peers) if j != i)
                 )
                 futs.append(f)
                 dfs.append(d)  # the same summed df from every actor
             # big batches: fan the k x P x Q merge out by query range — each raw
-            # task reads the shard partials zero-copy and merges its slice
+            # task reads the shard partials and merges its slice
             est_rows = len(queries) * len(actors) * query_cfg.k
             if est_rows >= _MERGE_FANOUT_ROWS and len(plan.query_ids) > 1:
                 n_slices = min(8, max(2, est_rows // _MERGE_FANOUT_ROWS + 1))
@@ -2463,32 +2477,19 @@ class SearchSession:
                         for i in range(len(bounds))
                     ] + dfs[:1]
                 )
-                outs = [t for t in outs if t is not None]
-                merged = (
-                    pa.concat_tables(outs) if outs
-                    else merge_topk_table(_EMPTY_PACKED_PARTIALS, query_cfg.k)
-                )
+                # query ranges in ascending order: rows stay (query_id, rank)
+                merged = pa.concat_tables(outs)
             else:
-                *parts, df = ray.get(futs + dfs[:1])  # the call's one wait
-                parts = [t for t in parts if t is not None and len(t)]
-                merged = merge_topk_table(
-                    pa.concat_tables(parts) if parts else _EMPTY_PACKED_PARTIALS,
-                    query_cfg.k,
-                )
+                *replies, df = ray.get(futs + dfs[:1])  # the call's one wait
+                merged = merge_topk_table(_partials_table(replies), query_cfg.k)
             return merged, df
 
         merged, df = self._on_actors(merged_topk)
         if df:
             self._df_cache.update(df)
-        import pyarrow.compute as pc
-
-        if "url" not in merged.column_names:
-            merged = self._attach_urls(merged)
-        else:  # inline-url path: column order must match the packed path
-            merged = merged.select(["query_id", "rank", "doc_id", "url", "score"])
-        return merged.take(
-            pc.sort_indices(merged, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
-        )
+        # merge_topk_table and _attach_urls keep (query_id, rank) order and
+        # the (query_id, rank, doc_id, url, score) columns
+        return merged if "url" in merged.column_names else self._attach_urls(merged)
 
     def _attach_urls(self, merged: pa.Table) -> pa.Table:
         """Resolve the winners' urls from the shard actors' co-resident

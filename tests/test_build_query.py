@@ -430,6 +430,60 @@ class TestSpillWidths:
         assert len(set(two.column("term").to_pylist())) > 65_536
 
 
+class TestCodecWidthBoundaries:
+    """The spill codec's width rule at its edges: a stream whose largest
+    value is 0xFFFF packs in 2 bytes, one past it in 4."""
+
+    def test_width_for_boundary(self):
+        from flatnav_ray.stages.twophase import _width_for
+
+        assert _width_for(0) == 2
+        assert _width_for(0xFFFF) == 2
+        assert _width_for(0x10000) == 4
+
+    @pytest.mark.parametrize("n_terms,w_code", [(65_535, 2), (65_536, 2), (65_537, 4)])
+    def test_term_count_boundary_matches_reference(self, tmp_path, n_terms, w_code):
+        """One map slice holds exactly `n_terms` distinct terms (codes
+        0..n_terms-1) and one document has a tf of 65,536 (4-byte tfs); the
+        two-phase build of the partition equals `build_partition` segment
+        for segment and docmap for docmap."""
+        import os
+
+        import pyarrow.ipc as ipc
+        import pyarrow.parquet as pq
+
+        from flatnav_ray.stages.build import build_partition, docmap_path, segment_path
+        from flatnav_ray.stages.twophase import map_partial_spill, merge_spilled_partition
+
+        ts = [1_700_000_000_000_000] * 3
+        batch = _adapter_pages(
+            [f"https://w.example.com/t{i}" for i in range(3)], ts,
+            [
+                " ".join(f"v{i}" for i in range(n_terms - 1)),
+                "alpha " * 65_536,
+                "alpha v0 v1",
+            ],
+        )
+        cfg = IndexConfig(num_partitions=1)
+        spill = str(tmp_path / "spill")
+        map_partial_spill(batch, 1, None, spill)
+        d = os.path.join(spill, "part=00000")
+        [meta] = [f for f in os.listdir(d) if f.startswith("meta-")]
+        with ipc.open_stream(os.path.join(d, meta)) as r:
+            m = r.read_all()
+        assert (m.column("w_code")[0].as_py(), m.column("w_tf")[0].as_py()) == (w_code, 4)
+
+        ix_ref, ix_two = str(tmp_path / "ref"), str(tmp_path / "two")
+        merge_spilled_partition(0, spill, ix_two, cfg)
+        build_partition(prepare_batch(batch, 1, None), ix_ref, cfg)
+        ref = pq.read_table(segment_path(ix_ref, 0))
+        two = pq.read_table(segment_path(ix_two, 0))
+        assert len(ref) == n_terms
+        assert ref.equals(two)
+        assert pq.read_table(docmap_path(ix_ref, 0)).equals(pq.read_table(docmap_path(ix_two, 0)))
+        assert 65_536 in canonical_postings(ix_two).column("tf").to_pylist()
+
+
 class TestSpillRouting:
     """Multi-node safety of the two-phase build's shuffle spill (node-local
     tmpfs is only a valid spill when there is exactly one node — nothing

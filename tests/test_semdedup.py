@@ -136,6 +136,51 @@ class TestChunkedGreedyEquivalence:
         assert got_dup == want_dup
 
 
+def _naive_greedy(m: np.ndarray, tau: float) -> tuple[dict, dict]:
+    kept: list[int] = []
+    keep, dup = {}, {}
+    for j in range(len(m)):
+        hit = next((i for i in kept if float(m[j] @ m[i]) >= tau), None)
+        if hit is None:
+            kept.append(j)
+            keep[j], dup[j] = True, -1
+        else:
+            keep[j], dup[j] = False, hit
+    return keep, dup
+
+
+def test_exact_tau_pair_same_decision_at_every_chunk(ray_session, monkeypatch):
+    """Pairs whose cosine equals tau exactly are duplicates (>= tau), and
+    get the same keep/dup_of decision at chunk widths 1, 2 and the default.
+    The vectors are unit-norm with entries in {0, +-0.5, +-1}, so every
+    cosine is an exact multiple of 0.25 whatever order the matmul sums in;
+    tau = 0.5 sits exactly on many pairs."""
+    import itertools
+
+    import ray.data
+
+    from flatnav_ray.stages import dedup as dd
+
+    axes = [s * np.eye(4)[i] for i in range(4) for s in (1.0, -1.0)]
+    halves = [0.5 * np.array(signs) for signs in itertools.product((1.0, -1.0), repeat=4)]
+    vecs = np.array(axes + halves)
+    vecs = np.hstack([vecs, np.zeros((len(vecs), 4))])[np.random.default_rng(9).permutation(len(vecs))]
+    tau = 0.5
+    m = dd._normalize_rows(vecs.astype(np.float64))
+    want_keep, want_dup = _naive_greedy(m, tau)
+    # at least one duplicate is decided by a cosine of exactly tau
+    assert any(d >= 0 and float(m[j] @ m[d]) == tau for j, d in want_dup.items())
+
+    default = dd._SEMDEDUP_CHUNK
+    for chunk in (1, 2, default):
+        monkeypatch.setattr(dd, "_SEMDEDUP_CHUNK", chunk)
+        out = dd.semdedup(ray.data.from_arrow(_vec_table(vecs)), n_clusters=1, tau=tau)
+        got_keep = dict(zip(out.column("vec_id").to_pylist(), out.column("keep").to_pylist()))
+        got_dup = dict(zip(out.column("vec_id").to_pylist(), out.column("dup_of").to_pylist()))
+        assert got_keep == want_keep, chunk
+        assert got_dup == want_dup, chunk
+
+
 def test_semdedup_stream_equals_table_form(ray_session):
     """semdedup_stream (the Dataset-returning 100-TB label path) must carry
     identical rows to the table form."""

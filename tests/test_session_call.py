@@ -6,8 +6,10 @@ counts them over its own segments, adds its peers' `live_df` counts and
 completes the plan before scoring (`ShardActor.search_packed`). These tests
 pin that the answers do not depend on the actor count, on the clean index
 and on a stack with tombstones, for every query feature the sessions serve;
-that the df the actors return is the index's df; and that with one actor a
-call is one actor task and one driver wait."""
+that the df the actors return is the index's df; that with one actor a
+call is one actor task and one driver wait; that the call crosses the
+actor boundary as one bytes request and one bytes reply; and that rows
+come back in (query_id, rank) order whatever order the query ids had."""
 
 import shutil
 
@@ -131,25 +133,30 @@ def test_fanned_out_merge_equals_driver_merge(indexes, monkeypatch):
 
 
 class _CountingActor:
-    """An actor handle that records which methods the driver submits."""
+    """An actor handle that records which methods the driver submits, and
+    in `sent` each submit as (actor index, method, positional args, returned
+    refs)."""
 
-    def __init__(self, actor, calls: list):
-        self._actor, self._calls = actor, calls
+    def __init__(self, actor, calls: list, index: int = 0, sent: list | None = None):
+        self._actor, self._calls, self._index = actor, calls, index
+        self._sent = [] if sent is None else sent
 
     def __getattr__(self, name):
-        method, calls = getattr(self._actor, name), self._calls
+        method, calls, sent, index = getattr(self._actor, name), self._calls, self._sent, self._index
 
         class _Method:
             def remote(self, *args, **kwargs):
                 calls.append(name)
-                return method.remote(*args, **kwargs)
+                out = method.remote(*args, **kwargs)
+                sent.append((index, name, args, out))
+                return out
 
         return _Method()
 
 
-def _count_call(sess, queries, monkeypatch):
+def _count_call(sess, queries, monkeypatch, cfg=None, sent=None):
     """(answer, submitted actor methods, blocking ray.get calls) of one
-    session call."""
+    session call; `sent` collects each submit's arguments."""
     import ray
 
     calls, waits = [], []
@@ -160,10 +167,10 @@ def _count_call(sess, queries, monkeypatch):
         return real_get(*args, **kwargs)
 
     actors = sess.actors
-    sess.actors = [_CountingActor(a, calls) for a in actors]
+    sess.actors = [_CountingActor(a, calls, i, sent) for i, a in enumerate(actors)]
     monkeypatch.setattr(ray, "get", counting_get)
     try:
-        out = sess.search(queries, QueryConfig(k=10))
+        out = sess.search(queries, cfg or QueryConfig(k=10))
     finally:
         monkeypatch.setattr(ray, "get", real_get)
         sess.actors = actors
@@ -172,6 +179,8 @@ def _count_call(sess, queries, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["clean", "stack"])
 def test_one_actor_call_is_one_task_and_one_wait(indexes, kind, monkeypatch):
+    import ray
+
     from flatnav_ray.pipelines.ingest import open_session
 
     dirs, cases = indexes
@@ -180,9 +189,15 @@ def test_one_actor_call_is_one_task_and_one_wait(indexes, kind, monkeypatch):
     sess = open_session(dirs[kind], num_actors=1)
     try:
         assert not sess._df_cache
-        out, calls, waits = _count_call(sess, queries, monkeypatch)
+        sent: list = []
+        out, calls, waits = _count_call(sess, queries, monkeypatch, sent=sent)
         assert len(out) > 0
         assert calls == ["search_packed"] and waits == 1
+        # bytes both ways: one positional argument, the pickled request,
+        # and a pickled partial reply
+        [(_, _, args, (reply, _))] = sent
+        assert len(args) == 1 and isinstance(args[0], bytes)
+        assert isinstance(ray.get(reply), bytes)
         # the df the actor returned is the index's df (absent terms as 0)
         ref = dirs["clean" if kind == "clean" else "compacted"]
         want = lookup_term_df(ref, terms)
@@ -196,14 +211,27 @@ def test_one_actor_call_is_one_task_and_one_wait(indexes, kind, monkeypatch):
 
 
 def test_many_actor_call_sends_peer_df_in_one_wait(indexes, monkeypatch):
+    import ray
+
     from flatnav_ray.pipelines.ingest import open_session
 
     dirs, cases = indexes
     queries = cases["maxscore"][0]
     sess = open_session(dirs["stack"], num_actors=3)
     try:
-        _, calls, waits = _count_call(sess, queries, monkeypatch)
+        sent: list = []
+        _, calls, waits = _count_call(sess, queries, monkeypatch, sent=sent)
         assert sorted(calls) == ["live_df"] * 3 + ["search_packed"] * 3 and waits == 1
+        # each actor gets the same request bytes plus the OTHER actors'
+        # live_df refs, as top-level arguments
+        live = {i: out.hex() for i, name, _, out in sent if name == "live_df"}
+        packed = {i: args for i, name, args, _ in sent if name == "search_packed"}
+        assert sorted(live) == sorted(packed) == [0, 1, 2]
+        assert len({args[0] for args in packed.values()}) == 1
+        for i, (request, *refs) in packed.items():
+            assert isinstance(request, bytes)
+            assert all(isinstance(r, ray.ObjectRef) for r in refs)
+            assert sorted(r.hex() for r in refs) == sorted(h for j, h in live.items() if j != i)
         terms = sorted(sess._df_cache)
         want = lookup_term_df(dirs["compacted"], terms)
         assert sess._df_cache == {t: want.get(t, 0) for t in terms}
@@ -229,3 +257,74 @@ def test_stacked_stats_describe_the_live_corpus(indexes):
         assert set(want["partitions"]) <= set(sess.stats["partitions"])
     finally:
         sess.shutdown()
+
+
+def test_large_call_puts_the_request_bytes(indexes, monkeypatch):
+    """Above the inline-url rule the request goes by one `ray.put`: each
+    actor gets an object ref to the same bytes, and the partials come back
+    as bytes."""
+    import ray
+
+    from flatnav_ray.pipelines.ingest import open_session
+
+    dirs, cases = indexes
+    queries, cfg = cases["large"]
+    sess = open_session(dirs["clean"], num_actors=2)
+    try:
+        sent: list = []
+        out, _, _ = _count_call(sess, queries, monkeypatch, cfg, sent)
+        assert len(out) > 0
+        packed = [(args, outs) for _, name, args, outs in sent if name == "search_packed"]
+        assert len(packed) == 2
+        refs = [args[0] for args, _ in packed]
+        assert all(len(args) == 2 for args, _ in packed)  # request + one peer df
+        assert all(isinstance(r, ray.ObjectRef) for r in refs) and refs[0].hex() == refs[1].hex()
+        assert isinstance(ray.get(refs[0]), bytes)
+        assert all(isinstance(ray.get(outs[0]), bytes) for _, outs in packed)
+    finally:
+        sess.shutdown()
+
+
+def _sorted_by_query_rank(t: pa.Table) -> bool:
+    q = t.column("query_id").to_numpy()
+    r = t.column("rank").to_numpy()
+    return bool(np.all((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))))
+
+
+@pytest.mark.parametrize("order", ["shuffled", "descending"])
+@pytest.mark.parametrize("path", ["inline", "put", "fanout"])
+def test_rows_come_back_in_query_rank_order(indexes, monkeypatch, order, path):
+    """Query ids in any order come back sorted by (query_id, rank) with no
+    final re-sort, on the inline-url path, the ray.put path (winner urls by
+    `_attach_urls`) and the query-range merge fan-out, and each query's
+    rows are the ones it gets under ascending ids."""
+    import pyarrow.compute as pc
+
+    from flatnav_ray.pipelines.ingest import open_session
+    from flatnav_ray.stages import search
+
+    dirs, cases = indexes
+    base = cases["maxscore"][0] if path == "inline" else cases["large"][0]
+    texts = list(dict.fromkeys(base.column("text").to_pylist()))  # no dedup collapse
+    n = len(texts)
+    ids = np.arange(n, dtype=np.int64) * 3 + 5
+    rng = np.random.default_rng(64)
+    perm = rng.permutation(n) if order == "shuffled" else np.arange(n)[::-1]
+    asc = pa.table({"query_id": pa.array(ids), "text": pa.array(texts, type=pa.string())})
+    mixed = asc.take(pa.array(perm))
+    assert not np.all(np.diff(mixed.column("query_id").to_numpy()) > 0)
+    sess = open_session(dirs["stack"], num_actors=2)
+    try:
+        want = sess.search(asc, QueryConfig(k=10))
+        if path == "put":
+            monkeypatch.setattr(search, "_INLINE_URL_ROWS", 0)
+        elif path == "fanout":
+            monkeypatch.setattr(search, "_MERGE_FANOUT_ROWS", 100)
+        got = sess.search(mixed, QueryConfig(k=10))
+    finally:
+        sess.shutdown()
+    assert len(got) > 0 and _sorted_by_query_rank(got) and _sorted_by_query_rank(want)
+    assert got.column_names == ["query_id", "rank", "doc_id", "url", "score"]
+    assert got.equals(
+        want.take(pc.sort_indices(want, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
+    )
