@@ -72,7 +72,8 @@ class QueryConfig:
     method: str = "maxscore"
     # >0: a doc must match at least this many distinct query terms
     # (Lucene minimum_should_match analog; n_terms == conjunctive AND,
-    # 1 == plain disjunction). Ignored by method="and"/"wand".
+    # 1 == plain disjunction). taat/maxscore only: check() refuses it with
+    # any other method.
     min_should_match: int = 0
     # method="phrase" proximity: consecutive phrase tokens may be up to
     # 1+slop positions apart, in order (0 = exact adjacency). The per-gap
@@ -155,6 +156,11 @@ class QueryConfig:
             names += [f"query columns {cols}"] if cols else []
             raise ValueError(f"{op} does not serve every query feature; "
                              f"unsupported here: {', '.join(names)}")
+        if "method" in f and "min_should_match" in f:
+            raise ValueError(
+                "min_should_match is supported on the default scoring methods "
+                f"(taat/maxscore), not method={self.method!r}"
+            )
         if "method" in f or "min_should_match" in f:
             for name in _DEFAULT_PATH_ONLY:
                 if name in f:
@@ -184,8 +190,13 @@ _QUERY_COLUMNS = {
     "after_doc": "search_after cursors",
 }
 
-# features only the default scoring path implements (taat/maxscore with
-# min_should_match 0); wand/and/phrase/msm keep per-segment pruning state
+# features served only by taat/maxscore with min_should_match 0. wand and
+# phrase read per-segment block metadata and the positional sidecar, which
+# these features do not reach. method="and" and min_should_match score in the
+# default loop: neg, must, after, sort_by, the filters and boosts pass through
+# its match-count floor there, but no oracle case checks those pairs yet, so
+# they stay refused; fuzzy and synonyms turn one query token into several
+# terms, which the floor would count apart
 _DEFAULT_PATH_ONLY = ("fuzzy_max_edits", "synonyms", "boosts", "filter_lang", "filter_len",
                       "sort_by", *_QUERY_COLUMNS)
 

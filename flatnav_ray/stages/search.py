@@ -32,9 +32,11 @@ one shard: a one-shot task's partitions, or a session actor's partitions ×
 generations, form one `_ShardGroup` (docmaps end to end, one dead mask, one
 scratch set, one term-contribution cache), so taat/maxscore cost one decode
 pass, one score call and one top-k per query per worker — the reference's
-one pass over one flat arena (Index.h:56,177-178). wand/and/phrase/msm keep
-per-segment pruning state and run per member `_ShardState`
-(`_ShardGroup.partials`, the one search step of tasks and actors).
+one pass over one flat arena (Index.h:56,177-178). method="and" and
+min_should_match run in that loop as a match-count floor; wand and phrase
+read per-segment block metadata and the positional sidecar, so they run
+per member `_ShardState` (`_ShardGroup.partials`, the one search step of
+tasks and actors).
 
 Scoring: per-term BM25 contributions are query-independent (idf, tf, doc_len
 are all fixed at index time), so each decoded term is scored ONCE and cached;
@@ -290,6 +292,32 @@ def make_query_plan(
         plan.term_cf = term_cf(sorted(distinct))
         plan.total_len = int(total_len)
     return plan
+
+
+def _matching(pos_lists: list[np.ndarray], need: int) -> np.ndarray:
+    """The ascending positions found in at least `need` of `pos_lists`
+    (each sorted and duplicate-free) — the one posting-list match count
+    behind method="and", min_should_match, MUST terms and phrase
+    candidates. When every list is needed it is a smallest-first
+    searchsorted sweep (the vectorized galloping merge: each probe of a
+    larger list is a binary search); otherwise one count over the lists
+    laid end to end (a doc occurs at most once per list, so its
+    multiplicity is its matched-list count)."""
+    if not pos_lists or need > len(pos_lists):
+        return np.empty(0, dtype=np.int64)
+    if need == len(pos_lists):
+        lists = sorted(pos_lists, key=len)
+        out = lists[0]
+        for p in lists[1:]:
+            if out.size == 0:
+                break
+            j = np.searchsorted(p, out)
+            v = j < p.size
+            v[v] = p[j[v]] == out[v]
+            out = out[v]
+        return out
+    pos, counts = np.unique(np.concatenate(pos_lists), return_counts=True)
+    return pos[counts >= need]
 
 
 class _ShardState:
@@ -621,13 +649,17 @@ class _ShardState:
 
         method="taat"/"maxscore": cached term-at-a-time (contributions decoded
         + scored once per term, reused across the whole batch) — optimal for
-        batched serving. method="wand": block-max pruned evaluation that
-        decodes only blocks that can affect the top-k (no cache) — the scale
-        path for long posting lists / ad-hoc queries. method="and":
-        conjunctive posting-list intersection (docs must match EVERY query
-        term; SURVEY.md §2.7 — the grafted set-intersect). All exact.
-        Which features combine with which method is decided before any
-        shard runs (`QueryConfig.check`)."""
+        batched serving. method="and" and `msm` > 0 run the same loop with a
+        match-count floor per query, `need`: a doc qualifies when it is in at
+        least `need` of the query's posting lists — every query term for
+        "and" (a corpus-absent term still counts, so nothing matches), `msm`
+        otherwise (Lucene minimum_should_match; SURVEY.md §2.7, the grafted
+        set-intersect). The floor only filters candidates, so a survivor's
+        score is its disjunctive score bit for bit. method="wand": block-max
+        pruned evaluation that decodes only blocks that can affect the top-k
+        (no cache); method="phrase": positional verification
+        (`search_one_phrase`). All exact. Which features combine with which
+        method is decided before any shard runs (`QueryConfig.check`)."""
         q_out: list[np.ndarray] = []
         d_out: list[np.ndarray] = []
         s_out: list[np.ndarray] = []
@@ -656,7 +688,7 @@ class _ShardState:
             sort_vals = getattr(self, "_len_f", None)
             if sort_vals is None:  # ints <= 2^53: exact as doubles
                 sort_vals = self._len_f = self.docmap_lens.astype(np.float64)
-        if method in ("taat", "maxscore") and syn_lists is None:
+        if method not in ("wand", "phrase") and syn_lists is None:
             # every term the query loop can look up (scored, negated, must):
             # decoded and scored in one pass instead of one per term
             self.fill_contrib(plan.term_idf, plan, scorer)
@@ -670,13 +702,10 @@ class _ShardState:
                 docs, ssc, n_cand, n_blocks = self.search_one_pruned(
                     plan, qi, scorer, approx_factor
                 )
-            elif method == "and":
-                docs, ssc, n_cand, n_blocks = self.search_one_and(plan, qi, scorer)
             elif method == "phrase":
                 docs, ssc, n_cand, n_blocks = self.search_one_phrase(plan, qi, scorer, slop)
-            elif msm > 0:
-                docs, ssc, n_cand, n_blocks = self.search_one_msm(plan, qi, scorer, msm)
             else:
+                need = len(plan.query_terms[qi]) if method == "and" else msm
                 entries = []
                 n_blocks = 0
                 if syn_lists is not None:
@@ -702,7 +731,7 @@ class _ShardState:
                         w = qtf * boosts[term] if boosts and term in boosts else qtf
                         entries.append((w, hit[0], hit[1]))
                         n_blocks += hit[2]
-                if not entries:
+                if not entries or len(entries) < need:
                     continue
                 # negation: mark excluded docmap rows in the shared touched
                 # scratch (O(df_neg) set + reset); survivors' scores are
@@ -747,28 +776,16 @@ class _ShardState:
                             scores[pos] += contrib
                         else:
                             scores[pos] += qtf * contrib
+                    # the and / min_should_match floor: candidates keep the
+                    # docs found in at least `need` of the query's lists
+                    cand_sel = _matching([e[1] for e in entries], need) if need > 1 else cand
                     # boolean MUST: candidates restrict to docs containing
-                    # EVERY must term (searchsorted intersection sweep, the
-                    # method="and" machinery); must terms already scored above
+                    # EVERY must term (a must term absent here matches
+                    # nothing); must terms already scored above
                     if musts:
-                        mpos: np.ndarray | None = None
-                        ok = True
-                        for mt in musts:
-                            mhit = self.term_contrib(mt, plan, scorer)
-                            if mhit is None:
-                                ok = False
-                                break
-                            p = mhit[0]
-                            if mpos is None:
-                                mpos = p
-                            elif mpos.size:
-                                j = np.searchsorted(p, mpos)
-                                v = j < p.size
-                                v[v] = p[j[v]] == mpos[v]
-                                mpos = mpos[v]
-                        cand_sel = mpos if (ok and mpos is not None) else cand[:0]
-                    else:
-                        cand_sel = cand
+                        mlists = [h[0] for mt in musts
+                                  if (h := self.term_contrib(mt, plan, scorer)) is not None]
+                        cand_sel = _matching([cand_sel, *mlists], 1 + len(musts))
                     # filtered search selects from masked candidates; the
                     # scratch reset below still covers EVERY touched row
                     if fmask is not None:
@@ -818,101 +835,6 @@ class _ShardState:
             np.repeat(np.array([x[2] for x in n_out], dtype=np.int64), sizes)
         )
         return pa.table(cols)
-
-
-    # ---- conjunctive intersection path (method="and") ----
-
-    def search_one_and(self, plan: QueryPlan, qi: int, scorer):
-        """Conjunctive top-k: only documents containing EVERY query term
-        qualify — the grafted posting-list intersection (SURVEY.md §2.7; the
-        reference's only set op is the per-search visited set,
-        VisitedSetPool.h:16-89, but an FT engine's AND mode is the classic
-        sorted-list intersect).
-
-        Postings are sorted docmap positions, so the intersection is a
-        smallest-first searchsorted sweep (the vectorized form of a galloping
-        merge: every probe of the larger list is a binary search). Scores for
-        surviving docs re-accumulate in lexicographic term order — the exact
-        float-op order of the TAAT path, so conjunctive scores are
-        bit-identical to the same doc's disjunctive score."""
-        empty = np.empty(0, dtype=np.int64)
-        entries: list[tuple[int, np.ndarray, np.ndarray]] = []
-        n_blocks = 0
-        for term, qtf in plan.query_terms[qi]:
-            if plan.term_idf.get(term, 0.0) <= 0.0:
-                # a term absent from the whole corpus: no doc can match ALL
-                return empty, empty.astype(np.float64), 0, 0
-            hit = self.term_contrib(term, plan, scorer)
-            if hit is None:
-                # term absent from THIS shard: no conjunctive match here
-                return empty, empty.astype(np.float64), 0, n_blocks
-            entries.append((qtf, hit[0], hit[1]))
-            n_blocks += hit[2]
-        if not entries:
-            return empty, empty.astype(np.float64), 0, 0
-        # intersect smallest list first: each pass costs O(|isect| log df)
-        order = sorted(range(len(entries)), key=lambda i: entries[i][1].size)
-        isect = entries[order[0]][1]
-        for i in order[1:]:
-            if isect.size == 0:
-                break
-            pos = entries[i][1]
-            j = np.searchsorted(pos, isect)
-            valid = j < pos.size
-            valid[valid] = pos[j[valid]] == isect[valid]
-            isect = isect[valid]
-        if isect.size == 0:
-            return empty, empty.astype(np.float64), 0, n_blocks
-        out = np.zeros(isect.size, dtype=np.float64)
-        for qtf, pos, contrib in entries:  # lexicographic (plan order kept)
-            idx = np.searchsorted(pos, isect)
-            out += contrib[idx] if qtf == 1 else qtf * contrib[idx]
-        docs, ssc = topk_select(out, self.docmap_ids[isect], plan.k)
-        return docs, ssc, int(isect.size), n_blocks
-
-    # ---- minimum_should_match path (msm > 0) ----
-
-    def search_one_msm(self, plan: QueryPlan, qi: int, scorer, msm: int):
-        """Threshold disjunction (Lucene minimum_should_match analog): a doc
-        qualifies iff it contains >= msm DISTINCT query terms. msm == n_terms
-        degenerates to conjunctive AND, msm == 1 to plain disjunction.
-
-        Per-shard counting is exact because documents are hash-partitioned
-        disjointly across shards: a doc's full term-match count is visible to
-        exactly one shard. Candidate counts come from one np.unique over the
-        concatenated per-term position lists (each term's postings hold a doc
-        at most once, so multiplicity == matched-term count); survivors
-        re-accumulate in the pinned lexicographic term order, so msm scores
-        are bit-identical to the same doc's TAAT score."""
-        empty = np.empty(0, dtype=np.int64)
-        entries: list[tuple[int, np.ndarray, np.ndarray]] = []
-        n_blocks = 0
-        for term, qtf in plan.query_terms[qi]:
-            if plan.term_idf.get(term, 0.0) <= 0.0:
-                continue  # corpus-absent term can never match (lowers the
-                # achievable count; it still counts toward n_terms semantics)
-            hit = self.term_contrib(term, plan, scorer)
-            if hit is None:
-                continue  # absent from this shard: no local doc matches it
-            entries.append((qtf, hit[0], hit[1]))
-            n_blocks += hit[2]
-        if len(entries) < msm:
-            return empty, empty.astype(np.float64), 0, n_blocks
-        cand, counts = np.unique(
-            np.concatenate([e[1] for e in entries]), return_counts=True
-        )
-        keep = cand[counts >= msm]
-        if keep.size == 0:
-            return empty, empty.astype(np.float64), 0, n_blocks
-        out = np.zeros(keep.size, dtype=np.float64)
-        for qtf, pos, contrib in entries:  # lexicographic (plan order kept)
-            j = np.searchsorted(pos, keep)
-            valid = j < pos.size
-            valid[valid] = pos[j[valid]] == keep[valid]
-            sel = contrib[j[valid]]
-            out[valid] += sel if qtf == 1 else qtf * sel
-        docs, ssc = topk_select(out, self.docmap_ids[keep], plan.k)
-        return docs, ssc, int(keep.size), n_blocks
 
     # ---- facet / hit counting over the match set (serving aggregations) ----
 
@@ -1434,17 +1356,7 @@ class _ShardState:
                 return empty, empty.astype(np.float64), 0, n_blocks
             entries[term] = hit
             n_blocks += hit[2]
-        # conjunctive intersect, smallest list first (as search_one_and)
-        by_size = sorted(entries, key=lambda t: entries[t][0].size)
-        isect = entries[by_size[0]][0]
-        for t in by_size[1:]:
-            if isect.size == 0:
-                break
-            pos = entries[t][0]
-            j = np.searchsorted(pos, isect)
-            valid = j < pos.size
-            valid[valid] = pos[j[valid]] == isect[valid]
-            isect = isect[valid]
+        isect = _matching([hit[0] for hit in entries.values()], len(entries))
         if isect.size == 0:
             return empty, empty.astype(np.float64), 0, n_blocks
         self._load_positions()
@@ -1665,12 +1577,15 @@ class _ShardGroup(_ShardState):
     that term's segment row in every member holding it, so `_decode_rows`
     reads them all, term-major, as one stream per blob column
     (`decode_postings_rows` over several segments; no segment bytes are
-    copied to keep), and the inherited taat/maxscore body of `search_batch`
-    with `fill_contrib`, `group_contrib` and `live_term_dfs` runs unchanged
-    on group rows. The top-k equals the members' own top-k merged:
-    positions are disjoint per member, each doc accumulates its terms in
-    the same lexicographic order and `topk_select` keeps the (score desc,
-    doc_id asc) order. wand/and/phrase/msm run on the members (`partials`)."""
+    copied to keep), and the inherited body of `search_batch` with
+    `fill_contrib`, `group_contrib` and `live_term_dfs` runs unchanged on
+    group rows. The top-k equals the members' own top-k merged: positions
+    are disjoint per member, each doc accumulates its terms in the same
+    lexicographic order and `topk_select` keeps the (score desc, doc_id asc)
+    order. The and / min_should_match match counts are exact over the
+    group: a live doc has one copy in one member (shadowed copies drop at
+    decode) and partitions are disjoint across workers. wand and phrase run
+    on the members (`partials`)."""
 
     def __init__(self, members: list[_ShardState], block_size: int):
         self.members = members
@@ -1706,14 +1621,14 @@ class _ShardGroup(_ShardState):
     def partials(self, plan: QueryPlan, cfg: QueryConfig, with_urls: bool = True) -> list[pa.Table]:
         """The worker's partial top-k tables for `plan` — the one search
         step of one-shot tasks and session actors: one table over the whole
-        group for taat/maxscore, one per member state for wand, and, phrase
-        and min_should_match (they keep per-segment pruning state)."""
+        group, or one per member state for wand and phrase (they read
+        per-segment block metadata and the positional sidecar)."""
         args = (plan, SCORERS[cfg.scorer], cfg.method, cfg.approx_factor,
                 cfg.min_should_match, cfg.phrase_slop, cfg.filter_lang, cfg.sort_by,
                 _len_bounds(cfg), with_urls)
-        if cfg.method in ("taat", "maxscore") and cfg.min_should_match == 0:
-            return [self.search_batch(*args)]
-        return [st.search_batch(*args) for st in self.members]
+        if cfg.method in ("wand", "phrase"):
+            return [st.search_batch(*args) for st in self.members]
+        return [self.search_batch(*args)]
 
     def _row(self, term: str) -> int | None:
         i = self.term_row.get(term)
@@ -1869,9 +1784,9 @@ def explain_rows(
 
 class ShardSearcher:
     """The search op of a one-shot task (pipelines/query.py): the partial
-    top-k of the task's partitions, which the task loaded once — taat/
-    maxscore as one `_ShardGroup` (one top-k per query per task),
-    wand/and/phrase/msm one top-k per partition."""
+    top-k of the task's partitions, which the task loaded once — as one
+    `_ShardGroup` (one top-k per query per task), wand and phrase one top-k
+    per partition."""
 
     def __init__(self, plan: QueryPlan, query_cfg: QueryConfig):
         self.plan = plan
@@ -2093,10 +2008,10 @@ def _shard_actor_cls():
         `load` gives it a session's partitions, it serves many query batches.
 
         Its member states — one per (generation, partition) it serves — form
-        one `_ShardGroup`, built once per `load`: taat/maxscore queries,
-        live df and url lookups are one group call each, so the actor's cost
-        per query does not grow with its generation and partition count;
-        wand/and/phrase/msm run per member and the actor merges them.
+        one `_ShardGroup`, built once per `load`: a query batch, live df
+        and url lookups are one group call each, so the actor's cost per
+        query does not grow with its generation and partition count; wand
+        and phrase run per member and the actor merges them.
 
         A session call is one `search_packed` per actor: the actor counts
         the df of the terms the session has not cached over its own group,

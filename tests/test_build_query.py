@@ -148,19 +148,39 @@ class TestRankIdentity:
                 assert s == full[(q, d)]
 
     def test_min_should_match_matches_oracle(self, built_index):
-        """min_should_match=2 (threshold disjunction): rank-identical to the
-        msm brute-force oracle; msm=1 degenerates to the plain disjunction."""
+        """min_should_match (threshold disjunction) at 2, 3 and one more than
+        the longest query's distinct term count: rank-identical to the msm
+        brute-force oracle. Past the longest query nothing matches; at 3 the
+        queries with exactly 3 distinct terms answer as method="and"; msm=1
+        degenerates to the plain disjunction."""
+        import pyarrow.compute as pc
+
+        from flatnav_ray.functions.tokenize import tokenize_py
+
         ix, _, pages, queries = built_index
         deduped = dedup_latest(prepare_batch(pages, 8, None))
-        out = search_to_table(ix, queries, QueryConfig(k=10, min_should_match=2))
-        gt = brute_force_topk(
-            deduped.select(["doc_id", "text"]), queries, k=10, min_should_match=2
-        )
-        assert out.column("query_id").to_pylist() == gt.column("query_id").to_pylist()
-        assert out.column("doc_id").to_pylist() == gt.column("doc_id").to_pylist()
-        np.testing.assert_allclose(
-            out.column("score").to_numpy(), gt.column("score").to_numpy(), rtol=0, atol=1e-9
-        )
+        n_terms = [len(set(tokenize_py(t))) for t in queries.column("text").to_pylist()]
+        for msm in (2, 3, max(n_terms) + 1):
+            out = search_to_table(ix, queries, QueryConfig(k=10, min_should_match=msm))
+            gt = brute_force_topk(
+                deduped.select(["doc_id", "text"]), queries, k=10, min_should_match=msm
+            )
+            assert out.column("query_id").to_pylist() == gt.column("query_id").to_pylist()
+            assert out.column("doc_id").to_pylist() == gt.column("doc_id").to_pylist()
+            np.testing.assert_allclose(
+                out.column("score").to_numpy(), gt.column("score").to_numpy(), rtol=0, atol=1e-9
+            )
+            assert (len(out) == 0) == (msm > max(n_terms)), msm
+        three = pa.array([q for q, n in zip(queries.column("query_id").to_pylist(), n_terms)
+                          if n == 3], pa.int64())
+        msm3 = search_to_table(ix, queries, QueryConfig(k=10, min_should_match=3))
+        conj = search_to_table(ix, queries, QueryConfig(k=10, method="and"))
+
+        def of_three(t):
+            return t.filter(pc.is_in(t.column("query_id"), three))
+
+        assert len(of_three(msm3)) > 0
+        assert of_three(msm3).equals(of_three(conj))
         taat = search_to_table(ix, queries, QueryConfig(k=10, method="taat"))
         msm1 = search_to_table(ix, queries, QueryConfig(k=10, min_should_match=1))
         assert taat.equals(msm1)
@@ -441,12 +461,12 @@ class TestCodecWidthBoundaries:
         assert _width_for(0xFFFF) == 2
         assert _width_for(0x10000) == 4
 
-    @pytest.mark.parametrize("n_terms,w_code", [(65_535, 2), (65_536, 2), (65_537, 4)])
-    def test_term_count_boundary_matches_reference(self, tmp_path, n_terms, w_code):
-        """One map slice holds exactly `n_terms` distinct terms (codes
-        0..n_terms-1) and one document has a tf of 65,536 (4-byte tfs); the
-        two-phase build of the partition equals `build_partition` segment
-        for segment and docmap for docmap."""
+    @staticmethod
+    def _spill_equals_reference(tmp_path, batch) -> dict:
+        """Map `batch` as one slice of a one-partition two-phase build, merge
+        it, and check it equals `build_partition` segment for segment and
+        docmap for docmap; returns the slice's spill widths, the segment's
+        term count, the docmap's doc count and the two-phase index dir."""
         import os
 
         import pyarrow.ipc as ipc
@@ -455,6 +475,29 @@ class TestCodecWidthBoundaries:
         from flatnav_ray.stages.build import build_partition, docmap_path, segment_path
         from flatnav_ray.stages.twophase import map_partial_spill, merge_spilled_partition
 
+        cfg = IndexConfig(num_partitions=1)
+        spill = str(tmp_path / "spill")
+        map_partial_spill(batch, 1, None, spill)
+        d = os.path.join(spill, "part=00000")
+        [meta] = [f for f in os.listdir(d) if f.startswith("meta-")]
+        with ipc.open_stream(os.path.join(d, meta)) as r:
+            m = r.read_all()
+        ix_ref, ix_two = str(tmp_path / "ref"), str(tmp_path / "two")
+        merge_spilled_partition(0, spill, ix_two, cfg)
+        build_partition(prepare_batch(batch, 1, None), ix_ref, cfg)
+        ref = pq.read_table(segment_path(ix_ref, 0))
+        assert ref.equals(pq.read_table(segment_path(ix_two, 0)))
+        dm = pq.read_table(docmap_path(ix_ref, 0))
+        assert dm.equals(pq.read_table(docmap_path(ix_two, 0)))
+        widths = {w: m.column(w)[0].as_py() for w in ("w_code", "w_ord", "w_tf")}
+        return {**widths, "n_terms": len(ref), "n_docs": len(dm), "ix": ix_two}
+
+    @pytest.mark.parametrize("n_terms,w_code", [(65_535, 2), (65_536, 2), (65_537, 4)])
+    def test_term_count_boundary_matches_reference(self, tmp_path, n_terms, w_code):
+        """One map slice holds exactly `n_terms` distinct terms (codes
+        0..n_terms-1) and one document has a tf of 65,536 (4-byte tfs); the
+        two-phase build of the partition equals `build_partition` segment
+        for segment and docmap for docmap."""
         ts = [1_700_000_000_000_000] * 3
         batch = _adapter_pages(
             [f"https://w.example.com/t{i}" for i in range(3)], ts,
@@ -464,24 +507,24 @@ class TestCodecWidthBoundaries:
                 "alpha v0 v1",
             ],
         )
-        cfg = IndexConfig(num_partitions=1)
-        spill = str(tmp_path / "spill")
-        map_partial_spill(batch, 1, None, spill)
-        d = os.path.join(spill, "part=00000")
-        [meta] = [f for f in os.listdir(d) if f.startswith("meta-")]
-        with ipc.open_stream(os.path.join(d, meta)) as r:
-            m = r.read_all()
-        assert (m.column("w_code")[0].as_py(), m.column("w_tf")[0].as_py()) == (w_code, 4)
+        got = self._spill_equals_reference(tmp_path, batch)
+        assert (got["w_code"], got["w_tf"]) == (w_code, 4)
+        assert got["n_terms"] == n_terms
+        assert 65_536 in canonical_postings(got["ix"]).column("tf").to_pylist()
 
-        ix_ref, ix_two = str(tmp_path / "ref"), str(tmp_path / "two")
-        merge_spilled_partition(0, spill, ix_two, cfg)
-        build_partition(prepare_batch(batch, 1, None), ix_ref, cfg)
-        ref = pq.read_table(segment_path(ix_ref, 0))
-        two = pq.read_table(segment_path(ix_two, 0))
-        assert len(ref) == n_terms
-        assert ref.equals(two)
-        assert pq.read_table(docmap_path(ix_ref, 0)).equals(pq.read_table(docmap_path(ix_two, 0)))
-        assert 65_536 in canonical_postings(ix_two).column("tf").to_pylist()
+    @pytest.mark.parametrize("n_docs,w_ord", [(65_536, 2), (65_537, 4)])
+    def test_doc_count_boundary_matches_reference(self, tmp_path, n_docs, w_ord):
+        """One map slice holds exactly `n_docs` one-word documents (doc
+        ordinals 0..n_docs-1): 65,536 fit 2-byte ordinals, one more needs 4;
+        the two-phase build equals `build_partition` either way."""
+        batch = _adapter_pages(
+            [f"https://d.example.com/{i}" for i in range(n_docs)],
+            [1_700_000_000_000_000] * n_docs,
+            [f"w{i % 97}" for i in range(n_docs)],
+        )
+        got = self._spill_equals_reference(tmp_path, batch)
+        assert (got["w_code"], got["w_ord"], got["w_tf"]) == (2, w_ord, 2)
+        assert (got["n_docs"], got["n_terms"]) == (n_docs, 97)
 
 
 class TestSpillRouting:

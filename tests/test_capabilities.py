@@ -40,6 +40,10 @@ COMBOS = [
     (f"{m}+{f}", {**mkw, **fkw}, cols, False)
     for m, mkw in METHODS.items() for f, (fkw, cols) in FEATURES.items()
 ] + [
+    # min_should_match is a floor of the default loop: no other method has it
+    (f"msm+{m}", {"method": m, "min_should_match": 2}, {}, False)
+    for m in ("wand", "and", "phrase")
+] + [
     ("synonyms+fuzzy", {"synonyms": {"a": ("b",)}, "fuzzy_max_edits": 1}, {}, False),
     ("synonyms+lmd", {"synonyms": {"a": ("b",)}, "scorer": "lmd"}, {}, False),
     ("phrase-on-stack", {"method": "phrase"}, {}, True),

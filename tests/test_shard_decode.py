@@ -7,7 +7,8 @@
   absent terms.
 * A `_ShardGroup` scores all of those states as one shard; its top-k must
   equal the members' own partials merged, for every scorer and query
-  feature of the taat/maxscore path, and its live df the members' sum.
+  feature of the taat/maxscore path and for the and / min_should_match
+  match-count floor, and its live df the members' sum.
 * The `docs_scored` / `blocks_decoded` columns of `search_partials` (the
   reference's distance-computation counters, Index.h:83-84) must equal a
   direct count over the segment files.
@@ -236,17 +237,33 @@ def test_group_topk_equals_member_merge(stacked, scorer_name):
     scorer = SCORERS[scorer_name]
     cols = ["query_id", "doc_id", "url", "score"]
     for name, plan, kw in _variants(states, scorer_name):
-        for method in ("maxscore", "taat"):
+        runs = [("maxscore", {}), ("taat", {})]
+        if name == "plain":  # the match-count floor: and, msm 2 and 3
+            runs += [("and", {}), ("maxscore", {"msm": 2}), ("maxscore", {"msm": 3})]
+        for method, floor in runs:
+            args = {**kw, **floor}
             want = merge_topk_table(pa.concat_tables(
-                [st.search_batch(plan, scorer, method, **kw) for st in states]
+                [st.search_batch(plan, scorer, method, **args) for st in states]
             ), plan.k).select(cols)
-            got = group.search_batch(plan, scorer, method, **kw)
+            got = group.search_batch(plan, scorer, method, **args)
             assert len(want) >= 50, name
-            assert got.select(cols).equals(want), (name, method)
-            packed = group.search_batch(plan, scorer, method, **kw, with_urls=False)
+            assert got.select(cols).equals(want), (name, method, floor)
+            packed = group.search_batch(plan, scorer, method, **args, with_urls=False)
             assert "url" not in packed.column_names
             assert packed.select(["query_id", "doc_id", "score"]).equals(
-                want.select(["query_id", "doc_id", "score"])), (name, method)
+                want.select(["query_id", "doc_id", "score"])), (name, method, floor)
+
+
+def test_group_partials_fan_out_only_for_wand(stacked):
+    # and / min_should_match score the whole group at once, like taat and
+    # maxscore; wand reads per-segment block metadata, one table per member
+    states = stacked()
+    group = _ShardGroup(states, 128)
+    plan = _plan(states, "bm25", _queries())
+    for kw in ({"method": "taat"}, {"method": "maxscore"}, {"method": "and"},
+               {"min_should_match": 2}):
+        assert len(group.partials(plan, QueryConfig(**kw))) == 1, kw
+    assert len(group.partials(plan, QueryConfig(method="wand"))) == len(states) > 1
 
 
 def test_group_live_term_dfs_sums_members(stacked):
