@@ -317,7 +317,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_topk_page2": d.bm25_topk_page2,       # pagination: ranks 10..19
         "bm25_topk_after": d.bm25_topk_after,       # cursor search_after paging
         "bm25_topk_federated": d.bm25_topk_federated,  # multi-index merged-stats search
-        "bm25_topk_wand": d.bm25_topk_wand,         # block-max pruned, same oracle
+        "bm25_topk_wand": d.bm25_topk_wand,         # method="wand", same oracle
         "bm25_topk_termlayout": d.bm25_topk_termlayout,  # groupby(term)+salt layout
         "bm25_topk_multi": d.bm25_topk_multi,     # 2-term queries (WAND/MaxScore path)
         "bm25_topk_highlight": d.bm25_topk_highlight,  # snippet/highlight surface

@@ -178,7 +178,7 @@ def run_bench(sf_dir: str, num_cpus: int, pages_n: int) -> dict:
     sess = SearchSession(ix_dir, num_actors=num_cpus)
     sess.search(queries_table(32, seed=44), qcfg)  # warm segment load
     t0 = time.perf_counter()
-    out = sess.search(queries, qcfg)
+    sess.search(queries, qcfg)
     cold_sec = time.perf_counter() - t0
     extras["query_qps_cold"] = len(queries) / cold_sec
     # steady-state serving (term caches populated) — what a query server
@@ -188,7 +188,7 @@ def run_bench(sf_dir: str, num_cpus: int, pages_n: int) -> dict:
     best = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        out = sess.search(queries, qcfg)
+        sess.search(queries, qcfg)
         dt = time.perf_counter() - t0
         best = dt if best is None or dt < best else best
     timings["query_bm25_batch"] = best
@@ -214,26 +214,6 @@ def run_bench(sf_dir: str, num_cpus: int, pages_n: int) -> dict:
             lat_ms.append((time.perf_counter() - t0) * 1e3)
         for p, name in ((50, "p50"), (95, "p95"), (99, "p99"), (99.9, "p999")):
             extras[f"query_lat_{name}_ms"] = float(np.percentile(lat_ms, p))
-    # recall-vs-throughput sweep over approx_factor (the ef_search-graft knob;
-    # reference sweeps ef_search and emits recall/QPS curves)
-    if phase == "all":
-        exact_ref = out
-        from flatnav_ray.pipelines.oracle import recall_at_k
-
-        sweep = []
-        for f in (1.0, 1.25, 1.5, 2.0):
-            cfgf = QueryConfig(k=10, method="wand", approx_factor=f, concurrency=num_cpus)
-            t0 = time.perf_counter()
-            approx = sess.search(queries, cfgf)
-            dt = time.perf_counter() - t0
-            sweep.append(
-                {
-                    "approx_factor": f,
-                    "recall_at_10": round(recall_at_k(approx, exact_ref, 10), 4),
-                    "qps": round(len(queries) / dt, 1),
-                }
-            )
-        extras["recall_qps_sweep"] = sweep
     sess.shutdown()
 
     if phase == "query":

@@ -65,14 +65,14 @@ class QueryConfig:
     # final merge slices, so deep pages cost O(offset+k) per shard, never a
     # full re-sort.
     offset: int = 0
-    # "taat"/"maxscore": cached exact; "wand": block-max pruned exact;
-    # "and": conjunctive posting-list intersection (match ALL terms);
+    # "taat"/"maxscore"/"wand": one cached exact disjunctive loop;
+    # "and": that loop with every query term required (match ALL terms);
     # "phrase": exact phrase (adjacent tokens, positional sidecar required —
     # stages/positions.py build_position_sidecar)
     method: str = "maxscore"
     # >0: a doc must match at least this many distinct query terms
     # (Lucene minimum_should_match analog; n_terms == conjunctive AND,
-    # 1 == plain disjunction). taat/maxscore only: check() refuses it with
+    # 1 == plain disjunction). taat/maxscore/wand only: check() refuses it with
     # any other method.
     min_should_match: int = 0
     # method="phrase" proximity: consecutive phrase tokens may be up to
@@ -82,16 +82,16 @@ class QueryConfig:
     # sort-by-field: rank MATCHING docs by a stored docmap attribute instead
     # of relevance (the ORDER BY serving surface). Supported: "doc_len"
     # (descending, doc_id-asc ties); the result's score column carries the
-    # attribute value. Default scoring methods only (taat/maxscore).
+    # attribute value. Default scoring methods only (taat/maxscore/wand).
     sort_by: str | None = None
     # fuzzy matching (Lucene term~1): 1 = expand every query token to all
     # dictionary terms within Levenshtein distance 1 (functions/fuzzy.py)
     # and score the disjunction, each match with its own idf. Default
-    # scoring methods only (taat/maxscore). Only max_edits=1 is supported.
+    # scoring methods only (taat/maxscore/wand). Only max_edits=1 is supported.
     fuzzy_max_edits: int = 0
     # filtered search: restrict candidates to docs with this docmap lang
     # (idf/avgdl stay corpus-wide — a filter, not a sub-corpus). Default
-    # scoring methods only (taat/maxscore).
+    # scoring methods only (taat/maxscore/wand).
     filter_lang: str | None = None
     # numeric range filter: restrict candidates to docs whose doc_len
     # (token count) lies in [filter_len_min, filter_len_max], inclusive;
@@ -106,18 +106,13 @@ class QueryConfig:
     # saturation applies once to the pooled tf (NOT a disjunction of
     # independently-scored terms; that is what fuzzy does). The index stays
     # literal; expansion is query-side only. Default scoring methods only
-    # (taat/maxscore); mutually exclusive with fuzzy_max_edits / must_text.
+    # (taat/maxscore/wand); mutually exclusive with fuzzy_max_edits / must_text.
     synonyms: dict[str, tuple[str, ...]] | None = None
     # per-term query boosts (Lucene term^boost): term -> multiplier applied
     # to that term's score contribution AFTER tf saturation. Keyed on
     # literal index terms (under fuzzy, the expanded term). Default scoring
-    # methods only (taat/maxscore); mutually exclusive with synonyms.
+    # methods only (taat/maxscore/wand); mutually exclusive with synonyms.
     boosts: dict[str, float] | None = None
-    # quality/speed knob — the ef_search graft (reference: bindings.cpp:432-473,
-    # Index.h:387-409 `max(ef_search, K)` beam width). 1.0 = exact top-k.
-    # >1.0 inflates the wand pruning threshold: more blocks skipped, recall
-    # may drop below 1 (measure with pipelines.oracle.recall_at_k).
-    approx_factor: float = 1.0
 
     def _features(self, columns) -> dict[str, str]:
         """The non-default query features this config and the query table's
@@ -125,7 +120,7 @@ class QueryConfig:
         from .functions.bm25 import SCORERS
 
         f = {}
-        if self.method not in ("taat", "maxscore"):
+        if self.method not in ("taat", "maxscore", "wand"):
             f["method"] = f"method={self.method!r}"
         for name in ("min_should_match", "offset", "fuzzy_max_edits", "synonyms", "boosts",
                      "filter_lang", "sort_by"):
@@ -148,6 +143,9 @@ class QueryConfig:
         runs. `dead_docs`: the session masks dead documents (a generation
         stack or tombstones). An op that serves a stricter subset names
         itself in `op` and the features it refuses in `rejects`."""
+        if self.method not in ("taat", "maxscore", "wand", "and", "phrase"):
+            raise ValueError(f"unknown method {self.method!r} "
+                             "(supported: taat, maxscore, wand, and, phrase)")
         f = self._features(columns)
         refused = [n for n in rejects if n in f]
         if refused:
@@ -159,14 +157,14 @@ class QueryConfig:
         if "method" in f and "min_should_match" in f:
             raise ValueError(
                 "min_should_match is supported on the default scoring methods "
-                f"(taat/maxscore), not method={self.method!r}"
+                f"(taat/maxscore/wand), not method={self.method!r}"
             )
         if "method" in f or "min_should_match" in f:
             for name in _DEFAULT_PATH_ONLY:
                 if name in f:
                     raise ValueError(
                         f"{f[name]} is supported on the default scoring methods "
-                        f"(taat/maxscore without min_should_match), not "
+                        f"(taat/maxscore/wand without min_should_match), not "
                         f"method={self.method!r}/min_should_match={self.min_should_match}"
                     )
         for a, b, msg in _EXCLUSIVE:
@@ -190,11 +188,11 @@ _QUERY_COLUMNS = {
     "after_doc": "search_after cursors",
 }
 
-# features served only by taat/maxscore with min_should_match 0. wand and
-# phrase read per-segment block metadata and the positional sidecar, which
-# these features do not reach. method="and" and min_should_match score in the
-# default loop: neg, must, after, sort_by, the filters and boosts pass through
-# its match-count floor there, but no oracle case checks those pairs yet, so
+# features served only by taat/maxscore/wand with min_should_match 0.
+# phrase reads each segment's positional sidecar, which these features do
+# not reach. method="and" and min_should_match score in the default loop:
+# neg, must, after, sort_by, the filters and boosts pass through its
+# match-count floor there, but no oracle case checks those pairs yet, so
 # they stay refused; fuzzy and synonyms turn one query token into several
 # terms, which the floor would count apart
 _DEFAULT_PATH_ONLY = ("fuzzy_max_edits", "synonyms", "boosts", "filter_lang", "filter_len",

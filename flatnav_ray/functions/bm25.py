@@ -25,7 +25,7 @@ B_DEFAULT = 0.75
 
 def idf(df: np.ndarray | float, n_docs: int) -> np.ndarray | float:
     """Lucene/BM25+ idf: ln(1 + (N - df + 0.5) / (df + 0.5)) — always > 0,
-    which block-max pruning relies on (score upper bounds stay monotone).
+    so every matching term raises a document's score.
 
     Scalar inputs go through libm's log1p, NOT numpy's SIMD kernel: the two
     differ in the last ULP for ~20% of inputs, and the rank-identity contract
@@ -67,20 +67,6 @@ def _posting_idf(row_of: np.ndarray, dfs, n_docs: int) -> np.ndarray:
     return np.array([idf(float(df), n_docs) for df in dfs], dtype=np.float64)[row_of]
 
 
-def bm25_block_upper_bound(
-    block_max_tf: np.ndarray,
-    block_min_dl: np.ndarray,
-    df: int,
-    n_docs: int,
-    avgdl: float,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
-) -> np.ndarray:
-    """Per-block score upper bound from (max tf, min doc_len) — valid because
-    the BM25 term score is increasing in tf and decreasing in doc_len."""
-    return bm25_term_scores(block_max_tf, block_min_dl, df, n_docs, avgdl, k1, b)
-
-
 @dataclass(frozen=True)
 class Bm25Scorer:
     """Default scorer (SURVEY.md M6)."""
@@ -97,10 +83,6 @@ class Bm25Scorer:
         """term_scores of several terms in one pass: posting j belongs to
         term row_of[j], whose global df is dfs[row_of[j]]."""
         return _bm25(_posting_idf(row_of, dfs, n_docs), tfs, doc_lens, avgdl, self.k1, self.b)
-
-    def block_bound(self, block_max_tf, block_min_dl, df, n_docs, avgdl,
-                    term=None, plan=None):
-        return bm25_block_upper_bound(block_max_tf, block_min_dl, df, n_docs, avgdl, self.k1, self.b)
 
 
 @dataclass(frozen=True)
@@ -124,11 +106,6 @@ class TfIdfScorer:
     @staticmethod
     def _scores(w, tfs, doc_lens):
         return w * (tfs.astype(np.float64) / np.maximum(doc_lens.astype(np.float64), 1.0))
-
-    def block_bound(self, block_max_tf, block_min_dl, df, n_docs, avgdl,
-                    term=None, plan=None):
-        w = float(idf(float(df), n_docs))
-        return w * (block_max_tf.astype(np.float64) / np.maximum(block_min_dl.astype(np.float64), 1.0))
 
 
 @dataclass(frozen=True)
@@ -190,20 +167,6 @@ class LmDirichletScorer:
             )
             lo = hi
         return out
-
-    def block_bound(self, block_max_tf, block_min_dl, df, n_docs, avgdl,
-                    term=None, plan=None):
-        if plan is None or plan.term_cf is None or plan.total_len is None:
-            raise ValueError("scorer 'lmd' needs term_cf/total_len on the QueryPlan")
-        mup = self._mup(term, plan)
-        if mup <= 0.0:
-            return np.zeros(np.asarray(block_max_tf).shape[0], dtype=np.float64)
-        raw = np.log1p(block_max_tf.astype(np.float64) / mup) + np.log(
-            self.mu / (self.mu + block_min_dl.astype(np.float64))
-        )
-        # numpy's SIMD log can land 1 ULP BELOW libm's; inflate so the bound
-        # stays a true upper bound of the libm-exact per-posting scores
-        return np.maximum(raw, 0.0) * (1.0 + 1e-9) + 1e-12
 
 
 SCORERS = {"bm25": Bm25Scorer(), "tfidf": TfIdfScorer(), "lmd": LmDirichletScorer()}

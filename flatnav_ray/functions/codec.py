@@ -4,8 +4,10 @@ The analog of the reference's packed node-record layout
 (/root/reference/include/flatnav/index/Index.h:61-63, 555-573: hand-packed
 `[data | M links | label]` byte records addressed by offset): posting lists are
 opaque binary blobs we encode/decode ourselves, with block metadata
-(last doc id, max tf, min doc len) enabling block-max skipping — the grafted
-form of flatnav's candidate pruning (`Index.h:714-763`) per SURVEY.md §2.7 D3.
+(last doc id, max tf, min doc len) for block-max skipping — the grafted form
+of flatnav's candidate pruning (`Index.h:714-763`) per SURVEY.md §2.7 D3.
+Serving reads the block boundaries and offsets (selective decode); the
+per-block maxima are stored but no serving path reads them.
 
 All encode/decode paths are vectorized numpy (no per-value Python loops): the
 role the SIMD distance kernels play in the reference

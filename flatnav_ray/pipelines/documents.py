@@ -1198,8 +1198,8 @@ def bm25_topk_federated(sf_dir: str, k: int = 10) -> pa.Table:
 
 
 def bm25_topk_wand(sf_dir: str, k: int = 10) -> pa.Table:
-    """Block-max pruned evaluation — must be rank-identical to bm25_topk
-    (same DuckDB oracle)."""
+    """method="wand", the name the paper's pruning maps to: the exact
+    maxscore loop, so rank-identical to bm25_topk (same DuckDB oracle)."""
     return bm25_topk(sf_dir, k=k, method="wand")
 
 

@@ -30,20 +30,19 @@ the caller's df / fuzzy / cf sources) and page it with one wrapper
 (bindings.cpp:161-228). Both score a worker's whole share of the index as
 one shard: a one-shot task's partitions, or a session actor's partitions ×
 generations, form one `_ShardGroup` (docmaps end to end, one dead mask, one
-scratch set, one term-contribution cache), so taat/maxscore cost one decode
+scratch set, one term-contribution cache), so taat/maxscore/wand cost one decode
 pass, one score call and one top-k per query per worker — the reference's
 one pass over one flat arena (Index.h:56,177-178). method="and" and
-min_should_match run in that loop as a match-count floor; wand and phrase
-read per-segment block metadata and the positional sidecar, so they run
-per member `_ShardState` (`_ShardGroup.partials`, the one search step of
-tasks and actors).
+min_should_match run in that loop as a match-count floor. phrase reads
+each segment's positional sidecar, so it runs per member `_ShardState`
+(`_ShardGroup.partials`, the one search step of tasks and actors).
 
 Scoring: per-term BM25 contributions are query-independent (idf, tf, doc_len
 are all fixed at index time), so each decoded term is scored ONCE and cached;
 a query batch then costs one fused multiply-add per (query, term) —
 the vectorized-kernel analog of the reference's SIMD distance dispatch.
-`method="maxscore"` adds block-max pruning for long posting lists; both
-methods are exact and return identical results (tests assert it).
+`method="taat"`, `"maxscore"` and `"wand"` name that one exact loop and
+return identical results (tests assert it).
 
 Per-query instrumentation (docs_scored, blocks_decoded) grafts the reference's
 distance-computation counters (`Index.h:83-84,689-691`).
@@ -355,8 +354,6 @@ class _ShardState:
 
         self._bl_off, self._bl_last = _list_views(t.column("block_last_doc"), np.int64)
         self._n_blocks = np.diff(self._bl_off).tolist()  # per row, for the hot path
-        _, self._bl_maxtf = _list_views(t.column("block_max_tf"), np.int64)
-        _, self._bl_mindl = _list_views(t.column("block_min_dl"), np.int64)
         _, self._bl_doffs = _list_views(t.column("block_doc_offs"), np.int32)
         _, self._bl_toffs = _list_views(t.column("block_tf_offs"), np.int32)
 
@@ -459,8 +456,6 @@ class _ShardState:
             "doc_blob": self._doc_vals[self._doc_offs[i]: self._doc_offs[i + 1]],
             "tf_blob": self._tf_vals[self._tf_offs[i]: self._tf_offs[i + 1]],
             "block_last_doc": self._bl_last[s:e],
-            "block_max_tf": self._bl_maxtf[s:e],
-            "block_min_dl": self._bl_mindl[s:e],
             "block_doc_offs": self._bl_doffs[s:e],
             "block_tf_offs": self._bl_toffs[s:e],
         }
@@ -637,8 +632,7 @@ class _ShardState:
         self._facet_cache[key] = (mask, [])
         return mask
 
-    def search_batch(self, plan: QueryPlan, scorer, method: str = "maxscore",
-                     approx_factor: float = 1.0, msm: int = 0,
+    def search_batch(self, plan: QueryPlan, scorer, method: str = "maxscore", msm: int = 0,
                      slop: int = 0, flt: str | None = None,
                      sort_by: str | None = None,
                      flt_len: tuple[int | None, int | None] | None = None,
@@ -647,19 +641,18 @@ class _ShardState:
         top-k rows (the url column only `with_urls`). Accumulation order per
         query: lexicographic terms (pinned float order).
 
-        method="taat"/"maxscore": cached term-at-a-time (contributions decoded
-        + scored once per term, reused across the whole batch) — optimal for
-        batched serving. method="and" and `msm` > 0 run the same loop with a
+        method="taat"/"maxscore"/"wand": cached term-at-a-time (contributions
+        decoded + scored once per term, reused across the whole batch) —
+        three names for one exact loop. method="and" and `msm` > 0 run it with a
         match-count floor per query, `need`: a doc qualifies when it is in at
         least `need` of the query's posting lists — every query term for
         "and" (a corpus-absent term still counts, so nothing matches), `msm`
         otherwise (Lucene minimum_should_match; SURVEY.md §2.7, the grafted
         set-intersect). The floor only filters candidates, so a survivor's
-        score is its disjunctive score bit for bit. method="wand": block-max
-        pruned evaluation that decodes only blocks that can affect the top-k
-        (no cache); method="phrase": positional verification
-        (`search_one_phrase`). All exact. Which features combine with which
-        method is decided before any shard runs (`QueryConfig.check`)."""
+        score is its disjunctive score bit for bit. method="phrase":
+        positional verification (`search_one_phrase`). All exact. Which
+        features combine with which method is decided before any shard runs
+        (`QueryConfig.check`)."""
         q_out: list[np.ndarray] = []
         d_out: list[np.ndarray] = []
         s_out: list[np.ndarray] = []
@@ -688,7 +681,7 @@ class _ShardState:
             sort_vals = getattr(self, "_len_f", None)
             if sort_vals is None:  # ints <= 2^53: exact as doubles
                 sort_vals = self._len_f = self.docmap_lens.astype(np.float64)
-        if method not in ("wand", "phrase") and syn_lists is None:
+        if method != "phrase" and syn_lists is None:
             # every term the query loop can look up (scored, negated, must):
             # decoded and scored in one pass instead of one per term
             self.fill_contrib(plan.term_idf, plan, scorer)
@@ -698,11 +691,7 @@ class _ShardState:
             fmask = lm if fmask is None else (fmask & lm)
         for qi in range(len(plan.query_ids)):
             qid = int(plan.query_ids[qi])
-            if method == "wand":
-                docs, ssc, n_cand, n_blocks = self.search_one_pruned(
-                    plan, qi, scorer, approx_factor
-                )
-            elif method == "phrase":
+            if method == "phrase":
                 docs, ssc, n_cand, n_blocks = self.search_one_phrase(plan, qi, scorer, slop)
             else:
                 need = len(plan.query_terms[qi]) if method == "and" else msm
@@ -804,7 +793,7 @@ class _ShardState:
                     docs, ssc = topk_select(csc, cids, plan.k)
                     scores[cand] = 0.0  # keep the shared scratch all-zeros
                     self._scores_dirty = None
-                    n_cand = cand_sel.size
+                    n_cand = cand.size
                 for np_ in nparts:  # keep the shared scratch all-False
                     self._touched[np_] = False
                 self._neg_dirty = None
@@ -1406,115 +1395,6 @@ class _ShardState:
         docs, ssc = topk_select(out, self.docmap_ids[keep], plan.k)
         return docs, ssc, int(keep.size), n_blocks
 
-    # ---- block-max pruned path (method="wand") ----
-
-    def search_one_pruned(self, plan: QueryPlan, qi: int, scorer, approx_factor: float = 1.0):
-        """Exact top-k with MaxScore term partitioning + block-max skipping
-        (the grafted form of flatnav's candidate pruning, Index.h:714-763,
-        via the codec's independently-decodable blocks).
-
-        1. Order terms by score upper bound (desc); fully score them in that
-           order, maintaining the running k-th-best threshold (partial scores
-           are valid lower bounds).
-        2. Once the remaining terms' summed bounds fall below the threshold,
-           stop expanding candidates: docs appearing ONLY in those terms are
-           provably below threshold.
-        3. For non-essential terms decode ONLY blocks containing a candidate.
-        4. Re-accumulate winners in lexicographic term order so the float sum
-           is bit-identical to TAAT (rank-identity contract)."""
-        tps = []
-        for term, qtf in plan.query_terms[qi]:
-            if plan.term_idf.get(term, 0.0) <= 0.0:
-                continue
-            p = self._postings_row(term)
-            if p is None:
-                continue
-            ub = qtf * float(
-                scorer.block_bound(
-                    p["block_max_tf"], p["block_min_dl"], plan.term_df[term],
-                    plan.n_docs, plan.avgdl, term=term, plan=plan,
-                ).max()
-            )
-            tps.append((term, qtf, p, ub))
-        if not tps:
-            e = np.empty(0)
-            return e.astype(np.int64), e, 0, 0
-        tps.sort(key=lambda x: (-x[3], x[0]))
-        suffix = np.cumsum(np.array([x[3] for x in tps], dtype=np.float64)[::-1])[::-1]
-
-        k = plan.k
-        n_blocks = 0
-        # actor-held scratch (VisitedSetPool analog) — zeroed on the touched
-        # set at the end, never reallocated per query
-        scores = self._scores
-        threshold = -np.inf
-        essential_end = len(tps)
-        pos_parts: list[np.ndarray] = []
-        cand: np.ndarray = np.empty(0, dtype=np.int64)
-        for i, (term, qtf, p, _ub) in enumerate(tps):
-            # STRICT <: a doc reachable only through the remaining terms whose
-            # total score exactly EQUALS the threshold can still enter the
-            # top-k on the (score desc, doc_id asc) tie-break, so it must not
-            # be pruned at approx_factor=1.0 (rank-identity contract)
-            if i > 0 and threshold > -np.inf and suffix[i] < threshold * approx_factor:
-                essential_end = i
-                break
-            pos, tfs = decode_postings(
-                p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=self.block_size
-            )
-            if self._dead_pos is not None:
-                keep = ~self._dead_pos[pos]
-                pos, tfs = pos[keep], tfs[keep]
-            n_blocks += len(p["block_last_doc"])
-            dls = self.docmap_lens[pos]
-            scores[pos] += qtf * scorer.term_scores(
-                tfs, dls, plan.term_df[term], plan.n_docs, plan.avgdl,
-                term=term, plan=plan,
-            )
-            pos_parts.append(pos)
-            # candidate set tracked incrementally (O(postings-so-far), not an
-            # O(n_docs) boolean rescan per term)
-            cand = pos_parts[0] if len(pos_parts) == 1 else np.unique(
-                np.concatenate(pos_parts)
-            )
-            if cand.size >= k:
-                part = scores[cand]
-                threshold = np.partition(part, part.size - k)[part.size - k]
-
-        cand_ids = self.docmap_ids[cand]
-        for term, qtf, p, _ub in tps[essential_end:]:
-            # block metadata and decoded postings are docmap POSITIONS —
-            # candidate matching stays in position space throughout
-            last = p["block_last_doc"]
-            bidx = np.searchsorted(last, cand)
-            bidx = bidx[bidx < last.size]
-            mask = np.zeros(last.size, dtype=bool)
-            mask[np.unique(bidx)] = True
-            pos_d, tfs = decode_postings(
-                p["doc_blob"], p["tf_blob"], last,
-                p["block_doc_offs"], p["block_tf_offs"], mask,
-                block_size=self.block_size,
-            )
-            n_blocks += int(mask.sum())
-            if pos_d.size == 0:
-                continue
-            pin = np.searchsorted(cand, pos_d)
-            valid = pin < cand.size
-            valid[valid] = cand[pin[valid]] == pos_d[valid]
-            pos_d, tfs = pos_d[valid], tfs[valid]
-            dls = self.docmap_lens[pos_d]
-            scores[pos_d] += qtf * scorer.term_scores(
-                tfs, dls, plan.term_df[term], plan.n_docs, plan.avgdl,
-                term=term, plan=plan,
-            )
-
-        docs, ssc = topk_select(scores[cand], cand_ids, k)
-        scores[cand] = 0.0  # restore the shared scratch for the next query
-        if docs.size:
-            ssc = self._rescore_exact(plan, qi, docs, scorer)
-            docs, ssc = topk_select(ssc, docs, k)
-        return docs, ssc, int(cand.size), n_blocks
-
     def _rescore_exact(self, plan: QueryPlan, qi: int, docs: np.ndarray, scorer) -> np.ndarray:
         """Re-accumulate scores for a small doc set in lexicographic term
         order (identical float op order as the cached TAAT path)."""
@@ -1584,8 +1464,8 @@ class _ShardGroup(_ShardState):
     lexicographic order and `topk_select` keeps the (score desc, doc_id asc)
     order. The and / min_should_match match counts are exact over the
     group: a live doc has one copy in one member (shadowed copies drop at
-    decode) and partitions are disjoint across workers. wand and phrase run
-    on the members (`partials`)."""
+    decode) and partitions are disjoint across workers. Phrase runs on the
+    members (`partials`)."""
 
     def __init__(self, members: list[_ShardState], block_size: int):
         self.members = members
@@ -1621,12 +1501,11 @@ class _ShardGroup(_ShardState):
     def partials(self, plan: QueryPlan, cfg: QueryConfig, with_urls: bool = True) -> list[pa.Table]:
         """The worker's partial top-k tables for `plan` — the one search
         step of one-shot tasks and session actors: one table over the whole
-        group, or one per member state for wand and phrase (they read
-        per-segment block metadata and the positional sidecar)."""
-        args = (plan, SCORERS[cfg.scorer], cfg.method, cfg.approx_factor,
-                cfg.min_should_match, cfg.phrase_slop, cfg.filter_lang, cfg.sort_by,
-                _len_bounds(cfg), with_urls)
-        if cfg.method in ("wand", "phrase"):
+        group, or one per member state for phrase (it reads each segment's
+        positional sidecar)."""
+        args = (plan, SCORERS[cfg.scorer], cfg.method, cfg.min_should_match,
+                cfg.phrase_slop, cfg.filter_lang, cfg.sort_by, _len_bounds(cfg), with_urls)
+        if cfg.method == "phrase":
             return [st.search_batch(*args) for st in self.members]
         return [self.search_batch(*args)]
 
@@ -1785,8 +1664,8 @@ def explain_rows(
 class ShardSearcher:
     """The search op of a one-shot task (pipelines/query.py): the partial
     top-k of the task's partitions, which the task loaded once — as one
-    `_ShardGroup` (one top-k per query per task), wand and phrase one top-k
-    per partition."""
+    `_ShardGroup` (one top-k per query per task), phrase one top-k per
+    partition."""
 
     def __init__(self, plan: QueryPlan, query_cfg: QueryConfig):
         self.plan = plan
@@ -2010,8 +1889,8 @@ def _shard_actor_cls():
         Its member states — one per (generation, partition) it serves — form
         one `_ShardGroup`, built once per `load`: a query batch, live df
         and url lookups are one group call each, so the actor's cost per
-        query does not grow with its generation and partition count; wand
-        and phrase run per member and the actor merges them.
+        query does not grow with its generation and partition count; phrase
+        runs per member and the actor merges it.
 
         A session call is one `search_packed` per actor: the actor counts
         the df of the terms the session has not cached over its own group,

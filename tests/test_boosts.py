@@ -103,7 +103,7 @@ class TestBoosts:
     def test_validation(self, boost_index):
         ix, queries = boost_index
         with pytest.raises(ValueError, match="boosts"):
-            search_to_table(ix, queries, QueryConfig(k=5, boosts={"a": 2.0}, method="wand"))
+            search_to_table(ix, queries, QueryConfig(k=5, boosts={"a": 2.0}, method="and"))
         with pytest.raises(ValueError, match="boosts cannot combine"):
             search_to_table(
                 ix, queries,

@@ -94,24 +94,6 @@ class TestRankIdentity:
             a.column("score").to_numpy(), b.column("score").to_numpy()
         )
 
-    def test_approx_factor_trades_recall(self, built_index):
-        """The ef_search-analog knob: approx_factor=1 is exact (recall 1.0);
-        large factors may prune real results but recall stays high and never
-        exceeds the exact result's quality."""
-        from flatnav_ray.pipelines.oracle import recall_at_k
-
-        ix, _, pages, queries = built_index
-        exact = search_to_table(ix, queries, QueryConfig(k=10, method="wand"))
-        approx = search_to_table(
-            ix, queries, QueryConfig(k=10, method="wand", approx_factor=4.0)
-        )
-        r = recall_at_k(approx, exact)
-        assert 0.8 <= r <= 1.0
-        exact2 = search_to_table(
-            ix, queries, QueryConfig(k=10, method="wand", approx_factor=1.0)
-        )
-        assert exact.equals(exact2)
-
     def test_and_conjunctive_matches_oracle(self, built_index):
         """method='and' (posting-list intersection): rank-identical to the
         conjunctive brute-force oracle over the full 1-5-term query matrix

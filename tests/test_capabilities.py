@@ -6,6 +6,9 @@ ValueError with the same message from `search_to_table`,
 task runs or any shard actor is asked for anything: the planner is the
 first step that reaches a task or an actor (df lookup, fuzzy expansion, cf
 read, the plan broadcast), so it must never be reached.
+
+method="wand" names the default scoring loop, so it serves every feature
+that maxscore serves, with the same answers.
 """
 
 import types
@@ -19,8 +22,8 @@ from flatnav_ray.pipelines.build import build_index
 from flatnav_ray.stages import search as S
 
 FEATURES = {
-    "neg": ({}, {"neg_text": ["zz"]}),
-    "must": ({}, {"must_text": ["zz"]}),
+    "neg": ({}, {"neg_text": ["the"]}),
+    "must": ({}, {"must_text": ["a"]}),
     "after": ({}, {"after_score": [1.0], "after_doc": [1]}),
     "sort_by": ({"sort_by": "doc_len"}, {}),
     "filter_lang": ({"filter_lang": "en"}, {}),
@@ -30,7 +33,6 @@ FEATURES = {
     "fuzzy": ({"fuzzy_max_edits": 1}, {}),
 }
 METHODS = {
-    "wand": {"method": "wand"},
     "and": {"method": "and"},
     "phrase": {"method": "phrase"},
     "msm": {"min_should_match": 2},
@@ -42,8 +44,9 @@ COMBOS = [
 ] + [
     # min_should_match is a floor of the default loop: no other method has it
     (f"msm+{m}", {"method": m, "min_should_match": 2}, {}, False)
-    for m in ("wand", "and", "phrase")
+    for m in ("and", "phrase")
 ] + [
+    ("unknown-method", {"method": "phrse"}, {}, False),
     ("synonyms+fuzzy", {"synonyms": {"a": ("b",)}, "fuzzy_max_edits": 1}, {}, False),
     ("synonyms+lmd", {"synonyms": {"a": ("b",)}, "scorer": "lmd"}, {}, False),
     ("phrase-on-stack", {"method": "phrase"}, {}, True),
@@ -80,10 +83,10 @@ def stacks(ray_session, small_corpus, tmp_path_factory):
     stack.shutdown()
 
 
-def _queries(cols: dict) -> pa.Table:
-    t = pa.table({"query_id": pa.array([0], pa.int64()), "text": pa.array(["a b"])})
+def _queries(cols: dict, texts=("a b",)) -> pa.Table:
+    t = pa.table({"query_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts)})
     for name, vals in cols.items():
-        t = t.append_column(name, pa.array(vals))
+        t = t.append_column(name, pa.array(vals * len(texts)))
     return t
 
 
@@ -110,3 +113,20 @@ def test_rejected_at_the_door_with_one_message(stacks, stack, combo, monkeypatch
         assert "generation stack" in msg and "compact" in msg
     else:
         assert msg == str(_refusal(stacks["search_to_table"], q, cfg))
+
+
+# (id, QueryConfig kwargs, extra query columns): every feature, and msm 2
+SERVED = [(f"wand+{f}", fkw, cols) for f, (fkw, cols) in FEATURES.items()] + [
+    ("msm+wand", {"min_should_match": 2}, {}),
+]
+
+
+@pytest.mark.parametrize("stack,combo", [
+    pytest.param(stack, combo, id=f"{combo[0]}-{stack}") for combo in SERVED for stack in STACKS
+])
+def test_wand_serves_as_maxscore(stacks, stack, combo):
+    name, kw, cols = combo
+    q = _queries(cols, ("a b", "the w000010", "w000042 a of"))
+    want = stacks[stack](q, QueryConfig(k=5, **kw))
+    assert stacks[stack](q, QueryConfig(k=5, method="wand", **kw)).equals(want), name
+    assert len(want), name

@@ -53,6 +53,8 @@ class TestExplain:
         results = search_to_table(ix, queries, cfg)
         explain = explain_to_table(ix, queries, cfg)
         _sum_matches_scores(explain, results)
+        # wand names the same scoring loop
+        assert explain_to_table(ix, queries, QueryConfig(k=10, method="wand")).equals(explain)
 
     def test_boosted_contributions_sum_to_score(self, exp_index):
         from flatnav_ray.functions.tokenize import tokenize_py
@@ -81,7 +83,7 @@ class TestExplain:
     def test_validation(self, exp_index):
         ix, queries = exp_index
         with pytest.raises(ValueError, match="explain"):
-            explain_to_table(ix, queries, QueryConfig(k=5, method="wand"))
+            explain_to_table(ix, queries, QueryConfig(k=5, method="and"))
         with pytest.raises(ValueError, match="explain"):
             explain_to_table(ix, queries, QueryConfig(k=5, fuzzy_max_edits=1))
         q_neg = queries.slice(0, 2).append_column(

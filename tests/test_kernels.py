@@ -6,12 +6,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from flatnav_ray.functions.bm25 import (
-    Bm25Scorer,
-    bm25_score_py,
-    bm25_term_scores,
-    topk_select,
-)
+from flatnav_ray.functions.bm25 import bm25_score_py, bm25_term_scores, topk_select
 from flatnav_ray.functions.extract import extract_text_bytes
 from flatnav_ray.functions.hashes import (
     doc_ids_for_urls,
@@ -108,17 +103,6 @@ class TestBm25:
         d, s = topk_select(scores, docs, 3)
         assert d.tolist() == [10, 30, 40]
         assert s.tolist() == [2.0, 2.0, 1.0]
-
-    def test_block_bound_dominates(self):
-        rng = np.random.default_rng(4)
-        tfs = rng.integers(1, 50, 128)
-        dls = rng.integers(5, 500, 128)
-        sc = Bm25Scorer()
-        actual = sc.term_scores(tfs, dls, 7, 1000, 100.0)
-        bound = sc.block_bound(
-            np.array([tfs.max()]), np.array([dls.min()]), 7, 1000, 100.0
-        )[0]
-        assert (actual <= bound + 1e-12).all()
 
 
 class TestHashes:

@@ -222,7 +222,7 @@ class TestNegation:
         ix, pages, _ = built_index
         qs, _, _ = self._neg_queries(pages)
         with pytest.raises(Exception, match="exclude terms"):
-            search_to_table(ix, qs, QueryConfig(k=10, method="wand"))
+            search_to_table(ix, qs, QueryConfig(k=10, method="and"))
 
 
 class TestInfixWildcard:
@@ -391,7 +391,7 @@ class TestFuzzy:
         ix, _, queries = built_index
         with pytest.raises(Exception, match="fuzzy"):
             search_to_table(
-                ix, queries.slice(0, 2), QueryConfig(k=5, fuzzy_max_edits=1, method="wand")
+                ix, queries.slice(0, 2), QueryConfig(k=5, fuzzy_max_edits=1, method="and")
             )
 
 

@@ -186,7 +186,7 @@ class TestSynonymGroups:
     def test_validation(self, syn_index):
         ix, docs, queries = syn_index
         with pytest.raises(ValueError, match="synonyms"):
-            search_to_table(ix, queries, QueryConfig(k=5, synonyms={"a": ("b",)}, method="wand"))
+            search_to_table(ix, queries, QueryConfig(k=5, synonyms={"a": ("b",)}, method="and"))
         with pytest.raises(ValueError, match="synonyms"):
             search_to_table(
                 ix, queries, QueryConfig(k=5, synonyms={"a": ("b",)}, fuzzy_max_edits=1)
