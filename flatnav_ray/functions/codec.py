@@ -7,7 +7,8 @@ opaque binary blobs we encode/decode ourselves, with block metadata
 (last doc id, max tf, min doc len) for block-max skipping — the grafted form
 of flatnav's candidate pruning (`Index.h:714-763`) per SURVEY.md §2.7 D3.
 Serving reads the block boundaries and offsets (selective decode); the
-per-block maxima are stored but no serving path reads them.
+per-block maxima are stored, but a serving load does not read those columns
+(`stages/search._LOAD_COLUMNS`).
 
 All encode/decode paths are vectorized numpy (no per-value Python loops): the
 role the SIMD distance kernels play in the reference

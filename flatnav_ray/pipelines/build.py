@@ -51,7 +51,7 @@ def prepare_batch(batch: pa.Table, num_partitions: int, langs: tuple[str, ...] |
         doc_id = batch.column("ext_doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         batch = batch.drop_columns(["ext_doc_id"])
     else:
-        doc_id = doc_ids_for_urls(batch.column("url").to_pylist()).astype(np.int64)
+        doc_id = doc_ids_for_urls(batch.column("url")).astype(np.int64)
     part = (doc_id % np.int64(num_partitions)).astype(np.int32)
     batch = batch.append_column("doc_id", pa.array(doc_id, type=pa.int64()))
     batch = batch.append_column("partition", pa.array(part, type=pa.int32()))

@@ -62,7 +62,7 @@ from ..config import QueryConfig
 from ..functions.bm25 import SCORERS, idf as idf_fn, topk_select
 from ..functions.codec import binary_views, decode_postings, decode_postings_rows
 from ..functions.tokenize import tokenize_py
-from .build import docmap_path, segment_path
+from .build import SEGMENT_SCHEMA, docmap_path, segment_path
 
 
 @dataclass
@@ -319,8 +319,18 @@ def _matching(pos_lists: list[np.ndarray], need: int) -> np.ndarray:
     return pos[counts >= need]
 
 
+# the segment columns a load reads: the per-block maxima (block_max_tf,
+# block_min_dl) are written but no serving path reads them
+_LOAD_COLUMNS = [c for c in SEGMENT_SCHEMA.names if c not in ("block_max_tf", "block_min_dl")]
+
+
 class _ShardState:
     """One partition's loaded segment + docmap + per-term score cache.
+
+    A load reads the segment's `_LOAD_COLUMNS` (the dictionary, df, the two
+    posting blobs and the block boundaries and offsets; not the per-block
+    maxima), only the `terms_filter` rows when one is given, and the whole
+    docmap.
 
     `dead_ids` (sorted int64) marks documents shadowed by a NEWER generation
     in stacked serving (StackedSearchSession): their postings are dropped at
@@ -335,10 +345,15 @@ class _ShardState:
         self.partition = partition
         self._terms_filter = terms_filter
         filters = [("term", "in", terms_filter)] if terms_filter is not None else None
-        t = pq.read_table(segment_path(index_dir, partition), filters=filters).combine_chunks()
-        self._terms_list = t.column("term").to_pylist()  # sorted (merge writes
-        # segment rows in sorted global-vocab order) — bisect range scans
-        self.term_row = {term: i for i, term in enumerate(self._terms_list)}
+        t = pq.read_table(segment_path(index_dir, partition), columns=_LOAD_COLUMNS,
+                          filters=filters).combine_chunks()
+        # the dictionary: an Arrow column (the wildcard scans), its str list
+        # (sorted: merge writes segment rows in global-vocab order, so
+        # bisect range scans work) and term -> row. The list comes through
+        # numpy: to_pylist builds one Arrow scalar per term, ~13x slower
+        self._terms_arr = t.column("term")
+        self._terms_list = self._terms_arr.to_numpy(zero_copy_only=False).tolist()
+        self.term_row = dict(zip(self._terms_list, range(len(self._terms_list))))
         # decode the columnar layout into flat numpy views ONCE at load — the
         # per-term hot path then does O(1) slicing, no Arrow scalar conversion
         self._df = t.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1228,10 +1243,7 @@ class _ShardState:
         term (SQL contains(s, '') semantics)."""
         import pyarrow.compute as pc
 
-        arr = getattr(self, "_terms_arr", None)
-        if arr is None:
-            arr = self._terms_arr = pa.array(self._terms_list, type=pa.string())
-        mask = pc.match_substring(arr, infix).to_numpy(zero_copy_only=False)
+        mask = pc.match_substring(self._terms_arr, infix).to_numpy(zero_copy_only=False)
         return self._postings_union_count(np.nonzero(mask)[0])
 
     def prefix_terms(self, prefix: str) -> tuple[list[str], np.ndarray]:
@@ -1263,10 +1275,7 @@ class _ShardState:
         same unanchored-RE2 semantics."""
         import pyarrow.compute as pc
 
-        arr = getattr(self, "_terms_arr", None)
-        if arr is None:
-            arr = self._terms_arr = pa.array(self._terms_list, type=pa.string())
-        mask = pc.match_substring_regex(arr, pattern).to_numpy(zero_copy_only=False)
+        mask = pc.match_substring_regex(self._terms_arr, pattern).to_numpy(zero_copy_only=False)
         return self._postings_union_count(np.nonzero(mask)[0])
 
     def _postings_union_count(self, term_indices) -> int:
@@ -1297,7 +1306,8 @@ class _ShardState:
             else None
         )
         t = pq.read_table(p, filters=filters).combine_chunks()
-        self._pos_row = {term: i for i, term in enumerate(t.column("term").to_pylist())}
+        terms = t.column("term").to_numpy(zero_copy_only=False).tolist()
+        self._pos_row = dict(zip(terms, range(len(terms))))
 
         def _lv(col):
             arr = col.chunk(0) if isinstance(col, pa.ChunkedArray) else col

@@ -299,9 +299,10 @@ def build_term_index(
         .sum("n")
         .iter_batches(batch_format="pyarrow")
     )
-    counts = dict(
-        zip(df_tbl.column("term").to_pylist(), df_tbl.column("sum(n)").to_pylist())
-    )
+    counts = dict(zip(
+        df_tbl.column("term").to_numpy(zero_copy_only=False).tolist(),
+        df_tbl.column("sum(n)").to_numpy().tolist(),
+    ))
     heavy = {
         t: int(np.ceil(c / salt_threshold)) for t, c in counts.items() if c > salt_threshold
     }
@@ -442,7 +443,8 @@ class _TermShardState:
             self._bl_off = np.zeros(1, dtype=np.int64)
             self._bl_vals = np.empty(0, dtype=np.int64)
         else:
-            self.term_row = {t: i for i, t in enumerate(tbl.column("term").to_pylist())}
+            terms = tbl.column("term").to_numpy(zero_copy_only=False).tolist()
+            self.term_row = dict(zip(terms, range(len(terms))))
             self._df = tbl.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
             self._v_doc = _bin_row_views(tbl.column("doc_blob"))
             self._v_tf = _bin_row_views(tbl.column("tf_blob"))

@@ -42,4 +42,6 @@ def lookup_term_df(index_dir: str, terms: list[str]) -> dict[str, int]:
         return {}
     ds = pads.dataset(term_stats_dir(index_dir), format="parquet")
     t = ds.to_table(filter=pads.field("term").isin(terms))
-    return dict(zip(t.column("term").to_pylist(), t.column("df").to_pylist()))
+    return dict(zip(
+        t.column("term").to_numpy(zero_copy_only=False).tolist(), t.column("df").to_numpy().tolist()
+    ))

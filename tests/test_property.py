@@ -9,7 +9,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatnav_ray.functions.bm25 import topk_select
+from flatnav_ray.functions.bm25 import K1_DEFAULT, bm25_term_scores, idf, topk_select
 from flatnav_ray.functions.codec import (
     binary_views,
     decode_postings,
@@ -20,7 +20,7 @@ from flatnav_ray.functions.codec import (
     encode_varint,
 )
 from flatnav_ray.functions.hashes import hash64_str, splitmix64, stable_hash64
-from flatnav_ray.functions.tokenize import explode_tokens, tokenize_py
+from flatnav_ray.functions.tokenize import explode_tokens, term_frequencies_encoded, tokenize_py
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,3 +260,63 @@ def test_char_pair_counts_match_python(texts):
             for i in range(len(w) - 1):
                 want[w[i : i + 2]] += 1
     assert got == dict(want)
+
+
+I32_MAX = 2**31 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, I32_MAX),
+    st.integers(0, I32_MAX),
+    st.floats(min_value=1.0, max_value=I32_MAX),
+    st.integers(1, I32_MAX),
+    st.data(),
+)
+def test_bm25_tf_saturation(tf, doc_len, avgdl, n_docs, data):
+    """At a fixed doc length the BM25 term score is finite, positive,
+    non-decreasing in tf and strictly below its saturation ceiling
+    idf * (k1 + 1), for tf and doc_len up to the int32 columns' maximum.
+    Near-neighbour tfs: k1 * (1 - b) = 0.3 bounds the tf-independent part
+    of the denominator from below, so the true step between tf and tf + 1
+    is above float64 rounding (a few ulps of the score) only while
+    tf < ~2**24; above that, rounding may order neighbours the wrong way
+    (measured from tf ~ 36.4M on: by up to 3 ulps), so there the check
+    allows 8 ulps."""
+    df = data.draw(st.integers(1, n_docs))
+    tfs = np.unique(np.asarray(
+        [max(1, tf - j) for j in range(8)]
+        + data.draw(st.lists(st.integers(1, I32_MAX), max_size=8)),
+        dtype=np.int64,
+    ))
+    s = bm25_term_scores(tfs, np.full(tfs.size, doc_len, np.int64), df, n_docs, avgdl)
+    w = idf(df, n_docs)
+    assert np.isfinite(s).all() and (s > 0).all()
+    assert (s < w * (K1_DEFAULT + 1.0)).all()
+    step = np.diff(s)
+    exact = tfs[1:] < 2**24
+    assert (step[exact] >= 0).all()
+    assert (step[~exact] >= -8 * np.spacing(s[1:][~exact])).all()
+
+
+_BLANK = st.text(alphabet=" \t\n.,;:!?-()'\"/_#@", max_size=12)
+_WORDS = st.text(alphabet="abcxyz019 .,", max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(""), _BLANK, _WORDS, st.text(max_size=40)), max_size=20))
+def test_term_frequencies_skip_empty_docs(texts):
+    """Empty and whitespace/punctuation-only texts give no postings in a
+    batch that mixes them with normal texts; every other row's (term, tf)
+    equals the scalar tokenizer's counts."""
+    from collections import Counter
+
+    codes, rows, tfs, dictionary = term_frequencies_encoded(pa.array(texts, type=pa.string()))
+    terms = dictionary.to_pylist()
+    got: dict[int, dict[str, int]] = {}
+    for c, r, f in zip(codes.tolist(), rows.tolist(), tfs.tolist()):
+        assert terms[c] not in got.setdefault(r, {})
+        got[r][terms[c]] = f
+    want = {i: dict(Counter(tokenize_py(t))) for i, t in enumerate(texts)}
+    assert not {i for i, c in want.items() if not c} & set(got)
+    assert got == {i: c for i, c in want.items() if c}
