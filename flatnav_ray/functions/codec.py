@@ -1,14 +1,16 @@
-"""Posting-list codec: delta + varint in 128-doc blocks with per-block maxima.
+"""Posting-list codec: delta + varint in 128-doc blocks.
 
 The analog of the reference's packed node-record layout
 (/root/reference/include/flatnav/index/Index.h:61-63, 555-573: hand-packed
 `[data | M links | label]` byte records addressed by offset): posting lists are
-opaque binary blobs we encode/decode ourselves, with block metadata
-(last doc id, max tf, min doc len) for block-max skipping — the grafted form
-of flatnav's candidate pruning (`Index.h:714-763`) per SURVEY.md §2.7 D3.
-Serving reads the block boundaries and offsets (selective decode); the
-per-block maxima are stored, but a serving load does not read those columns
-(`stages/search._LOAD_COLUMNS`).
+opaque binary blobs we encode/decode ourselves. A list is fully described by
+its df and its two blobs: every block holds `block_size` postings but the
+list's last, and each block's first doc delta is absolute, so the block
+boundaries follow from df alone. Serving reads only `term`, `df`, `doc_blob`
+and `tf_blob` (`stages/build.POSTING_COLUMNS`). The encoders still write each
+block's last doc id and byte offsets (`block_last_doc`, `block_doc_offs`,
+`block_tf_offs`) so that older readers keep opening new indexes; no reader
+here uses them.
 
 All encode/decode paths are vectorized numpy (no per-value Python loops): the
 role the SIMD distance kernels play in the reference
@@ -19,8 +21,7 @@ overhead, not bytes, sets the decode cost: `decode_postings_rows` decodes any su
 segment's rows in one pass (one gather per blob column, one varint decode per
 stream, one cumsum rebased per block). Serving decodes every uncached term of
 a call through it and compaction decodes whole segments through it
-(`decode_segment_postings`). `decode_postings` decodes one list, or only its
-selected blocks (block-max skipping) with the same gather and rebase.
+(`decode_segment_postings`). `decode_postings` decodes one list.
 """
 
 from __future__ import annotations
@@ -138,8 +139,6 @@ class EncodedPostings:
     doc_blob: bytes            # delta+varint doc ids; block-start deltas are absolute
     tf_blob: bytes             # varint term frequencies, same order
     block_last_doc: np.ndarray  # int64 (n_blocks,) last doc id per block
-    block_max_tf: np.ndarray    # int32 (n_blocks,)
-    block_min_dl: np.ndarray    # int32 (n_blocks,) min doc length per block
     block_doc_offs: np.ndarray  # int32 (n_blocks,) byte offset of block start in doc_blob
     block_tf_offs: np.ndarray   # int32 (n_blocks,) byte offset of block start in tf_blob
 
@@ -147,17 +146,15 @@ class EncodedPostings:
 def encode_postings(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
-    doc_lens: np.ndarray,
     block_size: int = BLOCK_SIZE,
 ) -> EncodedPostings:
     """Encode a sorted (by doc_id) posting list into delta+varint blocks.
 
-    Each block's first delta is absolute (delta from 0) so blocks decode
-    independently — required for block-max skipping.
+    Each block's first delta is absolute (delta from 0), so the list decodes
+    as one cumsum rebased per block (`_block_cumsum`).
     """
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
     tfs = np.ascontiguousarray(tfs, dtype=np.int64)
-    doc_lens = np.ascontiguousarray(doc_lens, dtype=np.int64)
     n = doc_ids.size
     assert n > 0
     deltas = np.empty(n, dtype=np.uint64)
@@ -166,7 +163,6 @@ def encode_postings(
     block_starts = np.arange(0, n, block_size, dtype=np.int64)
     # block-start deltas absolute for independent decode
     deltas[block_starts] = doc_ids[block_starts].astype(np.uint64)
-    nb = block_starts.size
     block_ends = np.minimum(block_starts + block_size, n)
 
     # per-value byte length to derive per-block byte offsets
@@ -185,26 +181,27 @@ def encode_postings(
     doc_blob, doc_offs = _byte_offs(deltas)
     tf_blob, tf_offs = _byte_offs(tfs.astype(np.uint64))
 
-    max_tf = np.maximum.reduceat(tfs, block_starts).astype(np.int32)
-    min_dl = np.minimum.reduceat(doc_lens, block_starts).astype(np.int32)
     last_doc = doc_ids[block_ends - 1].astype(np.int64)
     return EncodedPostings(
         df=n,
         doc_blob=doc_blob,
         tf_blob=tf_blob,
         block_last_doc=last_doc,
-        block_max_tf=max_tf,
-        block_min_dl=min_dl,
         block_doc_offs=doc_offs.astype(np.int32),
         block_tf_offs=tf_offs.astype(np.int32),
     )
+
+
+def _check_blob_size(value_lens: np.ndarray) -> None:
+    """Segment blobs are Arrow binary columns with int32 offsets."""
+    if int(value_lens.sum(dtype=np.int64)) >= 2**31:
+        raise ValueError("partition blob exceeds 2GB — lower docs per partition")
 
 
 def encode_segment_table(
     p_terms: np.ndarray,
     p_docs: np.ndarray,
     p_tfs: np.ndarray,
-    p_dls: np.ndarray,
     block_size: int = BLOCK_SIZE,
 ):
     """Vectorized whole-partition segment encode: postings sorted by
@@ -247,16 +244,12 @@ def encode_segment_table(
     deltas[block_starts] = p_docs[block_starts].astype(ddt)
 
     doc_blob_all, doc_lens_b = encode_varint_with_lens(deltas)
-    assert int(doc_lens_b.sum(dtype=np.int64)) < 2**31, (
-        "partition blob exceeds 2GB — lower docs per partition"
-    )
+    _check_blob_size(doc_lens_b)
     doc_off = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(doc_lens_b, out=doc_off[1:])
 
     tf_blob_all, tf_lens_b = encode_varint_with_lens(p_tfs)
-    assert int(tf_lens_b.sum(dtype=np.int64)) < 2**31, (
-        "partition blob exceeds 2GB — lower docs per partition"
-    )
+    _check_blob_size(tf_lens_b)
     tf_off = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(tf_lens_b, out=tf_off[1:])
 
@@ -271,10 +264,9 @@ def encode_segment_table(
     doc_blob_arr = _bin_from_offsets(doc_blob_all, doc_off)
     tf_blob_arr = _bin_from_offsets(tf_blob_all, tf_off)
 
-    # per-block metadata (vectorized reduceat over global block starts)
+    # per-block last doc id and byte offsets: written so older readers can
+    # open the segment; no reader here uses them
     bl_last = p_docs[block_ends - 1].astype(np.int64)
-    bl_maxtf = np.maximum.reduceat(p_tfs, block_starts).astype(np.int32)
-    bl_mindl = np.minimum.reduceat(p_dls, block_starts).astype(np.int32)
     bl_doffs = (doc_off[block_starts] - doc_off[tb][term_of_block]).astype(np.int32)
     bl_toffs = (tf_off[block_starts] - tf_off[tb][term_of_block]).astype(np.int32)
 
@@ -289,8 +281,6 @@ def encode_segment_table(
         "doc_blob": doc_blob_arr,
         "tf_blob": tf_blob_arr,
         "block_last_doc": _list_arr(bl_last, pa.int64()),
-        "block_max_tf": _list_arr(bl_maxtf, pa.int32()),
-        "block_min_dl": _list_arr(bl_mindl, pa.int32()),
         "block_doc_offs": _list_arr(bl_doffs, pa.int32()),
         "block_tf_offs": _list_arr(bl_toffs, pa.int32()),
     }, tb, te
@@ -393,10 +383,15 @@ def decode_postings_rows(
     n = deltas.size
     if dfs.size == 1:
         row_of = np.zeros(n, dtype=np.int64)
-        assert int(dfs[0]) == n == tfs.size, "blob/df mismatch"
+        want = int(dfs[0])
     else:
         row_of = np.repeat(np.arange(dfs.size, dtype=np.int64), dfs)
-        assert row_of.size == n == tfs.size, "blob/df mismatch"
+        want = row_of.size
+    if not want == n == tfs.size:
+        raise ValueError(
+            f"blob/df mismatch: df sums to {want}, doc_blob holds {n} postings, "
+            f"tf_blob {tfs.size}"
+        )
     if n == 0:
         return row_of, row_of, row_of
     return row_of, _block_cumsum(deltas, dfs, block_size), tfs.astype(np.int64)
@@ -419,32 +414,9 @@ def decode_segment_postings(
 def decode_postings(
     doc_blob: bytes,
     tf_blob: bytes,
-    block_last_doc: np.ndarray,
-    block_doc_offs: np.ndarray | None = None,
-    block_tf_offs: np.ndarray | None = None,
-    block_mask: np.ndarray | None = None,
     block_size: int = BLOCK_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode (optionally a subset of blocks of) a posting list.
-
-    Returns (doc_ids int64, tfs int64). With `block_mask` (bool per block),
-    only selected blocks' byte ranges are decoded — block-max skipping.
-    """
-    if block_mask is not None and not block_mask.all():
-        assert block_doc_offs is not None and block_tf_offs is not None
-        sel = np.flatnonzero(block_mask)
-        if sel.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        doc_b, tf_b = _as_bytes(doc_blob), _as_bytes(tf_blob)
-        deltas = decode_varint(_gather_rows(doc_b, np.append(block_doc_offs, doc_b.size), sel))
-        tfs = decode_varint(_gather_rows(tf_b, np.append(block_tf_offs, tf_b.size), sel))
-        # every block holds block_size postings except a list's last one;
-        # the selected blocks decode as one-block lists laid end to end
-        lens = np.full(sel.size, block_size, dtype=np.int64)
-        if sel[-1] == len(block_last_doc) - 1:
-            lens[-1] = deltas.size - (sel.size - 1) * block_size
-        return _block_cumsum(deltas, lens, block_size), tfs.astype(np.int64)
-
+    """Decode one posting list. Returns (doc_ids int64, tfs int64)."""
     deltas = decode_varint(doc_blob)
     doc_ids = _block_cumsum(deltas, np.array([deltas.size]), block_size)
     return doc_ids, decode_varint(tf_blob).astype(np.int64)

@@ -1997,7 +1997,6 @@ def term_vectors_sample(sf_dir: str, modulus: int = 20, residue: int = 3) -> pa.
                 pos, tf = decode_postings(
                     t.column("doc_blob")[i].as_py(),
                     t.column("tf_blob")[i].as_py(),
-                    np.asarray(t.column("block_last_doc")[i].as_py(), dtype=np.int64),
                     block_size=block_size,
                 )
                 hit = sampled[pos]

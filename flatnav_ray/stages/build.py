@@ -40,12 +40,15 @@ SEGMENT_SCHEMA = pa.schema(
         ("doc_blob", pa.binary()),
         ("tf_blob", pa.binary()),
         ("block_last_doc", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int32())),
-        ("block_min_dl", pa.list_(pa.int32())),
         ("block_doc_offs", pa.list_(pa.int32())),
         ("block_tf_offs", pa.list_(pa.int32())),
     ]
 )
+
+# the segment columns every reader reads: a posting list is its df and its
+# two blobs (its block boundaries follow from df). The three block lists are
+# written only so that older readers keep opening new segments
+POSTING_COLUMNS = ["term", "df", "doc_blob", "tf_blob"]
 
 DOCMAP_SCHEMA = pa.schema(
     [
@@ -160,14 +163,13 @@ def build_partition(
     pos = np.searchsorted(doc_ids, p_docs)
     doc_lens = np.zeros(doc_ids.size, dtype=np.int64)
     np.add.at(doc_lens, pos, p_tfs)
-    p_dls = doc_lens[pos]
 
     hasher = hashlib.blake2b(digest_size=16)
     if len(p_terms):
         # posting blobs store partition-local docmap positions, not raw ids
         # (small deltas -> 1-2 byte varints; see twophase._merge_finalize)
         cols, tb, _te = encode_segment_table(
-            p_terms, pos, p_tfs, p_dls, block_size=cfg.block_size
+            p_terms, pos, p_tfs, block_size=cfg.block_size
         )
         terms_arr = pa.array(p_terms[tb], type=pa.string())
         hasher.update(cols["doc_blob"].buffers()[2])  # shared values buffer
@@ -178,8 +180,6 @@ def build_partition(
                 cols["doc_blob"],
                 cols["tf_blob"],
                 cols["block_last_doc"],
-                cols["block_max_tf"],
-                cols["block_min_dl"],
                 cols["block_doc_offs"],
                 cols["block_tf_offs"],
             ],

@@ -25,6 +25,7 @@ from ..state.manifest import PartitionManifest, write_manifest
 from ..state.stats import load_stats, save_stats
 from .build import (
     DOCMAP_SCHEMA,
+    POSTING_COLUMNS,
     SEGMENT_SCHEMA,
     _atomic_write_parquet,
     _clamp_worker_threads,
@@ -59,7 +60,7 @@ def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConf
             epos[epos == excl.size] = excl.size - 1
             dm = dm.filter(pa.array(excl[epos] != src_ids))
         dm_parts.append((si, dm))
-        seg = pq.read_table(segment_path(src, partition))
+        seg = pq.read_table(segment_path(src, partition), columns=POSTING_COLUMNS)
         # bulk-decode the whole segment (no per-term Python); blobs hold
         # docmap positions — resolve to real ids through the source's docmap
         trow, pos, tf = decode_segment_postings(
@@ -124,22 +125,18 @@ def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConf
         m_codes = np.concatenate(codes_parts)
         m_pos = np.concatenate(pos_parts)
         m_tfs = np.concatenate(tfs_parts)
-        m_dls = win_len[m_pos]
         # positions ascend with doc ids within a partition, so (code, pos)
         # sorts identically to the old (term string, doc id) lexsort
         srt = np.lexsort((m_pos, m_codes))
-        m_codes, m_pos, m_tfs, m_dls = m_codes[srt], m_pos[srt], m_tfs[srt], m_dls[srt]
+        m_codes, m_pos, m_tfs = m_codes[srt], m_pos[srt], m_tfs[srt]
         # encode docmap POSITIONS in the merged index (same format as build)
-        cols, tb, _ = encode_segment_table(
-            m_codes, m_pos, m_tfs, m_dls, block_size=cfg.block_size
-        )
+        cols, tb, _ = encode_segment_table(m_codes, m_pos, m_tfs, block_size=cfg.block_size)
         hasher.update(cols["doc_blob"].buffers()[2])
         segment = pa.table(
             [
                 vocab.take(pa.array(m_codes[tb].astype(np.int64))),
                 cols["df"], cols["doc_blob"], cols["tf_blob"],
-                cols["block_last_doc"], cols["block_max_tf"], cols["block_min_dl"],
-                cols["block_doc_offs"], cols["block_tf_offs"],
+                cols["block_last_doc"], cols["block_doc_offs"], cols["block_tf_offs"],
             ],
             schema=SEGMENT_SCHEMA,
         )
@@ -216,19 +213,20 @@ def merge_indexes(src_dirs: list[str], out_dir: str, cfg: IndexConfig | None = N
         num_partitions=int(stats0["num_partitions"]),
         block_size=int(stats0["block_size"]),
     )
+    # decode_segment_postings reconstructs block-absolute positions from
+    # cfg.block_size — a source built with a different block_size would
+    # silently corrupt postings in the merge. Scorer params must match too
+    # (they are part of the serving stats the merged index inherits).
     for s in src_dirs[1:]:
         st = load_stats(s)
-        assert int(st["num_partitions"]) == cfg.num_partitions, "partition counts must match"
-        assert st["analyzer"] == stats0["analyzer"], "analyzer mismatch"
-        # decode_segment_postings reconstructs block-absolute positions from
-        # cfg.block_size — a source built with a different block_size would
-        # silently corrupt postings in the merge. Scorer params must match
-        # too (they are part of the serving stats the merged index inherits).
-        assert int(st["block_size"]) == cfg.block_size, "block_size mismatch"
-        assert st["scorer"] == stats0["scorer"], "scorer mismatch"
-        assert float(st["k1"]) == float(stats0["k1"]), "k1 mismatch"
-        assert float(st["b"]) == float(stats0["b"]), "b mismatch"
-    assert int(stats0["block_size"]) == cfg.block_size, "block_size mismatch"
+        if int(st["num_partitions"]) != cfg.num_partitions:
+            raise ValueError("partition counts must match")
+        for key, cast in (("analyzer", str), ("block_size", int), ("scorer", str),
+                          ("k1", float), ("b", float)):
+            if cast(st[key]) != cast(stats0[key]):
+                raise ValueError(f"{key} mismatch")
+    if int(stats0["block_size"]) != cfg.block_size:
+        raise ValueError("block_size mismatch")
     os.makedirs(out_dir, exist_ok=True)
     # DRAM-bound like the build merge (see twophase.MERGE_NUM_CPUS)
     merge_cpus = max(1, min(MERGE_NUM_CPUS, int(ray.cluster_resources().get("CPU", 1))))

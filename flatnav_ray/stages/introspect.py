@@ -43,7 +43,6 @@ def canonical_postings(index_dir: str, block_size: int = 128) -> pa.Table:
             p, tf = decode_postings(
                 t.column("doc_blob")[i].as_py(),
                 t.column("tf_blob")[i].as_py(),
-                np.asarray(t.column("block_last_doc")[i].as_py(), dtype=np.int64),
                 block_size=block_size,
             )
             term = t.column("term")[i].as_py()

@@ -60,9 +60,10 @@ import pyarrow.parquet as pq
 
 from ..config import QueryConfig
 from ..functions.bm25 import SCORERS, idf as idf_fn, topk_select
-from ..functions.codec import binary_views, decode_postings, decode_postings_rows
+from ..functions.codec import binary_views, decode_postings_rows
+from ..functions.codec import decode_postings  # noqa: F401  perfbench/tracing.py traces it here
 from ..functions.tokenize import tokenize_py
-from .build import SEGMENT_SCHEMA, docmap_path, segment_path
+from .build import POSTING_COLUMNS, docmap_path, segment_path
 
 
 @dataclass
@@ -319,18 +320,13 @@ def _matching(pos_lists: list[np.ndarray], need: int) -> np.ndarray:
     return pos[counts >= need]
 
 
-# the segment columns a load reads: the per-block maxima (block_max_tf,
-# block_min_dl) are written but no serving path reads them
-_LOAD_COLUMNS = [c for c in SEGMENT_SCHEMA.names if c not in ("block_max_tf", "block_min_dl")]
-
-
 class _ShardState:
     """One partition's loaded segment + docmap + per-term score cache.
 
-    A load reads the segment's `_LOAD_COLUMNS` (the dictionary, df, the two
-    posting blobs and the block boundaries and offsets; not the per-block
-    maxima), only the `terms_filter` rows when one is given, and the whole
-    docmap.
+    A load reads the segment's `POSTING_COLUMNS` (the dictionary, df and
+    the two posting blobs), only the `terms_filter` rows when one is given, and
+    the whole docmap. A row's block count follows from its df (every block
+    but a list's last holds `block_size` postings).
 
     `dead_ids` (sorted int64) marks documents shadowed by a NEWER generation
     in stacked serving (StackedSearchSession): their postings are dropped at
@@ -345,7 +341,7 @@ class _ShardState:
         self.partition = partition
         self._terms_filter = terms_filter
         filters = [("term", "in", terms_filter)] if terms_filter is not None else None
-        t = pq.read_table(segment_path(index_dir, partition), columns=_LOAD_COLUMNS,
+        t = pq.read_table(segment_path(index_dir, partition), columns=POSTING_COLUMNS,
                           filters=filters).combine_chunks()
         # the dictionary: an Arrow column (the wildcard scans), its str list
         # (sorted: merge writes segment rows in global-vocab order, so
@@ -359,18 +355,11 @@ class _ShardState:
         self._df = t.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         self._doc_offs, self._doc_vals = binary_views(t.column("doc_blob"))
         self._tf_offs, self._tf_vals = binary_views(t.column("tf_blob"))
-
-        def _list_views(col, dtype):
-            arr = col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
-            return (
-                np.asarray(arr.offsets),
-                np.asarray(arr.values).astype(dtype),
-            )
-
-        self._bl_off, self._bl_last = _list_views(t.column("block_last_doc"), np.int64)
-        self._n_blocks = np.diff(self._bl_off).tolist()  # per row, for the hot path
-        _, self._bl_doffs = _list_views(t.column("block_doc_offs"), np.int32)
-        _, self._bl_toffs = _list_views(t.column("block_tf_offs"), np.int32)
+        # per row, ceil(df / block_size): the blocks_decoded counter's unit.
+        # _bl_off lays them out as offsets (perfbench's shard counter reads it)
+        n_blocks = -(-self._df // block_size)
+        self._n_blocks = n_blocks.tolist()
+        self._bl_off = np.concatenate(([0], np.cumsum(n_blocks)))
 
         dm = pq.read_table(docmap_path(index_dir, partition))
         self.docmap_ids = dm.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -460,20 +449,6 @@ class _ShardState:
             return np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=np.int64)
         j = np.minimum(np.searchsorted(sid, ids), sid.size - 1)
         return sid[j] == ids, (j if order is None else order[j])
-
-    def _postings_row(self, term: str):
-        i = self.term_row.get(term)
-        if i is None:
-            return None
-        s, e = self._bl_off[i], self._bl_off[i + 1]
-        return {
-            "df": int(self._df[i]),
-            "doc_blob": self._doc_vals[self._doc_offs[i]: self._doc_offs[i + 1]],
-            "tf_blob": self._tf_vals[self._tf_offs[i]: self._tf_offs[i + 1]],
-            "block_last_doc": self._bl_last[s:e],
-            "block_doc_offs": self._bl_doffs[s:e],
-            "block_tf_offs": self._bl_toffs[s:e],
-        }
 
     def _sync_stats(self, plan: QueryPlan, scorer) -> None:
         """Empty the score caches when the corpus stats or the scorer change."""
@@ -1406,37 +1381,23 @@ class _ShardState:
         return docs, ssc, int(keep.size), n_blocks
 
     def _rescore_exact(self, plan: QueryPlan, qi: int, docs: np.ndarray, scorer) -> np.ndarray:
-        """Re-accumulate scores for a small doc set in lexicographic term
-        order (identical float op order as the cached TAAT path)."""
+        """Re-accumulate scores for a small doc set from the terms' cached
+        contributions, in lexicographic term order (the search's own
+        addends in its own float op order)."""
         out = np.zeros(docs.size, dtype=np.float64)
         # docs are real ids (the result surface); work in position space
         dpos = np.searchsorted(self.docmap_ids, docs)
         for term, qtf in plan.query_terms[qi]:
             if plan.term_idf.get(term, 0.0) <= 0.0:
                 continue
-            p = self._postings_row(term)
-            if p is None:
+            hit = self.term_contrib(term, plan, scorer)
+            if hit is None:
                 continue
-            last = p["block_last_doc"]
-            bidx = np.searchsorted(last, dpos)
-            bidx = bidx[bidx < last.size]
-            mask = np.zeros(last.size, dtype=bool)
-            mask[np.unique(bidx)] = True
-            pos_d, tfs = decode_postings(
-                p["doc_blob"], p["tf_blob"], last,
-                p["block_doc_offs"], p["block_tf_offs"], mask,
-                block_size=self.block_size,
-            )
-            if pos_d.size == 0:
-                continue
-            pin = np.searchsorted(pos_d, dpos)
-            valid = pin < pos_d.size
-            valid[valid] = pos_d[pin[valid]] == dpos[valid]
-            dls = self.docmap_lens[dpos[valid]]
-            out[valid] += qtf * scorer.term_scores(
-                tfs[pin[valid]], dls, plan.term_df[term], plan.n_docs, plan.avgdl,
-                term=term, plan=plan,
-            )
+            pos, contrib = hit[0], hit[1]
+            pin = np.searchsorted(pos, dpos)
+            valid = pin < pos.size
+            valid[valid] = pos[pin[valid]] == dpos[valid]
+            out[valid] += qtf * contrib[pin[valid]]
         return out
 
 
@@ -1581,12 +1542,13 @@ def score_docs_rows(
     scorer_name: str, qids: np.ndarray, docs: np.ndarray,
 ) -> pa.Table:
     """Exact full-query scores for given (query, doc) pairs in ONE partition
-    — the second pass of the rescore pipeline (pipelines/query.rescore_topk):
-    per query, `_rescore_exact` re-accumulates the doc set in lexicographic
-    term order, so the secondary score is bit-identical to what a full
-    search under that scorer would produce. O(pairs), never the corpus.
-    Docs must belong to this partition (doc_id % P routing — the hash
-    docid_strategy invariant)."""
+    — the second pass of the rescore pipeline (pipelines/query.rescore_topk).
+    It decodes the same rows the first pass decoded (the plan's terms, whole
+    posting lists) and scores them once through `term_contrib`; per query,
+    `_rescore_exact` sums the docs' contributions in lexicographic term
+    order, so the secondary score is bit-identical to what a full search
+    under that scorer would produce. Docs must belong to this partition
+    (doc_id % P routing — the hash docid_strategy invariant)."""
     st = _ShardState(index_dir, partition, block_size, sorted(plan.term_idf.keys()))
     scorer = SCORERS[scorer_name]
     qi_of = {int(q): i for i, q in enumerate(plan.query_ids)}
@@ -2383,7 +2345,8 @@ class StackedSearchSession(SearchSession):
                  tombstones: list | None = None):
         from ..state.stats import load_stats
 
-        assert index_dirs, "empty generation stack"
+        if not index_dirs:
+            raise ValueError("empty generation stack")
         self.index_dir = index_dirs[-1]  # newest generation
         self.index_dirs = list(index_dirs)
         # per-generation deleted doc_ids (oldest-first, aligned with
@@ -2397,9 +2360,8 @@ class StackedSearchSession(SearchSession):
         self.stats = dict(all_stats[-1])
         for st in all_stats:  # same config contract as compact.merge_indexes
             for key in ("num_partitions", "block_size", "analyzer", "scorer", "k1", "b"):
-                assert st[key] == self.stats[key], (
-                    f"generation stack config mismatch on {key}"
-                )
+                if st[key] != self.stats[key]:
+                    raise ValueError(f"generation stack config mismatch on {key}")
         parts = sorted({int(p) for st in all_stats for p in st["partitions"]})
         self._n_docs, sum_dl = self._open(
             parts, num_actors,

@@ -39,7 +39,13 @@ from ..functions.hashes import splitmix64
 from ..functions.tokenize import term_frequencies
 from ..state.manifest import PartitionManifest, write_manifest
 from ..state.stats import load_stats, save_stats
-from .build import DOCMAP_SCHEMA, dedup_latest, docmap_path, _atomic_write_parquet
+from .build import (
+    DOCMAP_SCHEMA,
+    POSTING_COLUMNS,
+    _atomic_write_parquet,
+    dedup_latest,
+    docmap_path,
+)
 
 TERM_SEGMENT_SCHEMA = pa.schema(
     [
@@ -49,8 +55,6 @@ TERM_SEGMENT_SCHEMA = pa.schema(
         ("tf_blob", pa.binary()),
         ("dl_blob", pa.binary()),
         ("block_last_doc", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int32())),
-        ("block_min_dl", pa.list_(pa.int32())),
         ("block_doc_offs", pa.list_(pa.int32())),
         ("block_tf_offs", pa.list_(pa.int32())),
     ]
@@ -204,7 +208,7 @@ def _merge_term(group: pa.Table, block_size: int) -> pa.Table:
         order = np.argsort(docs, kind="mergesort")  # k-way merge of sorted runs
         docs, tfs, dls = docs[order], tfs[order], dls[order]
         term_arr = np.full(docs.size, terms[s], dtype=object)
-        cols, tb, _ = encode_segment_table(term_arr, docs, tfs, dls, block_size=block_size)
+        cols, tb, _ = encode_segment_table(term_arr, docs, tfs, block_size=block_size)
         # dl varint blob (term layout stores doc lengths inline)
         from ..functions.codec import encode_varint
 
@@ -214,8 +218,6 @@ def _merge_term(group: pa.Table, block_size: int) -> pa.Table:
         rows["tf_blob"].append(cols["tf_blob"][0].as_py())
         rows["dl_blob"].append(encode_varint(dls.astype(np.uint64)))
         rows["block_last_doc"].append(cols["block_last_doc"][0].as_py())
-        rows["block_max_tf"].append(cols["block_max_tf"][0].as_py())
-        rows["block_min_dl"].append(cols["block_min_dl"][0].as_py())
         rows["block_doc_offs"].append(cols["block_doc_offs"][0].as_py())
         rows["block_tf_offs"].append(cols["block_tf_offs"][0].as_py())
     return pa.table(
@@ -226,8 +228,6 @@ def _merge_term(group: pa.Table, block_size: int) -> pa.Table:
             pa.array(rows["tf_blob"], type=pa.binary()),
             pa.array(rows["dl_blob"], type=pa.binary()),
             pa.array(rows["block_last_doc"], type=pa.list_(pa.int64())),
-            pa.array(rows["block_max_tf"], type=pa.list_(pa.int32())),
-            pa.array(rows["block_min_dl"], type=pa.list_(pa.int32())),
             pa.array(rows["block_doc_offs"], type=pa.list_(pa.int32())),
             pa.array(rows["block_tf_offs"], type=pa.list_(pa.int32())),
         ],
@@ -400,7 +400,6 @@ def canonical_term_postings(index_dir: str, block_size: int = 128) -> pa.Table:
             d, tf = decode_postings(
                 t.column("doc_blob")[i].as_py(),
                 t.column("tf_blob")[i].as_py(),
-                np.asarray(t.column("block_last_doc")[i].as_py(), dtype=np.int64),
                 block_size=block_size,
             )
             terms.extend([t.column("term")[i].as_py()] * d.size)
@@ -440,8 +439,6 @@ class _TermShardState:
             self.term_row = {}
             self._df = np.empty(0, dtype=np.int64)
             self._v_doc = self._v_tf = self._v_dl = []
-            self._bl_off = np.zeros(1, dtype=np.int64)
-            self._bl_vals = np.empty(0, dtype=np.int64)
         else:
             terms = tbl.column("term").to_numpy(zero_copy_only=False).tolist()
             self.term_row = dict(zip(terms, range(len(terms))))
@@ -449,10 +446,6 @@ class _TermShardState:
             self._v_doc = _bin_row_views(tbl.column("doc_blob"))
             self._v_tf = _bin_row_views(tbl.column("tf_blob"))
             self._v_dl = _bin_row_views(tbl.column("dl_blob"))
-            bl = tbl.column("block_last_doc")
-            bl = bl.chunk(0) if isinstance(bl, pa.ChunkedArray) else bl
-            self._bl_off = np.asarray(bl.offsets)
-            self._bl_vals = np.asarray(bl.values).astype(np.int64)
         # (docs, contrib) per term — decoded+scored once, reused per batch
         self._contrib: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -466,10 +459,7 @@ class _TermShardState:
         from ..functions.bm25 import bm25_term_scores
         from ..functions.codec import decode_varint
 
-        last = self._bl_vals[self._bl_off[i] : self._bl_off[i + 1]]
-        d, tf = decode_postings(
-            self._v_doc[i], self._v_tf[i], last, block_size=self.block_size
-        )
+        d, tf = decode_postings(self._v_doc[i], self._v_tf[i], block_size=self.block_size)
         dl = decode_varint(self._v_dl[i]).astype(np.int64)
         contrib = bm25_term_scores(
             tf, dl, int(self._df[i]), self.n_docs, self.avgdl, self.k1, self.b
@@ -589,7 +579,8 @@ class TermIndexSearcher:
         needed = sorted({t for x in queries.column("text").to_pylist() for t in tokenize_py(x)})
         seg = pads.dataset(os.path.join(self.index_dir, "term_segments"), format="parquet")
         tbl = (
-            seg.to_table(filter=pads.field("term").isin(needed))
+            seg.to_table(columns=[*POSTING_COLUMNS, "dl_blob"],
+                         filter=pads.field("term").isin(needed))
             if needed
             else TERM_SEGMENT_SCHEMA.empty_table()
         )

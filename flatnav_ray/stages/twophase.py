@@ -474,7 +474,7 @@ class _MergeCtx:
 
     __slots__ = (
         "n_partials", "dm_ids", "urls_cols", "langs_cols",
-        "win_sorted", "win_partial_lookup", "win_lens_lookup",
+        "win_sorted", "win_partial_lookup",
         "win_by_doc_order", "win_lens", "rank_of",
         "global_vocab_arr", "dict_inv", "dict_offs",
         "fused", "bits_pos", "bits_code", "bits_tf", "sh_pos", "sh_code",
@@ -530,7 +530,7 @@ def _merge_prepare(grp: pa.Table, cfg: IndexConfig, _tm: dict[str, float]) -> _M
     # winner partial per doc (aligned with win_ids sorted by doc_id)
     win_by_doc_order = ctx.win_by_doc_order = win_rows[np.argsort(s_ids[first], kind="stable")]
     ctx.win_partial_lookup = all_partial[win_by_doc_order]
-    ctx.win_lens = ctx.win_lens_lookup = all_lens[win_by_doc_order]
+    ctx.win_lens = all_lens[win_by_doc_order]
 
     # O4/O5 docid reorder (flatnav reorder() graft, bindings.cpp:285-295):
     # remap winners to dense ids interleaved by partition — id % P ==
@@ -671,7 +671,6 @@ def _merge_finalize(
         _t0 = now
 
     win_sorted = ctx.win_sorted
-    win_lens_lookup = ctx.win_lens_lookup
     win_by_doc_order = ctx.win_by_doc_order
     win_lens = ctx.win_lens
     rank_of = ctx.rank_of
@@ -700,17 +699,10 @@ def _merge_finalize(
             m_pos = ((word >> sh_pos) & np.uint64((1 << bits_pos) - 1)).astype(np.int32)
             m_tfs = (word & np.uint64((1 << bits_tf) - 1)).astype(np.int32)
             del word
-            # doc lengths indexed by FINAL position: a 4*n_docs-byte table
-            # gathered AFTER the sort, so dl never rides through the
-            # winnow/concat/sort. posting blobs store partition-LOCAL dense
-            # positions (row index into the final docmap), not raw 63-bit
-            # hash ids: per-term deltas become ~n_docs/df instead of
-            # ~2^63/df, so varints drop from ~9 bytes to 1-2 per posting.
-            if rank_of is not None:
-                lens_final = np.empty_like(win_lens_lookup)
-                lens_final[rank_of] = win_lens_lookup
-            else:
-                lens_final = win_lens_lookup
+            # posting blobs store partition-LOCAL dense positions (row index
+            # into the final docmap), not raw 63-bit hash ids: per-term
+            # deltas become ~n_docs/df instead of ~2^63/df, so varints drop
+            # from ~9 bytes to 1-2 per posting.
         else:
             m_codes = np.concatenate(ctx.code_parts)
             m_pos = np.concatenate(ctx.pos_parts)
@@ -724,10 +716,6 @@ def _merge_finalize(
                 # reordered: final docmap is sorted by the NEW interleaved
                 # ids, so a doc's docmap row = its rank within the partition
                 m_pos = rank_of[m_pos].astype(np.int32)
-                lens_final = np.empty_like(win_lens_lookup)
-                lens_final[rank_of] = win_lens_lookup
-            else:
-                lens_final = win_lens_lookup
             bits_tf_x = max(1, int(m_tfs.max()).bit_length())
             if bits_code + bits_pos + bits_tf_x <= 64:
                 sh_pos_x, sh_code_x = np.uint64(bits_tf_x), np.uint64(bits_tf_x + bits_pos)
@@ -749,16 +737,14 @@ def _merge_finalize(
                 m_pos = (key & np.int64(0xFFFFFFFF)).astype(np.int32)
                 m_tfs = m_tfs[order]
                 del key, order
-        m_dls = lens_final[m_pos]
         _lap("sort")
-        cols, tb, _ = encode_segment_table(m_codes, m_pos, m_tfs, m_dls, block_size=cfg.block_size)
+        cols, tb, _ = encode_segment_table(m_codes, m_pos, m_tfs, block_size=cfg.block_size)
         hasher.update(cols["doc_blob"].buffers()[2])
         segment = pa.table(
             [
                 global_vocab_arr.take(pa.array(m_codes[tb].astype(np.int64))),
                 cols["df"], cols["doc_blob"], cols["tf_blob"],
-                cols["block_last_doc"], cols["block_max_tf"], cols["block_min_dl"],
-                cols["block_doc_offs"], cols["block_tf_offs"],
+                cols["block_last_doc"], cols["block_doc_offs"], cols["block_tf_offs"],
             ],
             schema=SEGMENT_SCHEMA,
         )

@@ -58,44 +58,19 @@ def test_postings_round_trip(n):
     rng = np.random.default_rng(n)
     ids = np.sort(rng.choice(2**62, size=n, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 100, n).astype(np.int64)
-    dls = rng.integers(1, 1000, n).astype(np.int64)
-    ep = encode_postings(ids, tfs, dls)
-    d, t = decode_postings(ep.doc_blob, ep.tf_blob, ep.block_last_doc)
+    ep = encode_postings(ids, tfs)
+    d, t = decode_postings(ep.doc_blob, ep.tf_blob)
     assert np.array_equal(d, ids)
     assert np.array_equal(t, tfs)
     # block metadata invariants
     nb = (n + 127) // 128
     assert len(ep.block_last_doc) == nb
     assert ep.block_last_doc[-1] == ids[-1]
-    for b in range(nb):
-        s, e = b * 128, min((b + 1) * 128, n)
-        assert ep.block_max_tf[b] == tfs[s:e].max()
-        assert ep.block_min_dl[b] == dls[s:e].min()
-
-
-def test_postings_selective_block_decode():
-    rng = np.random.default_rng(5)
-    n = 1000
-    ids = np.sort(rng.choice(10**9, size=n, replace=False)).astype(np.int64)
-    tfs = rng.integers(1, 10, n).astype(np.int64)
-    dls = rng.integers(1, 100, n).astype(np.int64)
-    ep = encode_postings(ids, tfs, dls)
-    nb = len(ep.block_last_doc)
-    for sel in [[0], [nb - 1], [0, nb - 1], [1, 3, 5], list(range(nb))]:
-        mask = np.zeros(nb, dtype=bool)
-        mask[sel] = True
-        d, t = decode_postings(
-            ep.doc_blob, ep.tf_blob, ep.block_last_doc,
-            ep.block_doc_offs, ep.block_tf_offs, mask,
-        )
-        idx = np.concatenate([np.arange(b * 128, min((b + 1) * 128, n)) for b in sel])
-        assert np.array_equal(d, ids[idx])
-        assert np.array_equal(t, tfs[idx])
 
 
 def test_dense_run_compression():
     """Dense doc_id runs should compress to ~1 byte per posting."""
     ids = np.arange(10_000, dtype=np.int64)
     tfs = np.ones(10_000, dtype=np.int64)
-    ep = encode_postings(ids, tfs, np.full(10_000, 50, dtype=np.int64))
+    ep = encode_postings(ids, tfs)
     assert len(ep.doc_blob) < 11_000

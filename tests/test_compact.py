@@ -85,7 +85,7 @@ def test_block_size_mismatch_rejected(ray_session, tmp_path):
     ix_b = str(tmp_path / "b")
     build_index(ray.data.from_arrow(a), ix_a, IndexConfig(num_partitions=2, block_size=128))
     build_index(ray.data.from_arrow(a), ix_b, IndexConfig(num_partitions=2, block_size=64))
-    with pytest.raises(AssertionError, match="block_size"):
+    with pytest.raises(ValueError, match="block_size"):
         merge_indexes([ix_a, ix_b], str(tmp_path / "m"), IndexConfig(num_partitions=2, block_size=128))
 
 

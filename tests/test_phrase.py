@@ -164,7 +164,6 @@ class TestPhrase:
                 tfs_sum = decode_postings(
                     np.frombuffer(seg.column("doc_blob")[i].as_py(), dtype=np.uint8),
                     np.frombuffer(seg.column("tf_blob")[i].as_py(), dtype=np.uint8),
-                    np.asarray(seg.column("block_last_doc")[i].values).astype(np.int64),
                     block_size=int(st["block_size"]),
                 )[1].sum()
                 assert int(tfs_sum) == flat_n

@@ -49,18 +49,14 @@ def test_postings_roundtrip_any_block_size(ids, data, block_size):
         ),
         dtype=np.int64,
     )
-    dls = np.maximum(tfs, 1)
-    enc = encode_postings(doc_ids, tfs, dls, block_size=block_size)
+    enc = encode_postings(doc_ids, tfs, block_size=block_size)
     assert enc.df == doc_ids.size
-    pos, tf = decode_postings(
-        enc.doc_blob, enc.tf_blob, enc.block_last_doc, block_size=block_size
-    )
+    pos, tf = decode_postings(enc.doc_blob, enc.tf_blob, block_size=block_size)
     assert np.array_equal(pos, doc_ids)
     assert np.array_equal(tf, tfs)
     # block metadata invariants
     assert enc.block_last_doc[-1] == doc_ids[-1]
     assert np.all(np.diff(enc.block_last_doc) > 0)
-    assert int(enc.block_max_tf.max()) == int(tfs.max())
 
 
 def _segment(dfs, block_size, seed):
@@ -71,7 +67,7 @@ def _segment(dfs, block_size, seed):
     p_docs = np.concatenate(docs).astype(np.int64)
     p_terms = np.repeat(np.arange(len(dfs), dtype=np.int64), dfs)
     p_tfs = rng.integers(1, 300, p_docs.size).astype(np.int64)
-    cols, _, _ = encode_segment_table(p_terms, p_docs, p_tfs, p_tfs.copy(), block_size)
+    cols, _, _ = encode_segment_table(p_terms, p_docs, p_tfs, block_size)
     return cols
 
 
@@ -89,9 +85,7 @@ def _check_rows_decode(cols, rows, block_size):
     assert np.all(np.diff(row_of) >= 0)
     for j, r in enumerate(rows):
         want_pos, want_tf = decode_postings(
-            cols["doc_blob"][r].as_py(), cols["tf_blob"][r].as_py(),
-            np.asarray(cols["block_last_doc"][r].as_py(), dtype=np.int64),
-            block_size=block_size,
+            cols["doc_blob"][r].as_py(), cols["tf_blob"][r].as_py(), block_size=block_size,
         )
         assert np.array_equal(pos[row_of == j], want_pos)
         assert np.array_equal(tfs[row_of == j], want_tf)
@@ -164,7 +158,7 @@ def test_multi_segment_rows_decode_equals_each_segments_own(block_size, data):
 
 
 def _per_block_decode(ep, mask):
-    """The reference masked decode: each selected block on its own."""
+    """Each selected block on its own, through the written block offsets."""
     d_ends = np.append(ep.block_doc_offs[1:], len(ep.doc_blob))
     t_ends = np.append(ep.block_tf_offs[1:], len(ep.tf_blob))
     docs, tfs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -177,23 +171,28 @@ def _per_block_decode(ep, mask):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 1200), st.sampled_from([4, 32, 128]), st.data())
-def test_masked_decode_equals_per_block_loop(n, block_size, data):
+def test_written_block_offsets_decode_each_block(n, block_size, data):
+    # the block lists are still written (an older reader decodes selected
+    # blocks through them): each block's byte range holds its block_size
+    # postings, its first delta absolute, and its last doc id
     rng = np.random.default_rng(n)
     ids = np.sort(rng.choice(1 << 30, size=n, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 300, n).astype(np.int64)
-    ep = encode_postings(ids, tfs, tfs, block_size=block_size)
+    ep = encode_postings(ids, tfs, block_size=block_size)
     nb = len(ep.block_last_doc)
+    assert np.array_equal(ep.block_last_doc, ids[np.minimum(
+        np.arange(1, nb + 1) * block_size, n) - 1])
     first, last = np.zeros(nb, bool), np.zeros(nb, bool)
     first[0] = last[-1] = True  # the last block is partial unless n % block_size == 0
     drawn = np.asarray(data.draw(st.lists(st.booleans(), min_size=nb, max_size=nb)))
     for mask in (np.zeros(nb, bool), np.ones(nb, bool), first, last, drawn):
-        got = decode_postings(
-            ep.doc_blob, ep.tf_blob, ep.block_last_doc,
-            ep.block_doc_offs, ep.block_tf_offs, mask, block_size=block_size,
-        )
-        want = _per_block_decode(ep, mask)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[0].dtype == got[1].dtype == np.int64
+        idx = np.concatenate([np.arange(b * block_size, min((b + 1) * block_size, n))
+                              for b in np.flatnonzero(mask)] or [np.empty(0, np.int64)])
+        got = _per_block_decode(ep, mask)
+        assert np.array_equal(got[0], ids[idx]) and np.array_equal(got[1], tfs[idx])
+    full = decode_postings(ep.doc_blob, ep.tf_blob, block_size=block_size)
+    assert np.array_equal(full[0], ids) and np.array_equal(full[1], tfs)
+    assert full[0].dtype == full[1].dtype == np.int64
 
 
 @settings(max_examples=200, deadline=None)

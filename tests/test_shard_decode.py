@@ -118,14 +118,26 @@ def _plan(states, scorer_name, q=None, **kw):
     return plan
 
 
+def _blobs(st, term):
+    """The term's (doc_blob, tf_blob) bytes in state `st`, None when absent."""
+    i = st.term_row.get(term)
+    if i is None:
+        return None
+    return (st._doc_vals[st._doc_offs[i] : st._doc_offs[i + 1]],
+            st._tf_vals[st._tf_offs[i] : st._tf_offs[i + 1]])
+
+
+def _n_blocks(n_postings, block_size):
+    return -(-n_postings // block_size)
+
+
 def _one_term(st, term, plan, scorer):
     """The per-term decode + score the bulk pass must reproduce."""
-    p = st._postings_row(term)
+    p = _blobs(st, term)
     if p is None:
         return None
-    pos, tfs = decode_postings(
-        p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=st.block_size
-    )
+    pos, tfs = decode_postings(*p, block_size=st.block_size)
+    n_blocks = _n_blocks(pos.size, st.block_size)
     if st._dead_pos is not None:
         keep = ~st._dead_pos[pos]
         pos, tfs = pos[keep], tfs[keep]
@@ -133,7 +145,7 @@ def _one_term(st, term, plan, scorer):
         tfs, st.docmap_lens[pos], plan.term_df[term], plan.n_docs, plan.avgdl,
         term=term, plan=plan,
     )
-    return pos, contrib, len(p["block_last_doc"])
+    return pos, contrib, n_blocks
 
 
 @pytest.mark.parametrize("scorer_name", ["bm25", "tfidf", "lmd"])
@@ -179,13 +191,11 @@ def test_live_term_dfs_counts_live_postings(stacked):
         terms = st._terms_list[::7] + ["zzqqabsent"]
         want = []
         for t in terms:
-            p = st._postings_row(t)
+            p = _blobs(st, t)
             if p is None:
                 want.append(0)
                 continue
-            pos, _ = decode_postings(
-                p["doc_blob"], p["tf_blob"], p["block_last_doc"], block_size=st.block_size
-            )
+            pos, _ = decode_postings(*p, block_size=st.block_size)
             want.append(int(pos.size if st._dead_pos is None else (~st._dead_pos[pos]).sum()))
         assert st.live_term_dfs(terms) == want
 
@@ -345,12 +355,9 @@ def _direct_counts(ix, queries, block_size=16):
                 r = rows.get(t)
                 if r is None:
                     continue
-                pos, _ = decode_postings(
-                    r["doc_blob"], r["tf_blob"], np.asarray(r["block_last_doc"]),
-                    block_size=block_size,
-                )
+                pos, _ = decode_postings(r["doc_blob"], r["tf_blob"], block_size=block_size)
                 union.update(pos.tolist())
-                blocks += len(r["block_last_doc"])
+                blocks += _n_blocks(pos.size, block_size)
             counts[(q, p)] = (len(union), blocks)
     return counts, part_of
 
@@ -379,8 +386,8 @@ def test_counters_equal_direct_count(small_index):
 
     queries = queries_table(25, seed=6, vocab_size=VOCAB)
     want, part_of = _direct_counts(small_index, queries)
-    seg = pq.read_table(segment_path(small_index, 0), columns=["block_last_doc"])
-    assert max(len(b) for b in seg.column(0).to_pylist()) > 3  # multi-block lists
+    seg = pq.read_table(segment_path(small_index, 0), columns=["df"])
+    assert _n_blocks(max(seg.column(0).to_pylist()), 16) > 3  # multi-block lists
     # every method decodes every block of every query term and accumulates
     # the union of their postings; and / min_should_match count that union,
     # not the docs left above their match-count floor

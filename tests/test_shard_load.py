@@ -1,14 +1,15 @@
 """Cold shard load.
 
-`_ShardState.__init__` reads only the segment columns serving uses (not the
-per-block maxima `block_max_tf` / `block_min_dl`) and builds its dictionary
-(`_terms_list`, `term_row`, `_terms_arr`) from the Arrow term column
-without one Python scalar per term. These tests pin that the dictionary
-equals the `to_pylist()`-built reference for filtered and unfiltered loads
-of a base and of a stacked delta; that an index whose segments lack the two
-block-max columns serves the same answers one-shot and through a session;
-and that the build map hashes a url column as Arrow to the same doc_ids as
-the Python list of its urls.
+`_ShardState.__init__` reads only the segment columns serving uses (`term`,
+`df`, `doc_blob`, `tf_blob`: a posting list is its df and its two blobs)
+and builds its dictionary (`_terms_list`, `term_row`, `_terms_arr`) from
+the Arrow term column without one Python scalar per term. These tests pin
+that the dictionary equals the `to_pylist()`-built reference for filtered
+and unfiltered loads of a base and of a stacked delta; that an index whose
+segments hold only those four columns (no block lists at all) serves the
+same answers one-shot, through a session, through `rescore_topk` and
+through `explain_to_table`; and that the build map hashes a url column as
+Arrow to the same doc_ids as the Python list of its urls.
 """
 
 import glob
@@ -30,14 +31,14 @@ from flatnav_ray.stages.search import _ShardState
 
 VOCAB = 1200
 PARTS = 3
-BLOCK_MAX = ["block_max_tf", "block_min_dl"]
+READ_COLUMNS = ["term", "df", "doc_blob", "tf_blob"]
 
 
 @pytest.fixture(scope="module")
 def indexes(ray_session, tmp_path_factory):
     """A clean base index, and a stack (the same base + one delta that
     re-adds some base urls + tombstones); each also as a copy whose
-    segments were rewritten without the two block-max columns."""
+    segments were rewritten with only `READ_COLUMNS`."""
     import ray.data
 
     from flatnav_ray.pipelines.ingest import add_documents, delete_documents
@@ -62,7 +63,7 @@ def indexes(ray_session, tmp_path_factory):
         for p in segs:
             t = pq.read_table(p)
             assert t.schema.equals(SEGMENT_SCHEMA)
-            pq.write_table(t.drop_columns(BLOCK_MAX), p)
+            pq.write_table(t.select(READ_COLUMNS), p)
 
     q = queries_table(20, seed=72, vocab_size=VOCAB)
     texts = q.column("text").to_pylist()
@@ -145,6 +146,27 @@ def test_segments_without_block_max_columns_serve_a_session(indexes, which):
     assert all(t.num_rows > 0 for t in out[0])
     for want, got in zip(*out):
         assert got.equals(want)
+
+
+@pytest.mark.parametrize("rescore_scorer", ["tfidf", "lmd"])
+def test_segments_without_block_columns_rescore(indexes, rescore_scorer):
+    from flatnav_ray.pipelines.query import rescore_topk
+
+    q = indexes["queries"]
+    want, got = (rescore_topk(ix, q, k=5, window=15, rescore_scorer=rescore_scorer)
+                 for ix in (indexes["base"], indexes["stripped"]["base"]))
+    assert want.num_rows > 0
+    assert got.equals(want)
+
+
+def test_segments_without_block_columns_explain(indexes):
+    from flatnav_ray.pipelines.query import explain_to_table
+
+    q = indexes["queries"]
+    want, got = (explain_to_table(ix, q, QueryConfig(k=5))
+                 for ix in (indexes["base"], indexes["stripped"]["base"]))
+    assert want.num_rows > 0
+    assert got.equals(want)
 
 
 def _urls():
