@@ -334,8 +334,6 @@ def add_documents(
     detects that and rolls forward/back, so the observable states are: old
     generation, new generation, or recoverable-by-open.
     """
-    from ..stages.compact import merge_indexes
-
     recover_generation(index_dir)
     stats = load_stats(index_dir)
     assert stats.get("layout", "doc") == "doc", "incremental add requires the doc layout"
@@ -376,30 +374,12 @@ def add_documents(
         return load_stats(delta_dir)
 
     delta_dir = f"{index_dir}.delta-{tag}"
-    gen_dir = out_dir or f"{index_dir}.gen-{tag}"
-    srcs_newest_first = list(reversed(list_generations(index_dir)))
-    # apply tombstones during the fold (physical delete); the fresh delta is
-    # never covered by a pre-existing tombstone
-    tombs = load_tombstones(index_dir)
-    excl = [None] + (list(reversed(tombs)) if tombs else [None] * len(srcs_newest_first))
     try:
         build_index(pages, delta_dir, cfg, resume=False)
         # delta FIRST: on doc_id collision the freshly added version wins
-        merged = merge_indexes(
-            [delta_dir] + srcs_newest_first, gen_dir, cfg, exclude_per_src=excl
-        )
-    except BaseException:
+        return _compact_stack(index_dir, cfg, head=delta_dir, out_dir=out_dir)
+    finally:
         shutil.rmtree(delta_dir, ignore_errors=True)
-        if out_dir is None:
-            shutil.rmtree(gen_dir, ignore_errors=True)
-        raise
-    shutil.rmtree(delta_dir, ignore_errors=True)
-    if out_dir is None:
-        old = f"{index_dir}.old-{tag}"
-        os.rename(index_dir, old)
-        os.rename(gen_dir, index_dir)
-        shutil.rmtree(old, ignore_errors=True)
-    return merged
 
 
 def compact(index_dir: str) -> dict:
@@ -411,23 +391,31 @@ def compact(index_dir: str) -> dict:
     return _compact_stack(index_dir, _cfg_from_stats(load_stats(index_dir)))
 
 
-def _compact_stack(index_dir: str, cfg: IndexConfig) -> dict:
+def _compact_stack(index_dir: str, cfg: IndexConfig, head: str | None = None,
+                   out_dir: str | None = None) -> dict:
     """Fold the whole generation stack into a fresh single-generation index
-    and swap it in (newest generation listed first so its documents win)."""
+    (newest generation listed first so its documents win; tombstones are
+    applied) and swap it in, or write it to `out_dir` instead. `head`, a
+    freshly built delta that no tombstone covers, is listed before them all."""
     from ..stages.compact import merge_indexes
 
     tag = uuid.uuid4().hex[:8]
-    gen_dir = f"{index_dir}.gen-{tag}"
+    gen_dir = out_dir or f"{index_dir}.gen-{tag}"
     srcs = list(reversed(list_generations(index_dir)))
     tombs = load_tombstones(index_dir)
     excl = list(reversed(tombs)) if tombs else None
+    if head is not None:
+        srcs = [head] + srcs
+        excl = [None] + excl if excl else None
     try:
         merged = merge_indexes(srcs, gen_dir, cfg, exclude_per_src=excl)
     except BaseException:
-        shutil.rmtree(gen_dir, ignore_errors=True)
+        if out_dir is None:
+            shutil.rmtree(gen_dir, ignore_errors=True)
         raise
-    old = f"{index_dir}.old-{tag}"
-    os.rename(index_dir, old)
-    os.rename(gen_dir, index_dir)
-    shutil.rmtree(old, ignore_errors=True)
+    if out_dir is None:
+        old = f"{index_dir}.old-{tag}"
+        os.rename(index_dir, old)
+        os.rename(gen_dir, index_dir)
+        shutil.rmtree(old, ignore_errors=True)
     return merged

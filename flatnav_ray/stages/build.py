@@ -45,6 +45,14 @@ SEGMENT_SCHEMA = pa.schema(
     ]
 )
 
+
+def segment_table(terms: pa.Array, cols: dict) -> pa.Table:
+    """A segment from its term column (one row per posting list) and the
+    encoded columns `codec.encode_segment_table` returns: every build and
+    merge path assembles its segment here."""
+    return pa.table([terms] + [cols[n] for n in SEGMENT_SCHEMA.names[1:]], schema=SEGMENT_SCHEMA)
+
+
 # the segment columns every reader reads: a posting list is its df and its
 # two blobs (its block boundaries follow from df). The three block lists are
 # written only so that older readers keep opening new segments
@@ -173,18 +181,7 @@ def build_partition(
         )
         terms_arr = pa.array(p_terms[tb], type=pa.string())
         hasher.update(cols["doc_blob"].buffers()[2])  # shared values buffer
-        segment = pa.table(
-            [
-                terms_arr,
-                cols["df"],
-                cols["doc_blob"],
-                cols["tf_blob"],
-                cols["block_last_doc"],
-                cols["block_doc_offs"],
-                cols["block_tf_offs"],
-            ],
-            schema=SEGMENT_SCHEMA,
-        )
+        segment = segment_table(terms_arr, cols)
         n_terms_out = len(terms_arr)
     else:
         segment = SEGMENT_SCHEMA.empty_table()

@@ -5,10 +5,22 @@ import + two-phase bulk-load surface (SURVEY.md S8 / §2.10:
 
 `merge_indexes([src_a, src_b, ...], out_dir)` combines several doc-partitioned
 indexes (built with the SAME num_partitions / analyzer / block_size) into one:
-per partition a raw Ray task decodes every source's posting lists + docmap,
-resolves doc collisions (first source in the list wins — deterministic), and
-re-encodes. This is the hierarchical-compaction primitive a long-running
-ingest needs (daily segment sets -> one serving index)."""
+per partition a raw Ray task folds every source's docmap and segment the
+way the build's merge (stages/twophase.py) folds its partials:
+
+    read        each source's docmap and its segment's posting columns
+    winners     once per docmap row: tombstoned rows drop out, the first
+                source in the list wins a doc_id collision (deterministic),
+                and each source row maps to its merged docmap position or -1
+    vocabulary  one union_vocab pass over the sources' term columns
+    postings    bulk-decode each segment; one gather per posting through
+                the row -> position table drops the losers' postings
+    sort        (code, pos, tf) as one packed word (twophase.sort_postings)
+    encode      re-encode and write segment, docmap and manifest
+
+This is the hierarchical-compaction primitive a long-running ingest needs
+(daily segment sets -> one serving index), and the fold of
+pipelines/ingest.py's generation stack."""
 
 from __future__ import annotations
 
@@ -31,138 +43,96 @@ from .build import (
     _clamp_worker_threads,
     docmap_path,
     segment_path,
+    segment_table,
 )
-from .twophase import MERGE_NUM_CPUS
+from .twophase import MERGE_NUM_CPUS, sort_postings, union_vocab
+
+
+def _concat(cols: list) -> pa.Array:
+    return pa.concat_arrays(
+        [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in cols]
+    )
 
 
 def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConfig,
                exclude_per_src: list | None = None) -> dict:
     _clamp_worker_threads()
-    import pyarrow.compute as pc
-
-    dm_parts = []
-    post_parts = []  # (src_idx, term_row int64, src doc ids int64, tfs int64)
-    term_cols = []   # per-source segment term column (aligned with term_row)
+    dms, posts, terms = [], [], []
     for si, src in enumerate(src_dirs):
         dmp = docmap_path(src, partition)
         if not os.path.exists(dmp):
             continue
-        dm = pq.read_table(dmp)
-        # posting positions index the UNFILTERED docmap — keep the full id
-        # vector for position->id resolution; tombstoned rows are dropped
-        # from the winner table only (their postings then fail the
-        # id-equality guard below and vanish from the merged segment)
-        src_ids = dm.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        excl = exclude_per_src[si] if exclude_per_src is not None else None
-        if excl is not None and len(excl):
-            excl = np.asarray(excl, dtype=np.int64)
-            epos = np.searchsorted(excl, src_ids)
-            epos[epos == excl.size] = excl.size - 1
-            dm = dm.filter(pa.array(excl[epos] != src_ids))
-        dm_parts.append((si, dm))
-        seg = pq.read_table(segment_path(src, partition), columns=POSTING_COLUMNS)
-        # bulk-decode the whole segment (no per-term Python); blobs hold
-        # docmap positions — resolve to real ids through the source's docmap
-        trow, pos, tf = decode_segment_postings(
+        dm = pq.ParquetFile(dmp).read(use_threads=False)
+        seg = pq.ParquetFile(segment_path(src, partition)).read(
+            columns=POSTING_COLUMNS, use_threads=False
+        )
+        # bulk-decode the whole segment (no per-term Python); positions
+        # index the source's full docmap
+        posts.append(decode_segment_postings(
             seg.column("doc_blob"), seg.column("tf_blob"), seg.column("df"),
             block_size=cfg.block_size,
-        )
-        post_parts.append((len(term_cols), trow, src_ids[pos], tf))
-        term_cols.append(seg.column("term"))
-    if not dm_parts:
+        ))
+        dms.append((si, dm))
+        terms.append(seg.column("term"))
+    if not dms:
         return {"partition": partition, "n_docs": 0, "sum_doc_len": 0, "n_terms": 0, "bytes": 0}
 
-    # winners: first source wins on doc_id collision
-    all_ids = np.concatenate([t.column("doc_id").to_numpy(zero_copy_only=False) for _, t in dm_parts])
-    all_src = np.concatenate([np.full(len(t), si, dtype=np.int32) for si, t in dm_parts])
-    all_len = np.concatenate(
-        [t.column("doc_len").to_numpy(zero_copy_only=False).astype(np.int64) for _, t in dm_parts]
-    )
-    order = np.lexsort((all_src, all_ids))
-    s_ids = all_ids[order]
-    first = np.ones(s_ids.size, dtype=bool)
-    first[1:] = s_ids[1:] != s_ids[:-1]
-    win_rows = order[first]
-    win_ids = all_ids[win_rows]
-    win_src = all_src[win_rows]
-    win_len = all_len[win_rows]
+    # winners, once per docmap row: every source row in source order; a
+    # tombstoned row never competes, and a stable sort by doc_id puts the
+    # first source's copy first
+    ids = np.concatenate(
+        [dm.column("doc_id").to_numpy(zero_copy_only=False) for _, dm in dms]
+    ).astype(np.int64)
+    row_off = np.cumsum([0] + [len(dm) for _, dm in dms])
+    live = np.ones(ids.size, dtype=bool)
+    for k, (si, _) in enumerate(dms):
+        excl = exclude_per_src[si] if exclude_per_src is not None else None
+        if excl is not None:
+            live[row_off[k]: row_off[k + 1]] = ~np.isin(ids[row_off[k]: row_off[k + 1]], excl)
+    cand = np.flatnonzero(live)
+    order = cand[np.argsort(ids[cand], kind="stable")]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ids[order[1:]] != ids[order[:-1]]
+    win_rows = order[first]  # doc_id ascending: merged position = index
+    merged_pos = np.full(ids.size, -1, dtype=np.int64)
+    merged_pos[win_rows] = np.arange(win_rows.size)
 
-    # global sorted vocabulary across sources; per-source remap is one
-    # Arrow hash join (index_in) — term strings never enter the posting sort
-    if term_cols:
-        all_terms = pa.concat_arrays(
-            [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in term_cols]
-        )
-        u = pc.unique(all_terms)
-        vocab = u.take(pc.sort_indices(u))
-        code_of = [
-            pc.index_in(
-                c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c, value_set=vocab
-            ).to_numpy(zero_copy_only=False).astype(np.int64)
-            for c in term_cols
-        ]
-    else:
-        vocab = pa.array([], type=pa.string())
-        code_of = []
-
-    codes_parts, pos_parts, tfs_parts = [], [], []
-    for ci, trow, d, tf in post_parts:
-        si = dm_parts[ci][0]
-        wpos = np.searchsorted(win_ids, d)
-        # id-equality guard: a tombstone-excluded doc_id is absent from
-        # win_ids entirely — searchsorted then points at some OTHER winner,
-        # which must not capture the dead doc's postings
-        np.minimum(wpos, max(win_ids.size - 1, 0), out=wpos)
-        if win_ids.size == 0:
-            continue
-        keep = (win_ids[wpos] == d) & (win_src[wpos] == si)
-        if keep.any():
-            codes_parts.append(code_of[ci][trow[keep]])
-            pos_parts.append(wpos[keep])
-            tfs_parts.append(tf[keep])
+    vocab, codes = union_vocab(_concat(terms))
+    term_off = np.cumsum([0] + [len(t) for t in terms])
+    code_parts, pos_parts, tf_parts = [], [], []
+    for k, (trow, pos, tf) in enumerate(posts):
+        mpos = merged_pos[row_off[k]: row_off[k + 1]][pos]
+        keep = mpos >= 0
+        code_parts.append(codes[term_off[k]: term_off[k + 1]][trow[keep]])
+        pos_parts.append(mpos[keep])
+        tf_parts.append(tf[keep])
+    m_codes = np.concatenate(code_parts)
     hasher = hashlib.blake2b(digest_size=16)
-    if codes_parts:
-        m_codes = np.concatenate(codes_parts)
-        m_pos = np.concatenate(pos_parts)
-        m_tfs = np.concatenate(tfs_parts)
-        # positions ascend with doc ids within a partition, so (code, pos)
-        # sorts identically to the old (term string, doc id) lexsort
-        srt = np.lexsort((m_pos, m_codes))
-        m_codes, m_pos, m_tfs = m_codes[srt], m_pos[srt], m_tfs[srt]
+    if m_codes.size:
+        m_codes, m_pos, m_tfs = sort_postings(
+            m_codes, np.concatenate(pos_parts), np.concatenate(tf_parts)
+        )
         # encode docmap POSITIONS in the merged index (same format as build)
         cols, tb, _ = encode_segment_table(m_codes, m_pos, m_tfs, block_size=cfg.block_size)
         hasher.update(cols["doc_blob"].buffers()[2])
-        segment = pa.table(
-            [
-                vocab.take(pa.array(m_codes[tb].astype(np.int64))),
-                cols["df"], cols["doc_blob"], cols["tf_blob"],
-                cols["block_last_doc"], cols["block_doc_offs"], cols["block_tf_offs"],
-            ],
-            schema=SEGMENT_SCHEMA,
-        )
+        segment = segment_table(vocab.take(pa.array(m_codes[tb].astype(np.int64))), cols)
         n_terms = len(tb)
     else:
         segment = SEGMENT_SCHEMA.empty_table()
         n_terms = 0
 
-    # docmap: winners sorted by doc_id, urls/langs gathered from their source
-    url_parts, lang_parts = [], []
-    for si, t in dm_parts:
-        url_parts.append(t.column("url"))
-        lang_parts.append(t.column("lang"))
-    urls = pa.concat_arrays(
-        [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in url_parts]
-    )
-    langs = pa.concat_arrays(
-        [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in lang_parts]
-    )
-    take = pa.array(win_rows.astype(np.int64))
+    # docmap: winners by doc_id, every column gathered from its source row
+    take = pa.array(win_rows)
+    win_len = np.concatenate(
+        [dm.column("doc_len").to_numpy(zero_copy_only=False) for _, dm in dms]
+    )[win_rows].astype(np.int64)
+    n_docs, sum_dl = int(win_rows.size), int(win_len.sum())
     docmap = pa.table(
         [
-            pa.array(win_ids, type=pa.int64()),
-            urls.take(take),
+            pa.array(ids[win_rows], type=pa.int64()),
+            _concat([dm.column("url") for _, dm in dms]).take(take),
             pa.array(win_len.astype(np.int32), type=pa.int32()),
-            langs.take(take),
+            _concat([dm.column("lang") for _, dm in dms]).take(take),
         ],
         schema=DOCMAP_SCHEMA,
     )
@@ -174,8 +144,8 @@ def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConf
         out_dir,
         PartitionManifest(
             partition=partition,
-            n_docs=int(win_ids.size),
-            sum_doc_len=int(win_len.sum()),
+            n_docs=n_docs,
+            sum_doc_len=sum_dl,
             n_terms=n_terms,
             bytes=nbytes,
             checksum=hasher.hexdigest(),
@@ -188,8 +158,8 @@ def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConf
     )
     return {
         "partition": partition,
-        "n_docs": int(win_ids.size),
-        "sum_doc_len": int(win_len.sum()),
+        "n_docs": n_docs,
+        "sum_doc_len": sum_dl,
         "n_terms": n_terms,
         "bytes": nbytes,
     }
@@ -200,14 +170,25 @@ def merge_indexes(src_dirs: list[str], out_dir: str, cfg: IndexConfig | None = N
     """Compact several same-config indexes into one (raw Ray tasks, one per
     partition). Returns the merged stats dict (also written to out_dir).
 
-    `exclude_per_src` (optional, aligned with src_dirs): per-source sorted
-    int64 doc_id arrays to DROP — the tombstone-apply path of compaction
-    (pipelines/ingest.delete_documents): excluded docs leave the docmap and
-    their postings leave the segments, physically reclaiming the space."""
+    `exclude_per_src` (optional, one entry per src_dir, None for none): int64
+    doc_id arrays to DROP from that source — the tombstone-apply path of
+    compaction (pipelines/ingest.delete_documents): excluded docs leave the
+    docmap and their postings leave the segments, physically reclaiming the
+    space. Any order and duplicates are accepted."""
     import ray
 
     from ..pipelines.build import _build_term_stats
 
+    if exclude_per_src is not None:
+        if len(exclude_per_src) != len(src_dirs):
+            raise ValueError(
+                f"exclude_per_src has {len(exclude_per_src)} entries for "
+                f"{len(src_dirs)} sources"
+            )
+        exclude_per_src = [
+            None if e is None else np.unique(np.asarray(e, dtype=np.int64))
+            for e in exclude_per_src
+        ]
     stats0 = load_stats(src_dirs[0])
     cfg = cfg or IndexConfig(
         num_partitions=int(stats0["num_partitions"]),

@@ -47,7 +47,7 @@ import pyarrow.parquet as pq
 from ..config import IndexConfig
 from ..functions.tokenize import token_positions
 from .build import _atomic_write_parquet, _clamp_worker_threads, docmap_path, text_tie_hash
-from .twophase import _bin_row_views
+from .twophase import _bin_row_views, union_vocab
 
 POS_SCHEMA = pa.schema(
     [
@@ -131,18 +131,8 @@ def map_positions_partial(
     if isinstance(url_col, pa.ChunkedArray):
         url_col = url_col.combine_chunks()
 
-    if len(toks):
-        enc = pc.dictionary_encode(toks)
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        dic = enc.dictionary
-        sort_idx = pc.sort_indices(dic)
-        rank = np.empty(len(dic), dtype=np.int64)
-        rank[sort_idx.to_numpy(zero_copy_only=False).astype(np.int64)] = np.arange(len(dic))
-        rcodes = rank[codes].astype(np.int32)
-        dic_sorted = dic.take(sort_idx)
-    else:
-        rcodes = np.empty(0, dtype=np.int32)
-        dic_sorted = pa.array([], type=pa.string())
+    dic_sorted, rcodes = union_vocab(toks)
+    rcodes = rcodes.astype(np.int32)
     occ_part = parts_of_doc[parents] if parents.size else np.empty(0, dtype=parts_of_doc.dtype)
     ntoks = np.bincount(parents, minlength=parts_of_doc.size).astype(np.int32)
 
@@ -260,19 +250,10 @@ def merge_positions_partition(grp: pa.Table, index_dir: str) -> pa.Table:
     # so the remap is monotone within a partial)
     terms_col = grp.column("terms")
     terms_list = terms_col.combine_chunks() if isinstance(terms_col, pa.ChunkedArray) else terms_col
-    all_dicts = terms_list.flatten()
     dict_offs = np.concatenate(
         ([0], np.cumsum([len(terms_col[i]) for i in range(n_partials)]))
     ).astype(np.int64)
-    if len(all_dicts):
-        u = pc.unique(all_dicts)
-        vocab = u.take(pc.sort_indices(u))
-        dict_inv = pc.index_in(all_dicts, value_set=vocab).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-    else:
-        vocab = pa.array([], type=pa.string())
-        dict_inv = np.empty(0, dtype=np.int64)
+    vocab, dict_inv = union_vocab(terms_list.flatten())
 
     bits_row = max(1, int(dmrow_of_win.max()).bit_length()) if dmrow_of_win.size else 1
     tp_bound = 1

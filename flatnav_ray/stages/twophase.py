@@ -44,6 +44,7 @@ from .build import (
     _clamp_worker_threads,
     docmap_path,
     segment_path,
+    segment_table,
     text_tie_hash,
 )
 
@@ -100,6 +101,53 @@ MERGE_NUM_CPUS = 2
 def _width_for(max_value: int) -> int:
     """Smallest supported byte width holding max_value (0-based values)."""
     return 2 if max_value <= 0xFFFF else 4
+
+
+def union_vocab(terms: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """The sorted distinct terms of `terms` and each entry's int64 code in
+    that vocabulary: one hash pass (dictionary_encode) and a sort of the
+    distinct terms only. Every merge (build, fold, positions sidecar)
+    unions its inputs' term dictionaries here, so term strings never enter
+    a posting sort."""
+    enc = pa.compute.dictionary_encode(terms)
+    order = pa.compute.sort_indices(enc.dictionary).to_numpy(zero_copy_only=False)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    return enc.dictionary.take(pa.array(order)), codes
+
+
+def sort_postings(
+    codes: np.ndarray, pos: np.ndarray, tfs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Postings (code, pos, tf) in (code, pos) order as three int32 arrays;
+    (code, pos) is unique per posting. When the three widths fit 64 bits
+    they sort as one packed uint64 word (values-only sort, no gathers);
+    wider keys fall back to an argsort of (code, pos) plus one gather."""
+    bits_code, bits_pos, bits_tf = (
+        max(1, int(a.max()).bit_length()) for a in (codes, pos, tfs)
+    )
+    if bits_code + bits_pos + bits_tf <= 64:
+        sh_pos, sh_code = np.uint64(bits_tf), np.uint64(bits_tf + bits_pos)
+        word = (
+            (codes.astype(np.uint64) << sh_code)
+            | (pos.astype(np.uint64) << sh_pos)
+            | tfs.astype(np.uint64)
+        )
+        word.sort()
+        return (
+            (word >> sh_code).astype(np.int32),
+            ((word >> sh_pos) & np.uint64((1 << bits_pos) - 1)).astype(np.int32),
+            (word & np.uint64((1 << bits_tf) - 1)).astype(np.int32),
+        )
+    key = (codes.astype(np.int64) << np.int64(32)) | pos.astype(np.int64)
+    order = np.argsort(key)  # keys unique => stability vacuous
+    key = key[order]
+    return (
+        (key >> np.int64(32)).astype(np.int32),
+        (key & np.int64(0xFFFFFFFF)).astype(np.int32),
+        tfs[order].astype(np.int32),
+    )
 
 
 def _stream_dtypes(grp: pa.Table) -> list[tuple[np.dtype, np.dtype, np.dtype]]:
@@ -565,23 +613,14 @@ def _merge_prepare(grp: pa.Table, cfg: IndexConfig, _tm: dict[str, float]) -> _M
     # 2. union vocabulary: term strings never enter the posting sort — each
     # partial carries a SORTED local term dictionary; remap local int32
     # codes -> a global sorted vocabulary and sort on integers
-    # (object-string sorts are 10x+ slower). Arrow-native: concat partial
-    # dicts (StringArray), unique + sort + hash-join remap in C++.
+    # (object-string sorts are 10x+ slower), in one union_vocab pass over
+    # the concatenated partial dictionaries.
     terms_col = grp.column("terms")
     terms_list = terms_col.combine_chunks() if isinstance(terms_col, pa.ChunkedArray) else terms_col
-    all_dicts = terms_list.flatten()
     ctx.dict_offs = np.concatenate(
         ([0], np.cumsum([len(terms_col[i]) for i in range(n_partials)]))
     ).astype(np.int64)
-    if len(all_dicts):
-        u = pa.compute.unique(all_dicts)
-        ctx.global_vocab_arr = u.take(pa.compute.sort_indices(u))
-        ctx.dict_inv = pa.compute.index_in(all_dicts, value_set=ctx.global_vocab_arr).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-    else:
-        ctx.global_vocab_arr = pa.array([], type=pa.string())
-        ctx.dict_inv = np.empty(0, dtype=np.int64)
+    ctx.global_vocab_arr, ctx.dict_inv = union_vocab(terms_list.flatten())
 
     # Sort-word layout (code | pos | tf packed into one uint64): keys are
     # unique per (term, doc) post-winnow, so the word order IS the
@@ -675,7 +714,7 @@ def _merge_finalize(
     win_lens = ctx.win_lens
     rank_of = ctx.rank_of
     global_vocab_arr = ctx.global_vocab_arr
-    bits_pos, bits_code, bits_tf = ctx.bits_pos, ctx.bits_code, ctx.bits_tf
+    bits_pos, bits_tf = ctx.bits_pos, ctx.bits_tf
     sh_pos, sh_code = ctx.sh_pos, ctx.sh_code
 
     hasher = hashlib.blake2b(digest_size=16)
@@ -716,38 +755,11 @@ def _merge_finalize(
                 # reordered: final docmap is sorted by the NEW interleaved
                 # ids, so a doc's docmap row = its rank within the partition
                 m_pos = rank_of[m_pos].astype(np.int32)
-            bits_tf_x = max(1, int(m_tfs.max()).bit_length())
-            if bits_code + bits_pos + bits_tf_x <= 64:
-                sh_pos_x, sh_code_x = np.uint64(bits_tf_x), np.uint64(bits_tf_x + bits_pos)
-                word = (
-                    (m_codes.astype(np.uint64) << sh_code_x)
-                    | (m_pos.astype(np.uint64) << sh_pos_x)
-                    | m_tfs.astype(np.uint64)
-                )
-                word.sort()
-                m_codes = (word >> sh_code_x).astype(np.int32)
-                m_pos = ((word >> sh_pos_x) & np.uint64((1 << bits_pos) - 1)).astype(np.int32)
-                m_tfs = (word & np.uint64((1 << bits_tf_x) - 1)).astype(np.int32)
-                del word
-            else:  # >64-bit key space: fall back to argsort + gathers
-                key = (m_codes.astype(np.int64) << np.int64(32)) | m_pos.astype(np.int64)
-                order = np.argsort(key)  # keys unique => stability vacuous
-                key = key[order]
-                m_codes = (key >> np.int64(32)).astype(np.int32)
-                m_pos = (key & np.int64(0xFFFFFFFF)).astype(np.int32)
-                m_tfs = m_tfs[order]
-                del key, order
+            m_codes, m_pos, m_tfs = sort_postings(m_codes, m_pos, m_tfs)
         _lap("sort")
         cols, tb, _ = encode_segment_table(m_codes, m_pos, m_tfs, block_size=cfg.block_size)
         hasher.update(cols["doc_blob"].buffers()[2])
-        segment = pa.table(
-            [
-                global_vocab_arr.take(pa.array(m_codes[tb].astype(np.int64))),
-                cols["df"], cols["doc_blob"], cols["tf_blob"],
-                cols["block_last_doc"], cols["block_doc_offs"], cols["block_tf_offs"],
-            ],
-            schema=SEGMENT_SCHEMA,
-        )
+        segment = segment_table(global_vocab_arr.take(pa.array(m_codes[tb].astype(np.int64))), cols)
         n_terms = len(tb)
     else:
         segment = SEGMENT_SCHEMA.empty_table()

@@ -466,3 +466,182 @@ def test_open_session_after_ray_restart(tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert out.returncode == 0 and out.stdout.strip().endswith("OK"), out.stderr[-3000:]
+
+
+def _partition_files(ix, num_partitions):
+    """Per partition (segment, docmap) as read back; a partition with no
+    files reads as the empty tables of the schemas."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from flatnav_ray.stages.build import DOCMAP_SCHEMA, SEGMENT_SCHEMA, docmap_path, segment_path
+
+    out = []
+    for p in range(num_partitions):
+        seg, dm = segment_path(ix, p), docmap_path(ix, p)
+        out.append((
+            pq.read_table(seg) if os.path.exists(seg) else SEGMENT_SCHEMA.empty_table(),
+            pq.read_table(dm) if os.path.exists(dm) else DOCMAP_SCHEMA.empty_table(),
+        ))
+    return out
+
+
+def test_fold_equals_fresh_build_of_live_pages(ray_session, tmp_path):
+    """A stack with an upsert that shadows a base doc, tombstones (one of
+    them a delete-then-readd), a one-doc delta that has no docs in most
+    partitions and a partition whose every doc is tombstoned folds to the
+    segments (every column) and docmaps of a fresh build over the live
+    pages; the emptied partition folds to 0 docs and the index serves."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from flatnav_ray.functions.hashes import doc_ids_for_urls
+    from flatnav_ray.pipelines.ingest import (
+        add_documents,
+        compact,
+        delete_documents,
+        list_generations,
+        open_session,
+    )
+    from flatnav_ray.sources.synth import PagesGenerator, queries_table
+    from flatnav_ray.stages.build import docmap_path
+    from flatnav_ray.state.manifest import read_manifest
+    from flatnav_ray.state.stats import load_stats
+
+    P = 4
+    gen = PagesGenerator(seed=29, vocab_size=1500, mean_len=40, dup_rate=0.0)
+    a, b = gen.chunk(0, 160), gen.chunk(1, 40)
+
+    def part(t):
+        return doc_ids_for_urls(t.column("url")).astype(np.int64) % P
+
+    def rewrite(t, i, text):
+        row = t.slice(i, 1)
+        html = f"<html><body><p>{text}</p></body></html>".encode()
+        return row.set_column(row.schema.get_field_index("html"), "html",
+                              pa.array([html], pa.binary()))
+
+    part_a, part_b = part(a), part(b)
+    emptied = int(part_a[0])
+    live_a = [i for i in range(len(a)) if part_a[i] != emptied]
+    shadowed, readd = live_a[0], live_a[1]
+    upsert = rewrite(a, shadowed, "zzzupsert shadows the base copy")
+    readded = rewrite(a, readd, "zzzreadd after its delete")
+    urls_a, urls_b = a.column("url").to_pylist(), b.column("url").to_pylist()
+    # every doc of one partition, every 9th base doc and one delta doc
+    # die; the shadowed doc stays live, the re-added one dies first
+    dead = {urls_a[i] for i in range(len(a)) if part_a[i] == emptied or i % 9 == 1}
+    dead |= {urls_b[i] for i in range(len(b)) if part_b[i] == emptied}
+    dead.add(next(urls_b[i] for i in range(len(b)) if part_b[i] != emptied))
+    dead = (dead - {urls_a[shadowed]}) | {urls_a[readd]}
+
+    cfg = IndexConfig(num_partitions=P)
+    ix, ix_ref = str(tmp_path / "stack"), str(tmp_path / "fresh")
+    build_index(ray.data.from_arrow(a), ix, cfg)
+    add_documents(ix, ray.data.from_arrow(pa.concat_tables([b, upsert])), mode="stack")
+    assert delete_documents(ix, urls=sorted(dead)) == len(dead)
+    add_documents(ix, ray.data.from_arrow(readded), mode="stack")
+    assert len(list_generations(ix)) == 3
+
+    def live(t, replaced):
+        urls = t.column("url").to_pylist()
+        return t.filter(pa.array([u not in dead and u not in replaced for u in urls]))
+
+    live_pages = pa.concat_tables(
+        [live(a, {urls_a[shadowed]}), live(b, set()), upsert, readded]
+    )
+    build_index(ray.data.from_arrow(live_pages), ix_ref, cfg)
+    stats = compact(ix)
+
+    ref = load_stats(ix_ref)
+    assert (stats["n_docs"], stats["sum_doc_len"]) == (ref["n_docs"], ref["sum_doc_len"])
+    assert stats["n_docs"] == len(live_pages)
+    for p, ((seg, dm), (seg_r, dm_r)) in enumerate(
+        zip(_partition_files(ix, P), _partition_files(ix_ref, P))
+    ):
+        assert seg.equals(seg_r), p
+        assert dm.equals(dm_r), p
+    # the emptied partition was folded (its files exist) to zero docs
+    assert read_manifest(ix, emptied).n_docs == 0
+    assert pq.read_table(docmap_path(ix, emptied)).num_rows == 0
+    assert stats["partitions"] == ref["partitions"] and emptied not in ref["partitions"]
+
+    q = queries_table(12, seed=31, vocab_size=1500)
+    q = pa.concat_tables([q, pa.table({"query_id": pa.array([100, 101], pa.int64()),
+                                       "text": pa.array(["zzzupsert", "zzzreadd"])})])
+    sess, sess_r = open_session(ix, num_actors=2), open_session(ix_ref, num_actors=2)
+    try:
+        got = sess.search(q, QueryConfig(k=10))
+        assert got.equals(sess_r.search(q, QueryConfig(k=10)))
+        urls = got.filter(pc.greater_equal(got.column("query_id"), 100))
+        assert set(urls.column("url").to_pylist()) == {urls_a[shadowed], urls_a[readd]}
+    finally:
+        sess.shutdown()
+        sess_r.shutdown()
+
+
+def test_merge_exclusions_normalised_and_length_checked(ray_session, tmp_path):
+    """An unsorted, duplicated exclusion list folds to the same files as the
+    sorted one; an exclusion list that does not match the sources raises."""
+    import filecmp
+
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from flatnav_ray.sources.synth import PagesGenerator
+    from flatnav_ray.stages.build import docmap_path, segment_path
+
+    gen = PagesGenerator(seed=37, vocab_size=1000, mean_len=30, dup_rate=0.0)
+    cfg = IndexConfig(num_partitions=3)
+    ix_a, ix_b = str(tmp_path / "a"), str(tmp_path / "b")
+    build_index(ray.data.from_arrow(gen.chunk(0, 120)), ix_a, cfg)
+    build_index(ray.data.from_arrow(gen.chunk(1, 60)), ix_b, cfg)
+    ids = np.concatenate([
+        pq.read_table(docmap_path(ix_a, p)).column("doc_id").to_numpy() for p in range(3)
+    ])
+    dead = np.unique(ids[::4])
+    shuffled = np.random.default_rng(5).permutation(np.concatenate([dead, dead[::3]]))
+    assert not np.array_equal(np.sort(shuffled), shuffled)
+
+    m_sorted, m_shuffled = str(tmp_path / "m1"), str(tmp_path / "m2")
+    st = merge_indexes([ix_b, ix_a], m_sorted, cfg, exclude_per_src=[None, dead])
+    merge_indexes([ix_b, ix_a], m_shuffled, cfg, exclude_per_src=[None, list(shuffled)])
+    assert st["n_docs"] == 180 - dead.size
+    for p in range(3):
+        for path in (segment_path, docmap_path):
+            assert filecmp.cmp(path(m_sorted, p), path(m_shuffled, p), shallow=False)
+
+    for bad in ([dead], [None, dead, None]):
+        with pytest.raises(ValueError, match="exclude_per_src"):
+            merge_indexes([ix_b, ix_a], str(tmp_path / "bad"), cfg, exclude_per_src=bad)
+
+
+@pytest.mark.parametrize("tf_max,bits", [(3, 64), (7, 65)])
+def test_sort_postings_width_boundary(tf_max, bits):
+    """code + pos + tf widths of exactly 64 bits sort as one packed word,
+    65 through the argsort fallback: both equal the lexsort reference."""
+    import numpy as np
+
+    from flatnav_ray.stages.twophase import sort_postings
+
+    rng = np.random.default_rng(bits)
+    top = 2**31 - 1
+    codes = rng.choice(np.array([0, 5, 77, 2**20, top], dtype=np.int64), 4000)
+    pos = rng.integers(0, top, 4000, dtype=np.int64)
+    codes[0], pos[1] = top, top
+    _, first = np.unique(np.stack([codes, pos]), axis=1, return_index=True)
+    codes, pos = codes[first], pos[first]
+    tfs = rng.integers(1, tf_max + 1, codes.size, dtype=np.int64)
+    tfs[2] = tf_max
+    assert sum(int(x.max()).bit_length() for x in (codes, pos, tfs)) == bits
+
+    shuffle = rng.permutation(codes.size)
+    got = sort_postings(codes[shuffle], pos[shuffle], tfs[shuffle])
+    ref = np.lexsort((pos, codes))
+    for g, want in zip(got, (codes[ref], pos[ref], tfs[ref])):
+        assert np.array_equal(g, want)
