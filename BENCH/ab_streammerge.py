@@ -32,7 +32,6 @@ def leg(repo: str, cpus: int) -> dict:
         GRAFT_BENCH_PAGES=str(PAGES_N),
         GRAFT_BUILD_REPS="1",
         GRAFT_PHASE="build",
-        FLATNAV_BUILD_TIMING="1",
     )
     cmd = [sys.executable, "bench.py", "--json-only"]
     if shutil.which("taskset"):
@@ -43,12 +42,10 @@ def leg(repo: str, cpus: int) -> dict:
     if not lines:
         raise RuntimeError(out.stderr[-2000:])
     d = json.loads(lines[-1])
-    # map/merge split from the timing line on stderr
-    for ln in out.stderr.splitlines():
-        if "[build timing]" in ln:
-            parts = dict(p.split("=") for p in ln.split("]")[-1].split())
-            d["map_s"] = float(parts["map"].rstrip("s"))
-            d["merge_s"] = float(parts["merge"].rstrip("s"))
+    # map/merge split of the timed build (`BuildResult.laps`)
+    laps = d.get("build_laps", {})
+    d["map_s"] = laps.get("map_s")
+    d["merge_s"] = laps.get("merge_s")
     return d
 
 

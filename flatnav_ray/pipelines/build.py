@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -118,6 +119,11 @@ class BuildResult:
     n_partitions_built: int
     n_partitions_skipped: int
     bytes: int
+    # wall-clock seconds of the build's layers: "map_s" (read + map + the
+    # count() barrier), "merge_s" (all merge tasks, as waited for),
+    # "merge_max_s" / "merge_median_s" (one merge task, timed inside it),
+    # "term_stats_s", and "unexplained_s" (the wall time the others leave)
+    laps: dict[str, float] = field(default_factory=dict)
 
 
 def build_index(
@@ -134,22 +140,20 @@ def build_index(
     partition (`merge_spilled_partition`) resolves recrawl winners across
     partials, merges the sorted runs, encodes and writes the segment, docmap
     and manifest. Partitions whose manifest already matches the config
-    fingerprint are skipped when `resume` is set."""
+    fingerprint are skipped when `resume` is set. `BuildResult.laps` times
+    the layers."""
     import shutil
-    import sys
-    import time
 
-    from ..stages.twophase import MERGE_NUM_CPUS, map_partial_spill, merge_spilled_partition
+    from ..stages.twophase import MERGE_NUM_CPUS, map_partial_spill
 
     cfg = cfg or IndexConfig()
     os.makedirs(index_dir, exist_ok=True)
     fingerprint = cfg.fingerprint()
     done = completed_partitions(index_dir, fingerprint) if resume else set()
 
-    timing = os.environ.get("FLATNAV_BUILD_TIMING")
+    t0 = time.perf_counter()
     spill_dir = _pick_spill_dir(index_dir)
     shutil.rmtree(spill_dir, ignore_errors=True)
-    t0 = time.perf_counter()
     mapped = pages.map_batches(
         map_partial_spill,
         batch_format="pyarrow",
@@ -167,18 +171,15 @@ def build_index(
     t1 = time.perf_counter()
 
     merge_cpus = max(1, min(MERGE_NUM_CPUS, int(ray.cluster_resources().get("CPU", 1))))
-    merge_task = ray.remote(num_cpus=merge_cpus)(merge_spilled_partition)
+    merge_task = ray.remote(num_cpus=merge_cpus)(_timed_merge)
     futs = [
         merge_task.remote(p, spill_dir, index_dir, cfg, done)
         for p in range(cfg.num_partitions)
     ]
-    mt = pa.concat_tables(ray.get(futs))
+    rows, merge_secs = zip(*ray.get(futs))
+    mt = pa.concat_tables(rows)
     shutil.rmtree(spill_dir, ignore_errors=True)
-    if timing:
-        print(
-            f"[build timing] map={t1 - t0:.1f}s merge={time.perf_counter() - t1:.1f}s",
-            file=sys.stderr,
-        )
+    t2 = time.perf_counter()
     built = mt.filter(pa.compute.equal(mt.column("skipped_resume"), False)) if len(mt) else mt
 
     # authoritative stats come from the on-disk manifests (includes resumed parts)
@@ -201,7 +202,9 @@ def build_index(
                     n_built += 1
     avgdl = (sum_dl / n_docs) if n_docs else 0.0
 
+    t3 = time.perf_counter()
     _build_term_stats(index_dir)
+    t4 = time.perf_counter()
 
     save_stats(
         index_dir,
@@ -230,7 +233,24 @@ def build_index(
         n_partitions_built=len(built),
         n_partitions_skipped=len(done),
         bytes=nbytes,
+        laps={
+            "map_s": t1 - t0,
+            "merge_s": t2 - t1,
+            "merge_max_s": max(merge_secs),
+            "merge_median_s": float(np.median(merge_secs)),
+            "term_stats_s": t4 - t3,
+            "unexplained_s": (time.perf_counter() - t0) - (t2 - t0) - (t4 - t3),
+        },
     )
+
+
+def _timed_merge(partition, spill_dir, index_dir, cfg, resume):
+    """One build merge task: the partition's manifest row and its seconds."""
+    from ..stages import twophase
+
+    t0 = time.perf_counter()
+    row = twophase.merge_spilled_partition(partition, spill_dir, index_dir, cfg, resume)
+    return row, time.perf_counter() - t0
 
 
 DRIVER_SIDE_TERMSTATS_ROWS = 20_000_000

@@ -33,6 +33,7 @@ import pyarrow.parquet as pq
 
 from ..config import IndexConfig
 from ..functions.codec import decode_segment_postings, encode_segment_table
+from ..functions.tokenize import union_vocab
 from ..state.manifest import PartitionManifest, write_manifest
 from ..state.stats import load_stats, save_stats
 from .build import (
@@ -45,7 +46,7 @@ from .build import (
     segment_path,
     segment_table,
 )
-from .twophase import MERGE_NUM_CPUS, sort_postings, union_vocab
+from .twophase import MERGE_NUM_CPUS, sort_postings
 
 
 def _concat(cols: list) -> pa.Array:

@@ -45,9 +45,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from ..functions.tokenize import token_positions
+from ..functions.tokenize import token_positions, union_vocab
 from .build import _atomic_write_parquet, _clamp_worker_threads, docmap_path, text_tie_hash
-from .twophase import _bin_row_views, union_vocab
+from .twophase import _bin_row_views
 
 POS_SCHEMA = pa.schema(
     [
@@ -240,10 +240,11 @@ def merge_positions_partition(grp: pa.Table, index_dir: str) -> pa.Table:
         "url"
     ).combine_chunks()
     dmrow = pc.index_in(win_urls, value_set=dm_urls)
-    assert dmrow.null_count == 0, (
-        "positional sidecar input does not match the index docmap "
-        "(build the sidecar from the SAME corpus the index was built from)"
-    )
+    if dmrow.null_count:
+        raise ValueError(
+            "positional sidecar input does not match the index docmap "
+            "(build the sidecar from the SAME corpus the index was built from)"
+        )
     dmrow_of_win = dmrow.to_numpy(zero_copy_only=False).astype(np.int64)
 
     # global sorted vocabulary + per-partial remap (local dicts are sorted,
@@ -262,10 +263,11 @@ def merge_positions_partition(grp: pa.Table, index_dir: str) -> pa.Table:
             tp_bound = max(tp_bound, int(v.view(np.int32).max()))
     bits_tp = max(1, tp_bound.bit_length())  # positions < per-doc token count
     bits_code = max(1, int(len(vocab) - 1).bit_length()) if len(vocab) > 1 else 1
-    assert bits_code + bits_row + bits_tp <= 64, (
-        "packed key overflow (vocab x docs x positions too wide for one "
-        "partition — raise num_partitions)"
-    )
+    if bits_code + bits_row + bits_tp > 64:
+        raise ValueError(
+            "packed key overflow (vocab x docs x positions too wide for one "
+            "partition — raise num_partitions)"
+        )
     sh_row, sh_code = np.uint64(bits_tp), np.uint64(bits_tp + bits_row)
 
     word_parts: list[np.ndarray] = []

@@ -34,7 +34,7 @@ import pyarrow as pa
 
 from ..config import IndexConfig
 from ..functions.codec import encode_segment_table
-from ..functions.tokenize import term_frequencies_encoded
+from ..functions.tokenize import term_frequencies_encoded, union_vocab
 from ..state.manifest import PartitionManifest, write_manifest
 from .build import (
     DOCMAP_SCHEMA,
@@ -101,20 +101,6 @@ MERGE_NUM_CPUS = 2
 def _width_for(max_value: int) -> int:
     """Smallest supported byte width holding max_value (0-based values)."""
     return 2 if max_value <= 0xFFFF else 4
-
-
-def union_vocab(terms: pa.Array) -> tuple[pa.Array, np.ndarray]:
-    """The sorted distinct terms of `terms` and each entry's int64 code in
-    that vocabulary: one hash pass (dictionary_encode) and a sort of the
-    distinct terms only. Every merge (build, fold, positions sidecar)
-    unions its inputs' term dictionaries here, so term strings never enter
-    a posting sort."""
-    enc = pa.compute.dictionary_encode(terms)
-    order = pa.compute.sort_indices(enc.dictionary).to_numpy(zero_copy_only=False)
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size, dtype=np.int64)
-    codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
-    return enc.dictionary.take(pa.array(order)), codes
 
 
 def sort_postings(
@@ -206,19 +192,14 @@ def map_partial(batch: pa.Table, num_partitions: int, langs: tuple[str, ...] | N
     srt = srt.filter(pa.array(first))
 
     # tokenize the WHOLE batch once, then split postings/docmap by partition
-    # (per-partition tokenize calls would drown in per-call overhead)
+    # (per-partition tokenize calls would drown in per-call overhead). The
+    # rows are in doc_id order (the dedup sort's first key).
     doc_ids_all = srt.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    doc_sort = np.argsort(doc_ids_all, kind="stable")
-    srt = srt.take(pa.array(doc_sort))
-    doc_ids_all = doc_ids_all[doc_sort]
     parts_all = srt.column("partition").to_numpy(zero_copy_only=False)
-    # NOTE: no term-string sort here — partial posting order is irrelevant
-    # (the merge lexsorts globally on integer codes); the only string op on
-    # the map side is the encoded kernel's single dictionary_encode, and its
-    # codes ARE the per-batch dictionary indices (no second encode pass)
+    # postings come out in (term code, row) order over a LEXICOGRAPHIC batch
+    # dictionary (a code is its term's rank)
     batch_codes, pos_all, p_tfs_all, batch_dict = term_frequencies_encoded(srt.column("text"))
     doc_lens_all = np.bincount(pos_all, weights=p_tfs_all, minlength=doc_ids_all.size).astype(np.int64)
-    p_parts = parts_all[pos_all]
 
     warc_all = srt.column("warc_ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     th_all = srt.column("text_hash").to_numpy(zero_copy_only=False)
@@ -229,79 +210,71 @@ def map_partial(batch: pa.Table, num_partitions: int, langs: tuple[str, ...] | N
     if isinstance(lang_col, pa.ChunkedArray):
         lang_col = lang_col.combine_chunks()
 
-    # group postings and docmap rows by partition with ONE stable int argsort
-    # each, then slice contiguous ranges (no per-partition O(N) masking)
+    # group docmap rows and postings by partition with ONE stable argsort
+    # each, then slice contiguous ranges. Partition ids narrow to 8 or 16
+    # bits when they fit: numpy's stable sort of those widths is a radix
+    # sort. Stability keeps docs in doc_id order and postings in (code, row)
+    # order inside every partition.
+    pdt = np.uint8 if num_partitions <= 0x100 else np.uint16 if num_partitions <= 0x10000 else np.int32
+    parts_n = parts_all.astype(pdt)
+    d_order = np.argsort(parts_n, kind="stable")
+    uniq_parts, d_counts = np.unique(parts_all, return_counts=True)
+    d_bounds = np.zeros(uniq_parts.size + 1, dtype=np.int64)
+    np.cumsum(d_counts, out=d_bounds[1:])
+    # ordinal of each row's doc within its partition's docmap slice
+    ord_of_row = np.empty(d_order.size, dtype=np.int64)
+    ord_of_row[d_order] = np.arange(d_order.size, dtype=np.int64) - np.repeat(d_bounds[:-1], d_counts)
+
+    p_parts = parts_n[pos_all]
     p_order = np.argsort(p_parts, kind="stable")
-    p_sorted = p_parts[p_order]
-    d_order = np.argsort(parts_all, kind="stable")
-    d_sorted = parts_all[d_order]
-    uniq_parts = np.unique(parts_all)
-    p_bounds = np.searchsorted(p_sorted, uniq_parts)
-    p_ends = np.append(p_bounds[1:], p_sorted.size)
-    d_bounds = np.searchsorted(d_sorted, uniq_parts)
-    d_ends = np.append(d_bounds[1:], d_sorted.size)
+    codes_s = batch_codes[p_order]
+    ords_s = ord_of_row[pos_all[p_order]]
+    tfs_s = p_tfs_all[p_order]
+    p_bounds = np.append(np.searchsorted(p_parts[p_order], uniq_parts.astype(pdt)), codes_s.size)
+    # SORTED-RUN INVARIANT (consumed by the merge's bucket path): a partial's
+    # term dictionary is LEXICOGRAPHICALLY sorted and its postings are in
+    # (term code, doc ordinal) order. The merge-side remap local ->
+    # global-sorted-vocab is then monotone, so each partial arrives as a
+    # pre-sorted run and the merge bucket-splits instead of re-sorting the
+    # whole partition. Here it costs no sort: inside a partition the
+    # postings are in (lexicographic batch code, row) order, a partition's
+    # local code is the dense rank of its runs of equal batch codes, and
+    # rows map to ordinals monotonically (both in doc_id order).
+    new_run = np.ones(codes_s.size, dtype=bool)
+    new_run[1:] = codes_s[1:] != codes_s[:-1]
+    new_run[p_bounds[:-1][p_bounds[:-1] < codes_s.size]] = True
+    run_id = np.cumsum(new_run) - 1
+    run_first = np.flatnonzero(new_run)
+    r_bounds = np.searchsorted(run_first, p_bounds)
 
     parts_list, dm_ids_b, dm_lens_b, dm_ts_b, dm_th_b = [], [], [], [], []
-    url_parts, lang_parts, dict_parts = [], [], []
     ptix_b, pdoc_b, ptf_b, tfmax_list = [], [], [], []
     wcode_list, word_list, wtf_list = [], [], []
     for pi, p in enumerate(uniq_parts):
-        dsel_np = d_order[d_bounds[pi]: d_ends[pi]]
-        psel = p_order[p_bounds[pi]: p_ends[pi]]
-        codes = batch_codes[psel]
-        used = np.unique(codes)
-        local_codes = np.searchsorted(used, codes).astype(np.int32)
+        dsel = d_order[d_bounds[pi]: d_bounds[pi + 1]]
+        a, b = p_bounds[pi], p_bounds[pi + 1]
         parts_list.append(int(p))
-        dm_ids_b.append(doc_ids_all[dsel_np].tobytes())
-        dm_lens_b.append(doc_lens_all[dsel_np].astype(np.int32).tobytes())
-        dm_ts_b.append(warc_all[dsel_np].tobytes())
-        dm_th_b.append(th_all[dsel_np].tobytes())
-        dsel = pa.array(dsel_np)
-        url_parts.append(url_col.take(dsel))
-        lang_parts.append(lang_col.take(dsel))
-        # SORTED-RUN INVARIANT (consumed by the merge's bucket path): the
-        # partial's term dictionary is stored LEXICOGRAPHICALLY sorted and
-        # postings are stored sorted by (term code, doc ordinal). The
-        # merge-side remap local->global-sorted-vocab is then monotone, so
-        # each partial arrives as a pre-sorted run and the merge can bucket-
-        # split instead of re-sorting the whole partition (cache-resident —
-        # robust to the DRAM contention that capped 8->32 merge scaling).
-        # These per-slice sorts are small (one batch x one partition) and run
-        # on the map side, pipelined with the Parquet read.
-        dict_slice = batch_dict.take(pa.array(used))
-        lex_order = pa.compute.sort_indices(dict_slice).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        lex_rank = np.empty(lex_order.size, dtype=np.int32)
-        lex_rank[lex_order] = np.arange(lex_order.size, dtype=np.int32)
-        lex_codes = lex_rank[local_codes]
-        dict_parts.append(dict_slice.take(pa.array(lex_order)))
-        # ordinal of the posting's doc within THIS partial's docmap slice
-        # (dsel_np is ascending, so searchsorted is exact membership)
-        ords = np.searchsorted(dsel_np, pos_all[psel]).astype(np.int32)
-        # (code, ord) keys are unique within the slice -> plain argsort
-        key = (lex_codes.astype(np.int64) << np.int64(32)) | ords.astype(np.int64)
-        o = np.argsort(key)
-        tfs_slice = p_tfs_all[psel][o]
+        dm_ids_b.append(doc_ids_all[dsel].tobytes())
+        dm_lens_b.append(doc_lens_all[dsel].astype(np.int32).tobytes())
+        dm_ts_b.append(warc_all[dsel].tobytes())
+        dm_th_b.append(th_all[dsel].tobytes())
+        tfs_slice = tfs_s[a:b]
         tf_max = int(tfs_slice.max(initial=0))
-        w_code = _width_for(used.size - 1)
-        w_ord = _width_for(dsel_np.size - 1)
+        w_code = _width_for(int(r_bounds[pi + 1] - r_bounds[pi]) - 1)
+        w_ord = _width_for(dsel.size - 1)
         w_tf = _width_for(tf_max)
-        ptix_b.append(lex_codes[o].astype(_WIDTH_DT[w_code]).tobytes())
-        pdoc_b.append(ords[o].astype(_WIDTH_DT[w_ord]).tobytes())
+        ptix_b.append((run_id[a:b] - r_bounds[pi]).astype(_WIDTH_DT[w_code]).tobytes())
+        pdoc_b.append(ords_s[a:b].astype(_WIDTH_DT[w_ord]).tobytes())
         ptf_b.append(tfs_slice.astype(_WIDTH_DT[w_tf]).tobytes())
         tfmax_list.append(tf_max)
         wcode_list.append(w_code)
         word_list.append(w_ord)
         wtf_list.append(w_tf)
 
-    def _list_of(parts: list[pa.Array]) -> pa.ListArray:
-        offs = np.zeros(len(parts) + 1, dtype=np.int32)
-        offs[1:] = np.cumsum([len(x) for x in parts])
-        return pa.ListArray.from_arrays(
-            pa.array(offs), pa.concat_arrays([x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x for x in parts])
-        )
+    def _list_of(values: pa.Array, bounds: np.ndarray) -> pa.ListArray:
+        return pa.ListArray.from_arrays(pa.array(bounds.astype(np.int32)), values)
 
+    d_take = pa.array(d_order)
     return pa.table(
         [
             pa.array(parts_list, type=pa.int32()),
@@ -309,9 +282,9 @@ def map_partial(batch: pa.Table, num_partitions: int, langs: tuple[str, ...] | N
             pa.array(dm_lens_b, type=pa.binary()),
             pa.array(dm_ts_b, type=pa.binary()),
             pa.array(dm_th_b, type=pa.binary()),
-            _list_of(url_parts),
-            _list_of(lang_parts),
-            _list_of(dict_parts),
+            _list_of(url_col.take(d_take), d_bounds),
+            _list_of(lang_col.take(d_take), d_bounds),
+            _list_of(batch_dict.take(pa.array(codes_s[run_first])), r_bounds),
             pa.array(tfmax_list, type=pa.int32()),
             pa.array(wcode_list, type=pa.int8()),
             pa.array(word_list, type=pa.int8()),
@@ -395,8 +368,6 @@ def merge_spilled_partition(
     partial's buffers — the old path held every partial's 12 B/posting
     alongside the runs for the whole merge (VERDICT r3 'streaming k-way
     merge' item)."""
-    import time as _t
-
     import pyarrow.ipc as ipc
 
     _clamp_worker_threads()
@@ -408,24 +379,18 @@ def merge_spilled_partition(
     metas = sorted(f for f in os.listdir(d) if f.startswith("meta-") and f.endswith(".arrows"))
     if not metas:
         return MANIFEST_ROW_SCHEMA.empty_table()
-    _tm: dict[str, float] = {}
-    _t0 = _t.perf_counter()
     meta_tables = []
     for f in metas:
         with ipc.open_stream(os.path.join(d, f)) as r:
             meta_tables.append(r.read_all())
     grp_meta = pa.concat_tables(meta_tables)
     del meta_tables
-    _tm["read"] = _t.perf_counter() - _t0
-    ctx = _merge_prepare(grp_meta, cfg, _tm)
+    ctx = _merge_prepare(grp_meta, cfg)
     dts = _stream_dtypes(grp_meta)
     for i, f in enumerate(metas):
-        _t0 = _t.perf_counter()
         pf = os.path.join(d, "post-" + f[len("meta-"):])
         with ipc.open_stream(pf) as r:
             post = r.read_all()
-        _tm["read"] += _t.perf_counter() - _t0
-        _t0 = _t.perf_counter()
         _winnow_partial(
             ctx, i,
             _bin_row_views(post.column("p_term_idx"))[0].view(dts[i][0]),
@@ -433,8 +398,7 @@ def merge_spilled_partition(
             _bin_row_views(post.column("p_tfs"))[0].view(dts[i][2]),
         )
         del post  # frees this partial's decompressed posting buffers
-        _tm["winnow"] = _tm.get("winnow", 0.0) + (_t.perf_counter() - _t0)
-    return _merge_finalize(ctx, partition, index_dir, cfg, _tm)
+    return _merge_finalize(ctx, partition, index_dir, cfg)
 
 
 def _bin_row_views(col) -> list[np.ndarray]:
@@ -530,16 +494,13 @@ class _MergeCtx:
     )
 
 
-def _merge_prepare(grp: pa.Table, cfg: IndexConfig, _tm: dict[str, float]) -> _MergeCtx:
+def _merge_prepare(grp: pa.Table, cfg: IndexConfig) -> _MergeCtx:
     """Pass 1 of the merge — consumes ONLY metadata columns (dm_*, urls,
     langs, terms, tf_max; `grp` may carry posting columns too, they are not
     touched): resolve the recrawl winner per doc_id, build the union
     vocabulary + per-partial code remaps, fix the docid permutation for
     up-front strategies (hash/dense_url), and fix the packed sort-word
     widths from the spilled tf_max bound."""
-    import time as _t
-
-    _t0 = _t.perf_counter()
     ctx = _MergeCtx()
     n_partials = ctx.n_partials = len(grp)
 
@@ -587,8 +548,6 @@ def _merge_prepare(grp: pa.Table, cfg: IndexConfig, _tm: dict[str, float]) -> _M
     #   "gorder"    (O5) — rank = Gorder sliding-window ordering over the
     #                      shared-term doc graph (stages/reorder.py; computed
     #                      in _merge_finalize once the winnowed postings exist)
-    _t1 = _t.perf_counter()
-    _tm["winners"] = _tm.get("winners", 0.0) + (_t1 - _t0)
     rank_of: np.ndarray | None = None
     if cfg.docid_strategy == "dense_url":
         urls_concat = pa.concat_arrays(
@@ -647,7 +606,6 @@ def _merge_prepare(grp: pa.Table, cfg: IndexConfig, _tm: dict[str, float]) -> _M
     ctx.sh_pos, ctx.sh_code = np.uint64(ctx.bits_tf), np.uint64(ctx.bits_tf + ctx.bits_pos)
     ctx.word_parts = []
     ctx.code_parts, ctx.pos_parts, ctx.tf_parts = [], [], []
-    _tm["vocab"] = _tm.get("vocab", 0.0) + (_t.perf_counter() - _t1)
     return ctx
 
 
@@ -694,21 +652,10 @@ def _winnow_partial(
 
 
 def _merge_finalize(
-    ctx: _MergeCtx, partition: int, index_dir: str, cfg: IndexConfig,
-    _tm: dict[str, float],
+    ctx: _MergeCtx, partition: int, index_dir: str, cfg: IndexConfig
 ) -> pa.Table:
     """Final stage: k-way merge of the winnowed runs, delta+varint segment
     encode, docmap assembly, atomic writes + lineage manifest."""
-    import time as _t
-
-    _t0 = _t.perf_counter()
-
-    def _lap(name: str) -> None:
-        nonlocal _t0
-        now = _t.perf_counter()
-        _tm[name] = _tm.get(name, 0.0) + (now - _t0)
-        _t0 = now
-
     win_sorted = ctx.win_sorted
     win_by_doc_order = ctx.win_by_doc_order
     win_lens = ctx.win_lens
@@ -756,7 +703,6 @@ def _merge_finalize(
                 # ids, so a doc's docmap row = its rank within the partition
                 m_pos = rank_of[m_pos].astype(np.int32)
             m_codes, m_pos, m_tfs = sort_postings(m_codes, m_pos, m_tfs)
-        _lap("sort")
         cols, tb, _ = encode_segment_table(m_codes, m_pos, m_tfs, block_size=cfg.block_size)
         hasher.update(cols["doc_blob"].buffers()[2])
         segment = segment_table(global_vocab_arr.take(pa.array(m_codes[tb].astype(np.int64))), cols)
@@ -765,7 +711,6 @@ def _merge_finalize(
         segment = SEGMENT_SCHEMA.empty_table()
         n_terms = 0
 
-    _lap("encode")
     # 3. final docmap (winners, sorted by final doc_id). Under a reorder
     # strategy the winner-aligned arrays re-sort by the NEW interleaved ids
     # (rank * P + partition) so the docmap row index == posting position.
@@ -806,15 +751,6 @@ def _merge_finalize(
             config_fingerprint=cfg.fingerprint(),
         ),
     )
-    _lap("write")
-    if os.environ.get("FLATNAV_MERGE_TIMING"):
-        import sys as _sys
-
-        print(
-            f"[merge timing] part={partition} "
-            + " ".join(f"{k}={v:.2f}s" for k, v in _tm.items()),
-            file=_sys.stderr,
-        )
     return pa.table(
         [[partition], [int(win_sorted.size)], [sum_dl], [n_terms], [nbytes], [False]],
         schema=MANIFEST_ROW_SCHEMA,

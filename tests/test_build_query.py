@@ -9,6 +9,7 @@
 * taat == maxscore (pruned search is exact)
 * two-phase spill build == the one-task `build_partition` reference,
   including recrawl ties and 2/4-byte spill widths
+* the map side's one-sort packing == a per-partition packing reference
 * checkpoint-resume skips completed partitions
 """
 
@@ -233,6 +234,19 @@ class TestRankIdentity:
         )
         out = search_to_table(ix, q, QueryConfig(k=10))
         assert len(out) == 0
+
+
+class TestBuildLaps:
+    def test_laps_cover_the_build(self, built_index):
+        """`BuildResult.laps` holds the layer seconds, and the laps plus
+        the unexplained rest add up to the build's wall time."""
+        _, res, _, _ = built_index
+        laps = res.laps
+        assert set(laps) == {"map_s", "merge_s", "merge_max_s", "merge_median_s",
+                             "term_stats_s", "unexplained_s"}
+        assert all(laps[k] > 0 for k in ("map_s", "merge_s", "merge_max_s", "term_stats_s"))
+        assert 0 < laps["merge_median_s"] <= laps["merge_max_s"] <= laps["merge_s"]
+        assert laps["unexplained_s"] >= 0
 
 
 class TestDeterminism:
@@ -507,6 +521,151 @@ class TestCodecWidthBoundaries:
         got = self._spill_equals_reference(tmp_path, batch)
         assert (got["w_code"], got["w_ord"], got["w_tf"]) == (2, w_ord, 2)
         assert (got["n_docs"], got["n_terms"]) == (n_docs, 97)
+
+
+def _reference_map_partial(batch, num_partitions, langs):
+    """The map side as it was packed one partition at a time: the regex
+    split of the analyzer spec, a first-seen batch dictionary, and per
+    partition an np.unique of its codes, a string sort of its dictionary
+    slice and an argsort of its (code, ordinal) keys."""
+    import pyarrow.compute as pc
+
+    from flatnav_ray.functions.tokenize import TOKEN_SPLIT_REGEX
+    from flatnav_ray.stages.build import text_tie_hash
+    from flatnav_ray.stages.twophase import _WIDTH_DT, PARTIAL_SCHEMA, _width_for
+
+    prep = prepare_batch(batch, num_partitions, langs)
+    if len(prep) == 0:
+        return PARTIAL_SCHEMA.empty_table()
+    prep = prep.append_column("text_hash", pa.array(text_tie_hash(prep.column("text")), pa.int64()))
+    srt = prep.take(pc.sort_indices(prep, sort_keys=[
+        ("doc_id", "ascending"), ("warc_ts", "descending"), ("text_hash", "descending")]))
+    ids = srt.column("doc_id").to_numpy(zero_copy_only=False)
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    srt = srt.filter(pa.array(first))
+    doc_ids = srt.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    parts = srt.column("partition").to_numpy(zero_copy_only=False)
+
+    toks = pc.split_pattern_regex(pc.utf8_lower(srt.column("text").combine_chunks()),
+                                  TOKEN_SPLIT_REGEX)
+    flat = pc.list_flatten(toks)
+    keep = pc.invert(pc.equal(flat, ""))
+    rows = pc.filter(pc.list_parent_indices(toks), keep).to_numpy(zero_copy_only=False)
+    enc = pc.dictionary_encode(pc.filter(flat, keep))
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    n = np.int64(len(srt))
+    uk, tf_all = np.unique(codes * n + rows.astype(np.int64), return_counts=True)
+    codes_all, pos_all = uk // n, uk % n
+    doc_lens = np.bincount(pos_all, weights=tf_all, minlength=n).astype(np.int64)
+    warc = srt.column("warc_ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
+    th = srt.column("text_hash").to_numpy(zero_copy_only=False)
+    url_col = srt.column("url").combine_chunks()
+    lang_col = srt.column("lang").combine_chunks()
+
+    out = {f.name: [] for f in PARTIAL_SCHEMA}
+    for p in np.unique(parts):
+        dsel = np.flatnonzero(parts == p)
+        psel = np.flatnonzero(parts[pos_all] == p)
+        used = np.unique(codes_all[psel])
+        local = np.searchsorted(used, codes_all[psel])
+        dict_slice = enc.dictionary.take(pa.array(used))
+        lex_order = pc.sort_indices(dict_slice).to_numpy(zero_copy_only=False)
+        lex_rank = np.empty(lex_order.size, dtype=np.int64)
+        lex_rank[lex_order] = np.arange(lex_order.size)
+        lex_codes = lex_rank[local]
+        ords = np.searchsorted(dsel, pos_all[psel])
+        o = np.argsort((lex_codes << 32) | ords)
+        tfs = tf_all[psel][o]
+        tf_max = int(tfs.max(initial=0))
+        w = (_width_for(used.size - 1), _width_for(dsel.size - 1), _width_for(tf_max))
+        out["partition"].append(int(p))
+        out["dm_doc_ids"].append(doc_ids[dsel].tobytes())
+        out["dm_doc_lens"].append(doc_lens[dsel].astype(np.int32).tobytes())
+        out["dm_warc_ts"].append(warc[dsel].tobytes())
+        out["dm_text_hash"].append(th[dsel].tobytes())
+        out["dm_urls"].append(url_col.take(pa.array(dsel)).to_pylist())
+        out["dm_langs"].append(lang_col.take(pa.array(dsel)).to_pylist())
+        out["terms"].append(dict_slice.take(pa.array(lex_order)).to_pylist())
+        out["tf_max"].append(tf_max)
+        out["w_code"].append(w[0])
+        out["w_ord"].append(w[1])
+        out["w_tf"].append(w[2])
+        out["p_term_idx"].append(lex_codes[o].astype(_WIDTH_DT[w[0]]).tobytes())
+        out["p_doc_ord"].append(ords[o].astype(_WIDTH_DT[w[1]]).tobytes())
+        out["p_tfs"].append(tfs.astype(_WIDTH_DT[w[2]]).tobytes())
+    return pa.table(out, schema=PARTIAL_SCHEMA)
+
+
+def _ext_id_pages(doc_ids, texts, langs=None):
+    """Adapter pages whose doc_id (and so partition = doc_id % P) is given."""
+    n = len(doc_ids)
+    t = _adapter_pages([f"https://x.example.com/{i}" for i in range(n)],
+                       [1_700_000_000_000_000] * n, texts)
+    if langs is not None:
+        t = t.set_column(t.schema.get_field_index("lang"), "lang", pa.array(langs, pa.string()))
+    return t.append_column("ext_doc_id", pa.array(doc_ids, pa.int64()))
+
+
+class TestMapPartialIdentity:
+    """`map_partial` packs every partition's partial from one sort of the
+    batch's postings; its table must equal the per-partition packing's."""
+
+    @staticmethod
+    def _same(batch, num_partitions, langs=None):
+        from flatnav_ray.stages.twophase import map_partial
+
+        got = map_partial(batch, num_partitions, langs)
+        want = _reference_map_partial(batch, num_partitions, langs)
+        assert got.equals(want)
+        return got
+
+    def test_empty_text_in_highest_partition(self):
+        """Partition 3 holds only docs with no tokens: a partial row with
+        docmap entries and no postings, after postings of lower partitions."""
+        texts = ["b a", "c b a", "zz top", "", "a b c d", "a", "q", "-- !"]
+        got = self._same(_ext_id_pages(list(range(8)), texts), 4)
+        last = got.slice(3, 1).to_pylist()[0]
+        assert last["partition"] == 3 and last["terms"] == [] and last["p_tfs"] == b""
+        assert np.frombuffer(last["dm_doc_lens"], np.int32).tolist() == [0, 0]
+
+    def test_term_that_ends_one_partition_and_starts_the_next(self):
+        """Partition 0's last term is partition 1's first: the run of equal
+        batch codes is cut at the partition boundary."""
+        texts = ["alpha mid", "mid zed", "mid", "zed"]
+        got = self._same(_ext_id_pages([0, 1, 2, 3], texts), 2)
+        assert got.column("terms").to_pylist() == [["alpha", "mid"], ["mid", "zed"]]
+
+    def test_one_partition_and_synthetic_batches(self):
+        from flatnav_ray.sources.synth import pages_table
+
+        pages = pages_table(400, seed=11, vocab_size=500, mean_len=40)
+        recrawl = pa.concat_tables([pages, pages.slice(0, 50)])  # within-batch dedup
+        for P in (1, 3, 16):
+            self._same(recrawl, P)
+        self._same(pages.slice(7, 1), 4)
+
+    def test_lang_filter(self):
+        ids = list(range(12))
+        texts = [f"w{i % 5} shared x{i}" for i in ids]
+        langs = ["en", "de", "fr"] * 4
+        self._same(_ext_id_pages(ids, texts, langs), 5, ("en", "fr"))
+        got = self._same(_ext_id_pages(ids, texts, langs), 5, ("xx",))
+        assert len(got) == 0
+
+    @pytest.mark.parametrize("num_partitions", [256, 257, 65_536, 65_537])
+    def test_partition_ids_across_sort_widths(self, num_partitions):
+        """Partition ids just below and at 2**8 and 2**16, with the id width
+        the partition sort narrows to on either side."""
+        top = num_partitions - 1
+        ids = [0, 1, 255, top, top + num_partitions, 2 * num_partitions + 1]
+        if num_partitions > 256:
+            ids += [256, 256 + num_partitions]
+        if num_partitions > 65_536:
+            ids += [65_535, 65_536]
+        texts = [f"t{i % 3} common u{i}" for i in range(len(ids))]
+        got = self._same(_ext_id_pages(ids, texts), num_partitions)
+        assert top in got.column("partition").to_pylist()
 
 
 class TestSpillRouting:

@@ -9,8 +9,10 @@ segments without them.
 
 The format and config checks raise `ValueError`, so they hold under
 `python -O` too: a segment row whose df disagrees with its blobs, a
-generation stack with no generation and a merge of indexes built with
-different block sizes all fail loud in a subprocess run with `-O`.
+generation stack with no generation, a merge of indexes built with
+different block sizes, a positional sidecar built from another corpus and a
+sidecar partition too wide for its packed sort key all fail loud in a
+subprocess run with `-O`.
 """
 
 import glob
@@ -144,6 +146,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 from flatnav_ray.functions.codec import decode_segment_postings
 from flatnav_ray.stages.build import segment_path
+from flatnav_ray.sources.synth import PagesGenerator
+from flatnav_ray.stages import positions
 from flatnav_ray.stages.compact import merge_indexes
 from flatnav_ray.stages.search import StackedSearchSession, _ShardState
 
@@ -174,6 +178,26 @@ raises(lambda: decode_segment_postings(seg.column("doc_blob"), seg.column("tf_bl
                                        seg.column("df")), "blob/df mismatch")
 raises(lambda: StackedSearchSession([]), "empty generation stack")
 raises(lambda: merge_indexes([ix, other], ix + "-merged"), "block_size mismatch")
+
+
+def sidecar_partials(seed):
+    t = positions.map_positions_partial(PagesGenerator(seed=seed, vocab_size=300).chunk(0, 120),
+                                        2, None)
+    return t.filter(pa.compute.equal(t.column("partition"), 0))
+
+
+raises(lambda: positions.merge_positions_partition(sidecar_partials(84), ix),
+       "does not match the index docmap")
+
+
+class WideVocab:
+    def __len__(self):
+        return 1 << 60
+
+
+same_corpus = sidecar_partials(83)
+positions.union_vocab = lambda terms: (WideVocab(), np.zeros(len(terms), np.int64))
+raises(lambda: positions.merge_positions_partition(same_corpus, ix), "packed key overflow")
 print("OK")
 """
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatnav_ray.functions.bm25 import bm25_score_py, bm25_term_scores, topk_select
 from flatnav_ray.functions.extract import extract_text_bytes
@@ -16,12 +19,87 @@ from flatnav_ray.functions.hashes import (
     stable_hash64,
 )
 from flatnav_ray.functions.tokenize import (
+    TOKEN_SPLIT_REGEX,
     doc_token_counts,
     explode_tokens,
     term_frequencies,
     tokenize_py,
 )
 from flatnav_ray.sources.synth import PagesGenerator
+
+
+def _regex_explode(texts):
+    """Oracle of `explode_tokens`: the analyzer spec run as Arrow's regex
+    split (lower, split on TOKEN_SPLIT_REGEX, flatten, drop empties)."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    toks = pc.split_pattern_regex(pc.utf8_lower(texts), TOKEN_SPLIT_REGEX)
+    flat = pc.list_flatten(toks)
+    keep = pc.invert(pc.equal(flat, ""))
+    parents = pc.filter(pc.list_parent_indices(toks), keep)
+    return parents.to_numpy(zero_copy_only=False).astype(np.int64), pc.filter(flat, keep)
+
+
+def _equals_regex_split(texts):
+    got_parents, got = explode_tokens(texts)
+    want_parents, want = _regex_explode(texts)
+    assert got_parents.dtype == np.int64
+    assert np.array_equal(got_parents, want_parents), (got_parents, want_parents)
+    assert got.equals(want), (got, want)
+
+
+# ASCII letters of both cases, digits, separators, and code points whose
+# lower case is ASCII (the Kelvin sign) or longer than the original (İ)
+_MIXED = "abzAZ09 -_.,\t\nàÀéßİΩ\u212a\u0130"
+
+
+class TestByteClassTokenizer:
+    """`explode_tokens` classifies lowered bytes; it must equal the regex
+    split of the analyzer spec on every input."""
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["ab", "cd"],  # alnum runs touching across a row boundary
+            ["ab", "cd", "", "ef", "g"],
+            ["", "a b", ""],  # empty first and last rows
+            [None, "a", None],  # null first and last rows
+            ["   ", "x", "\t\n "],  # whitespace-only rows
+            ["a--b", "--", "-a-", "a-"],
+            ["aàb", "İ", "\u212a", "À", "Ω", "xΩy", "İstanbul", "\u212aelvin9"],
+            [],
+            [""],
+            [None],
+            ["", None, " ", ""],
+        ],
+    )
+    @pytest.mark.parametrize("type_", [pa.string(), pa.large_string()])
+    def test_equals_regex_split(self, texts, type_):
+        _equals_regex_split(pa.array(texts, type=type_))
+
+    def test_sliced_large_and_chunked_inputs(self):
+        texts = ["Hello, World 42!", "ab", "cd", "", None, "aàb İ", "x-y_z", "end"]
+        arr = pa.array(texts, pa.string())
+        _equals_regex_split(arr.slice(1))
+        _equals_regex_split(arr.slice(2, 3))
+        _equals_regex_split(arr.slice(8))
+        _equals_regex_split(pa.array(texts, pa.large_string()).slice(3))
+        _equals_regex_split(pa.chunked_array([arr.slice(0, 3), arr.slice(3)]))
+        _equals_regex_split(pa.chunked_array([arr.slice(1, 2), arr.slice(5)]))
+        _equals_regex_split(pa.chunked_array([], type=pa.string()))
+        assert explode_tokens(pa.array(texts, pa.large_string()))[1].type == pa.large_string()
+
+    def test_synthetic_corpus(self):
+        from flatnav_ray.functions.extract import extract_text_batch
+
+        text = extract_text_batch(PagesGenerator(seed=5).chunk(0, 200)).column("text")
+        _equals_regex_split(text)
+        _equals_regex_split(text.combine_chunks().slice(37, 101))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.text(alphabet=_MIXED, max_size=30)), max_size=25))
+    def test_random_mixed_strings(self, texts):
+        _equals_regex_split(pa.array(texts, pa.string()))
 
 
 class TestTokenizer:
