@@ -142,15 +142,6 @@ def strip_stopwords(
     return pc.binary_join(lists, " ")
 
 
-def doc_token_counts(texts: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Per-row token count (doc length in tokens), vectorized."""
-    n = len(texts)
-    parents, _ = explode_tokens(texts)
-    out = np.zeros(n, dtype=np.int64)
-    np.add.at(out, parents, 1)
-    return out
-
-
 def union_vocab(terms: pa.Array) -> tuple[pa.Array, np.ndarray]:
     """The sorted distinct terms of `terms` and each entry's int64 code in
     that vocabulary: one hash pass (dictionary_encode) and a sort of the

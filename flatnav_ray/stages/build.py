@@ -116,7 +116,10 @@ def dedup_latest(group: pa.Table) -> pa.Table:
 def _atomic_write_parquet(table: pa.Table, path: str) -> int:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(table, tmp, compression="zstd")
+    # no dictionary pages: a segment's terms are all distinct (its dictionary
+    # page overflows and falls back, so it only adds bytes) and a docmap's
+    # urls nearly so; zstd does the compression
+    pq.write_table(table, tmp, compression="zstd", use_dictionary=False)
     os.replace(tmp, path)
     return os.path.getsize(path)
 

@@ -20,7 +20,6 @@ from flatnav_ray.functions.hashes import (
 )
 from flatnav_ray.functions.tokenize import (
     TOKEN_SPLIT_REGEX,
-    doc_token_counts,
     explode_tokens,
     term_frequencies,
     tokenize_py,
@@ -120,10 +119,6 @@ class TestTokenizer:
             per_row[p].append(t)
         for row, text in zip(per_row, texts):
             assert row == tokenize_py(text), text
-
-    def test_doc_token_counts(self):
-        arr = pa.array(["a b c", "", "x"])
-        assert doc_token_counts(arr).tolist() == [3, 0, 1]
 
     def test_term_frequencies(self):
         t = term_frequencies(np.array([1, 2]), pa.array(["a a b", "b"]))
@@ -299,11 +294,9 @@ class TestExtractBatchPath:
         assert sl.column("text").to_pylist() == exp[50:70]
 
     def test_vectorized_path_fuzz_and_sentinel_fallback(self):
-        """The RE2-kernel batch path (capture-free DFA passes) must be
-        byte-identical to the scalar spec on adversarial html — unclosed
-        tags, multiple bodies, empty docs, entities — and batches containing
-        the \x01 sentinel must take the scalar fallback with identical
-        output."""
+        """The byte-scan batch path must be byte-identical to the scalar
+        spec on adversarial html — unclosed tags, multiple bodies, empty
+        docs, entities — and on a batch holding a \x01 byte."""
         import random
 
         import pyarrow as pa
@@ -329,6 +322,177 @@ class TestExtractBatchPath:
         got = extract_text_batch(batch).column("text").to_pylist()
         exp = [extract_text_bytes(h.as_py()) for h in html]
         assert got == exp
+
+
+def _extract_checked(html, text=None):
+    """`extract_text_batch` over `html`, asserted equal to the spec row by
+    row: `extract_text_bytes` of each non-null row, and for a null row its
+    carried `text` ("" with no text column)."""
+    from flatnav_ray.functions.extract import extract_text_batch
+
+    cols = {"url": pa.array([f"u{i}" for i in range(len(html))]), "html": html}
+    if text is not None:
+        cols["text"] = text
+    got = extract_text_batch(pa.table(cols)).column("text")
+    carried = text.to_pylist() if text is not None else [""] * len(html)
+    want = [extract_text_bytes(h) if h is not None else t for h, t in zip(html.to_pylist(), carried)]
+    assert got.to_pylist() == want
+    assert got.type == pa.string()
+    return got.to_pylist()
+
+
+# html tag tokens: every literal the extractor matches, near misses of them,
+# entities, the old \x01 sentinel and multi-byte UTF-8
+_HTML_TOKENS = [
+    b"<", b">", b"/", b"</", b"p", b"h1", b"h6", b"h7", b"pre", b"body", b"nav",
+    b"header", b"footer", b"script", b"style", b"x", b" ", b"\n", b"\x01",
+    "é".encode(), "中".encode(), b"&", b"&amp;", b"&lt;", b"&gt;", b"&quot;", b"&#39;",
+    b"<p>", b"</p>", b"<h2>", b"</h2>", b"<body>", b"</body>", b"<nav>", b"</nav>",
+    b"<script>", b"</script>", b"<header>", b"</header>",
+]
+
+
+class TestExtractByteScan:
+    """The byte scan of `extract_text_batch` against the regex spec on the
+    inputs where a scan can drift from it: Arrow layouts, null slots that
+    cover bytes, tags made by a removal, literals cut by a row or window
+    end, entities, invalid UTF-8 and long runs of openers."""
+
+    def test_large_binary_chunked_and_sliced_batches(self):
+        from flatnav_ray.sources.synth import pages_table
+
+        html = pages_table(60, seed=3, vocab_size=300, mean_len=30).column("html").combine_chunks()
+        html = pa.concat_arrays([html, pa.array([b"<p>a &amp; b</p>", None, b""], pa.binary())])
+        _extract_checked(html.cast(pa.large_binary()))
+        _extract_checked(html.cast(pa.large_binary()).slice(7, 40))
+        _extract_checked(pa.chunked_array([html.slice(0, 10), html.slice(10, 0), html.slice(10)]))
+        _extract_checked(html.slice(55))
+        _extract_checked(html.slice(61, 2))
+
+    def test_null_slot_covering_bytes_keeps_carried_text(self):
+        from flatnav_ray.functions.extract import extract_text_batch
+
+        hidden = b"<body><p>hidden \xff</p></body>"
+        data = b"<p>a</p>" + hidden + b"<p>c</p>"
+        offsets = np.array([0, 8, 8 + len(hidden), len(data)], dtype=np.int32)
+        validity = pa.py_buffer(bytes([0b101]))
+        html = pa.Array.from_buffers(
+            pa.binary(), 3, [validity, pa.py_buffer(offsets.tobytes()), pa.py_buffer(data)]
+        )
+        assert html.null_count == 1 and html.to_pylist() == [b"<p>a</p>", None, b"<p>c</p>"]
+        text = pa.array(["", "carried", ""], pa.string())
+        assert _extract_checked(html, text) == ["a", "carried", "c"]
+        assert _extract_checked(html) == ["a", "", "c"]
+        batch = pa.table({"url": pa.array(["a", "b"]), "html": html.slice(1), "text": text.slice(1)})
+        assert extract_text_batch(batch).column("text").to_pylist() == ["carried", "c"]
+
+    @pytest.mark.parametrize(
+        "doc,want",
+        [
+            (b"<<nav>x</nav>p>a</p>", "a"),
+            (b"<p<nav>x</nav>>a</p>", "a"),
+            (b"<p>a</<nav></nav>p>b</p>", "a"),
+            (b"<body><p>a</<script>s</script>p>b</p></body>", "a"),
+        ],
+    )
+    def test_removal_joins_a_new_tag(self, doc, want):
+        assert extract_text_bytes(doc) == want
+        assert _extract_checked(pa.array([b"<p>before</p>", doc, b"<p>after</p>"])) == [
+            "before", want, "after"
+        ]
+
+    @pytest.mark.parametrize(
+        "doc,want",
+        [
+            (b"<pre>x</p>", "x"),
+            (b"<p>a</pre><pre>b</p>", "a</pre><pre>b"),
+            (b"<h12>y</h1>", "y"),
+            (b"<h12>y</h12>", ""),
+            (b"<navx>z</nav><p>q</p>", "q"),
+            (b"<headers>z</header><p>q</p>", "q"),
+            (b"<bodyx><p>in</p></body><p>out</p>", "in"),
+        ],
+    )
+    def test_opener_prefixes(self, doc, want):
+        assert extract_text_bytes(doc) == want
+        assert _extract_checked(pa.array([doc])) == [want]
+
+    def test_literal_split_across_a_row_boundary(self):
+        rows = [
+            b"<p>a</p><bo", b"dy><p>b</p></body>",  # "<body" cut by the row end
+            b"<body><p>c</p></bo", b"dy>",  # "</body>" cut
+            b"<p>d</p><na", b"v>x</nav><p>e</p>",  # "<nav" cut
+            b"<p>f</", b"p><p>g</p>",  # "</p>" cut
+            b"<h", b"1>h</h1>",  # "<h1" cut
+        ]
+        assert _extract_checked(pa.array(rows)) == ["a", "b", "c", "", "d", "e", "", "g", "", ""]
+
+    def test_literal_split_across_a_body_window(self):
+        rows = [
+            b"<body><p>a</p><nav</body><p>x</p></nav>",  # opener's '>' past the window
+            b"<body><p>b</body></p>",  # closer past the window
+            b"<body><p>c</p><script>s</body></script>",
+            b"<body<nav>x</nav><p>d</p></body>",  # "<nav" before the window
+            b"<body><p>e</p></body><p>f</p></body>",
+            b"<body><p>g</body>",  # next row starts with the closer
+            b"</p><p>h</p>",
+        ]
+        assert _extract_checked(pa.array(rows)) == ["a", "", "c", "d", "e", "", "h"]
+
+    def test_entities_in_some_rows_and_their_order(self):
+        rows = [
+            b"<p>plain</p>",
+            b"<p>a &amp;lt; b &amp;amp;</p>",
+            None,
+            b"<p>&lt;&gt;&quot;&#39;&amp;</p><p>&</p>",
+            b"<nav>&amp;</nav><p>x</p>",
+            b"<p>&am</p><p>p;</p>",
+        ]
+        got = _extract_checked(pa.array(rows, pa.binary()), pa.array(["", "", "kept &amp;", "", "", ""]))
+        assert got == ["plain", "a &lt; b &amp;", "kept &amp;", "<>\"'&\n&", "x", "&am\np;"]
+
+    def test_invalid_utf8_in_content_raises_on_both_paths(self):
+        from flatnav_ray.functions.extract import extract_text_batch
+
+        doc = b"<body><p>ok \xff\xfe</p></body>"
+        with pytest.raises(UnicodeDecodeError):
+            extract_text_bytes(doc)
+        batch = pa.table({"url": pa.array(["a", "b"]), "html": pa.array([b"<p>a</p>", doc])})
+        with pytest.raises(pa.ArrowInvalid):
+            extract_text_batch(batch)
+
+    def test_invalid_utf8_in_removed_bytes_is_not_checked(self):
+        rows = [
+            b"<body><nav>\xff</nav><p>ok</p><script>\xc3</script></body>",
+            b"\xff<body><p>ok</p></body>\xfe",
+            b"<p>ok</p><p \xff>x",
+        ]
+        assert _extract_checked(pa.array(rows)) == ["ok", "ok", "ok"]
+
+    def test_many_unclosed_openers(self):
+        doc = b"<body>" + b"<p>x" * 200_000 + b"</p><h1>" + b"<p" * 1000 + b"</h1></body>"
+        rows = [b"<p>a</p>", doc, b"<p>b</p>"]
+        got = _extract_checked(pa.array(rows))
+        assert got[1].startswith("x<p>x") and got[1].endswith("<p" * 1000)
+
+    def test_a_dropped_match_leaves_later_matches_kept(self):
+        # the h1 match starts inside the kept p match and is dropped, so the
+        # p matches it spans are kept
+        doc = b"<p>a<h1>b</p>" + b"<p>x</p>" * 50 + b"</h1><p>z</p>"
+        assert _extract_checked(pa.array([doc]))[0] == "\n".join(["a<h1>b"] + ["x"] * 50 + ["z"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.lists(st.sampled_from(_HTML_TOKENS), max_size=30).map(b"".join)),
+            max_size=12,
+        ),
+        st.integers(0, 3),
+    )
+    def test_random_tag_token_batches(self, docs, start):
+        html = pa.array(docs, pa.binary())
+        text = pa.array([f"t{i}" for i in range(len(docs))], pa.string())
+        _extract_checked(html.slice(min(start, len(docs))), text.slice(min(start, len(docs))))
 
 
 class TestStripStopwords:
