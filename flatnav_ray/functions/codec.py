@@ -6,11 +6,9 @@ The analog of the reference's packed node-record layout
 opaque binary blobs we encode/decode ourselves. A list is fully described by
 its df and its two blobs: every block holds `block_size` postings but the
 list's last, and each block's first doc delta is absolute, so the block
-boundaries follow from df alone. Serving reads only `term`, `df`, `doc_blob`
-and `tf_blob` (`stages/build.POSTING_COLUMNS`). The encoders still write each
-block's last doc id and byte offsets (`block_last_doc`, `block_doc_offs`,
-`block_tf_offs`) so that older readers keep opening new indexes; no reader
-here uses them.
+boundaries follow from df alone. A segment row is exactly that: `term`,
+`df`, `doc_blob` and `tf_blob` (`stages/build.POSTING_COLUMNS`); no per-block
+metadata is written or read.
 
 All encode/decode paths are vectorized numpy (no per-value Python loops): the
 role the SIMD distance kernels play in the reference
@@ -26,13 +24,10 @@ a call through it and compaction decodes whole segments through it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BLOCK_SIZE = 128
 
-_SEVEN = np.uint64(7)
 _CONT = np.uint8(0x80)
 
 
@@ -131,67 +126,6 @@ def decode_varint(buf: bytes | np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class EncodedPostings:
-    """One term's posting list for one partition (one `segments` row)."""
-
-    df: int
-    doc_blob: bytes            # delta+varint doc ids; block-start deltas are absolute
-    tf_blob: bytes             # varint term frequencies, same order
-    block_last_doc: np.ndarray  # int64 (n_blocks,) last doc id per block
-    block_doc_offs: np.ndarray  # int32 (n_blocks,) byte offset of block start in doc_blob
-    block_tf_offs: np.ndarray   # int32 (n_blocks,) byte offset of block start in tf_blob
-
-
-def encode_postings(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    block_size: int = BLOCK_SIZE,
-) -> EncodedPostings:
-    """Encode a sorted (by doc_id) posting list into delta+varint blocks.
-
-    Each block's first delta is absolute (delta from 0), so the list decodes
-    as one cumsum rebased per block (`_block_cumsum`).
-    """
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
-    tfs = np.ascontiguousarray(tfs, dtype=np.int64)
-    n = doc_ids.size
-    assert n > 0
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = doc_ids[0]
-    deltas[1:] = np.diff(doc_ids).astype(np.uint64)
-    block_starts = np.arange(0, n, block_size, dtype=np.int64)
-    # block-start deltas absolute for independent decode
-    deltas[block_starts] = doc_ids[block_starts].astype(np.uint64)
-    block_ends = np.minimum(block_starts + block_size, n)
-
-    # per-value byte length to derive per-block byte offsets
-    def _byte_offs(vals: np.ndarray) -> tuple[bytes, np.ndarray]:
-        blob = encode_varint(vals)
-        lens = np.ones(n, dtype=np.int64)
-        tmp = vals.copy()
-        tmp >>= _SEVEN
-        while np.any(tmp):
-            lens[tmp > 0] += 1
-            tmp >>= _SEVEN
-        ends = np.cumsum(lens)
-        starts_b = ends - lens
-        return blob, starts_b[block_starts].astype(np.int32)
-
-    doc_blob, doc_offs = _byte_offs(deltas)
-    tf_blob, tf_offs = _byte_offs(tfs.astype(np.uint64))
-
-    last_doc = doc_ids[block_ends - 1].astype(np.int64)
-    return EncodedPostings(
-        df=n,
-        doc_blob=doc_blob,
-        tf_blob=tf_blob,
-        block_last_doc=last_doc,
-        block_doc_offs=doc_offs.astype(np.int32),
-        block_tf_offs=tf_offs.astype(np.int32),
-    )
-
-
 def _check_blob_size(value_lens: np.ndarray) -> None:
     """Segment blobs are Arrow binary columns with int32 offsets."""
     if int(value_lens.sum(dtype=np.int64)) >= 2**31:
@@ -209,18 +143,20 @@ def encode_segment_table(
     loop. One varint pass over the concatenated delta stream; per-term blobs
     are offset slices of the shared buffer (Arrow BinaryArray from offsets).
 
-    Returns a dict of pyarrow arrays matching stages.build.SEGMENT_SCHEMA
-    (minus 'term', returned separately as the unique term array).
+    Returns ({"df", "doc_blob", "tf_blob"} as pyarrow arrays, term start
+    indices, term end indices): with the term column they are the segment
+    row (stages.build.SEGMENT_SCHEMA).
     """
     import pyarrow as pa
 
     n = p_docs.size
-    assert n > 0
+    if n == 0:
+        raise ValueError("encode_segment_table needs at least one posting")
     # term boundaries (p_terms sorted)
     tb = np.flatnonzero(np.concatenate(([True], p_terms[1:] != p_terms[:-1])))
     te = np.append(tb[1:], n)
     nterms = tb.size
-    # block structure derived from per-term dfs on nblocks-sized arrays
+    # block starts derived from per-term dfs on nblocks-sized arrays
     # (~n/block_size elements) — no n-sized arange/cumsum/repeat passes
     df = te - tb
     nb_t = -(-df // block_size)                        # ceil(df / block_size)
@@ -230,7 +166,6 @@ def encode_segment_table(
     term_of_block = np.repeat(np.arange(nterms, dtype=np.int64), nb_t)
     within = np.arange(nblocks, dtype=np.int64) - cum_nb[term_of_block]
     block_starts = tb[term_of_block] + within * block_size
-    block_ends = np.minimum(block_starts + block_size, te[term_of_block])
 
     # deltas: doc - prev doc within term; absolute at block starts. Narrowest
     # width that fits (uint32 for docmap-position streams — the merge is
@@ -243,46 +178,22 @@ def encode_segment_table(
     deltas[1:] = (p_docs[1:] - p_docs[:-1]).astype(ddt)
     deltas[block_starts] = p_docs[block_starts].astype(ddt)
 
-    doc_blob_all, doc_lens_b = encode_varint_with_lens(deltas)
-    _check_blob_size(doc_lens_b)
-    doc_off = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(doc_lens_b, out=doc_off[1:])
-
-    tf_blob_all, tf_lens_b = encode_varint_with_lens(p_tfs)
-    _check_blob_size(tf_lens_b)
-    tf_off = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(tf_lens_b, out=tf_off[1:])
-
     # per-term binary slices as Arrow BinaryArray built from offset buffers
-    def _bin_from_offsets(blob: bytes, global_off: np.ndarray) -> pa.Array:
-        offs = global_off[np.append(tb, n)]
-        off_buf = pa.py_buffer(np.ascontiguousarray(offs, dtype=np.int32).tobytes())
+    # over the one varint buffer of the whole stream
+    def _blob_arr(values: np.ndarray) -> pa.Array:
+        blob, lens = encode_varint_with_lens(values)
+        _check_blob_size(lens)
+        off = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(lens, out=off[1:])
+        off_buf = pa.py_buffer(np.ascontiguousarray(off[np.append(tb, n)]).tobytes())
         return pa.BinaryArray.from_buffers(
             pa.binary(), nterms, [None, off_buf, pa.py_buffer(blob)]
         )
 
-    doc_blob_arr = _bin_from_offsets(doc_blob_all, doc_off)
-    tf_blob_arr = _bin_from_offsets(tf_blob_all, tf_off)
-
-    # per-block last doc id and byte offsets: written so older readers can
-    # open the segment; no reader here uses them
-    bl_last = p_docs[block_ends - 1].astype(np.int64)
-    bl_doffs = (doc_off[block_starts] - doc_off[tb][term_of_block]).astype(np.int32)
-    bl_toffs = (tf_off[block_starts] - tf_off[tb][term_of_block]).astype(np.int32)
-
-    # per-term list offsets into the block arrays = the block-count cumsum
-    list_off = cum_nb.astype(np.int32)
-
-    def _list_arr(values: np.ndarray, typ) -> pa.Array:
-        return pa.ListArray.from_arrays(pa.array(list_off), pa.array(values, type=typ))
-
     return {
-        "df": pa.array((te - tb).astype(np.int32), type=pa.int32()),
-        "doc_blob": doc_blob_arr,
-        "tf_blob": tf_blob_arr,
-        "block_last_doc": _list_arr(bl_last, pa.int64()),
-        "block_doc_offs": _list_arr(bl_doffs, pa.int32()),
-        "block_tf_offs": _list_arr(bl_toffs, pa.int32()),
+        "df": pa.array(df.astype(np.int32), type=pa.int32()),
+        "doc_blob": _blob_arr(deltas),
+        "tf_blob": _blob_arr(p_tfs),
     }, tb, te
 
 

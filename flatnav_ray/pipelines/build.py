@@ -118,6 +118,9 @@ class BuildResult:
     num_partitions: int
     n_partitions_built: int
     n_partitions_skipped: int
+    # file bytes of the segments and docmaps (the manifests' sum); the
+    # term_stats file is not counted here (`ingest.stack_size_bytes` and
+    # `introspect.index_size_bytes` count it)
     bytes: int
     # wall-clock seconds of the build's layers: "map_s" (read + map + the
     # count() barrier), "merge_s" (all merge tasks, as waited for),
@@ -255,6 +258,11 @@ def _timed_merge(partition, spill_dir, index_dir, cfg, resume):
 
 DRIVER_SIDE_TERMSTATS_ROWS = 20_000_000
 
+# term_stats row groups: lookup_term_df's filtered read prunes by the
+# min/max term of each group of the term-sorted file
+TERMSTATS_ROW_GROUP = 65536
+TERMSTATS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64())])
+
 
 def _build_term_stats(index_dir: str) -> None:
     """Global (term, df): column-pruned read of segment files (only term+df
@@ -263,8 +271,11 @@ def _build_term_stats(index_dir: str) -> None:
 
     Small/medium vocabularies aggregate driver-side in Arrow C++ (a Ray
     groupby+sort costs seconds of fixed overhead); huge ones fall back to the
-    distributed path."""
+    distributed path. Both write term-sorted, zstd, dictionary-less Parquet
+    in 65,536-row groups, the way every index file is written."""
     import shutil
+
+    from ..stages.build import PARQUET_WRITE_ARGS, _atomic_write_parquet
 
     seg_dir = os.path.join(index_dir, "segments")
     files = (
@@ -275,16 +286,13 @@ def _build_term_stats(index_dir: str) -> None:
     out_dir = term_stats_dir(index_dir)
     if os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
+    out_path = os.path.join(out_dir, "term_stats.parquet")
 
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     if not files:  # empty index (e.g. empty input): typed empty term_stats
-        os.makedirs(out_dir, exist_ok=True)
-        pq.write_table(
-            pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}),
-            os.path.join(out_dir, "term_stats.parquet"),
-        )
+        _atomic_write_parquet(TERMSTATS_SCHEMA.empty_table(), out_path)
         return
 
     total_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
@@ -294,12 +302,8 @@ def _build_term_stats(index_dir: str) -> None:
         # select by generated name (key-vs-aggregate column order varies
         # across pyarrow releases; a positional rename would mislabel)
         agg = pa.table({"term": agg.column("term"), "df": agg.column("df_sum")})
-        agg = agg.sort_by("term")
-        os.makedirs(out_dir, exist_ok=True)
-        pq.write_table(
-            agg.cast(pa.schema([("term", pa.string()), ("df", pa.int64())])),
-            os.path.join(out_dir, "term_stats.parquet"),
-            row_group_size=65536,
+        _atomic_write_parquet(
+            agg.sort_by("term").cast(TERMSTATS_SCHEMA), out_path, row_group_size=TERMSTATS_ROW_GROUP
         )
         return
 
@@ -313,4 +317,8 @@ def _build_term_stats(index_dir: str) -> None:
         )
         .sort("term")
     )
-    ts.write_parquet(out_dir)
+    # the same tmp+rename, of the whole directory
+    tmp_dir = f"{out_dir}.tmp-{os.getpid()}"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    ts.write_parquet(tmp_dir, row_group_size=TERMSTATS_ROW_GROUP, **PARQUET_WRITE_ARGS)
+    os.replace(tmp_dir, out_dir)

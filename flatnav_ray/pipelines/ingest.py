@@ -147,7 +147,8 @@ def delete_documents(
     recover_generation(index_dir)
     load_stats(index_dir)  # asserts a complete index is present
     if doc_ids is None:
-        assert urls is not None, "need urls or doc_ids"
+        if urls is None:
+            raise ValueError("need urls or doc_ids")
         if isinstance(urls, ray.data.Dataset):
             url_list: list[str] = []
             for b in urls.select_columns(["url"]).iter_batches(batch_format="pyarrow"):
@@ -336,14 +337,16 @@ def add_documents(
     """
     recover_generation(index_dir)
     stats = load_stats(index_dir)
-    assert stats.get("layout", "doc") == "doc", "incremental add requires the doc layout"
+    if stats.get("layout", "doc") != "doc":
+        raise ValueError("incremental add requires the doc layout")
     # dense_url / gorder assign per-partition DENSE ids: two independently
     # built generations would collide on id 0,1,2,... — only the stable
     # hash(url) id space merges safely
-    assert stats.get("docid_strategy", "hash") == "hash", (
-        "incremental add requires docid_strategy='hash' (dense/gorder ids "
-        "collide across generations; compact with a full rebuild instead)"
-    )
+    if stats.get("docid_strategy", "hash") != "hash":
+        raise ValueError(
+            "incremental add requires docid_strategy='hash' (dense/gorder ids "
+            "collide across generations; compact with a full rebuild instead)"
+        )
     cfg = _cfg_from_stats(stats)
     tag = uuid.uuid4().hex[:8]
 

@@ -39,9 +39,6 @@ SEGMENT_SCHEMA = pa.schema(
         ("df", pa.int32()),
         ("doc_blob", pa.binary()),
         ("tf_blob", pa.binary()),
-        ("block_last_doc", pa.list_(pa.int64())),
-        ("block_doc_offs", pa.list_(pa.int32())),
-        ("block_tf_offs", pa.list_(pa.int32())),
     ]
 )
 
@@ -53,10 +50,11 @@ def segment_table(terms: pa.Array, cols: dict) -> pa.Table:
     return pa.table([terms] + [cols[n] for n in SEGMENT_SCHEMA.names[1:]], schema=SEGMENT_SCHEMA)
 
 
-# the segment columns every reader reads: a posting list is its df and its
-# two blobs (its block boundaries follow from df). The three block lists are
-# written only so that older readers keep opening new segments
-POSTING_COLUMNS = ["term", "df", "doc_blob", "tf_blob"]
+# the segment columns every reader reads, by name: a posting list is its df
+# and its two blobs (its block boundaries follow from df). Segments written by
+# older versions carry more columns (per-block maxima, block lists); reading
+# by name skips them, and a compaction rewrites the segment without them
+POSTING_COLUMNS = SEGMENT_SCHEMA.names
 
 DOCMAP_SCHEMA = pa.schema(
     [
@@ -113,13 +111,17 @@ def dedup_latest(group: pa.Table) -> pa.Table:
     return sorted_t.filter(pa.array(first))
 
 
-def _atomic_write_parquet(table: pa.Table, path: str) -> int:
+# how every index file is written: no dictionary pages (a segment's or the
+# term_stats file's terms are all distinct, so the dictionary page overflows
+# and falls back and only adds bytes; a docmap's urls nearly so); zstd does
+# the compression
+PARQUET_WRITE_ARGS = {"compression": "zstd", "use_dictionary": False}
+
+
+def _atomic_write_parquet(table: pa.Table, path: str, row_group_size: int | None = None) -> int:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.tmp-{os.getpid()}"
-    # no dictionary pages: a segment's terms are all distinct (its dictionary
-    # page overflows and falls back, so it only adds bytes) and a docmap's
-    # urls nearly so; zstd does the compression
-    pq.write_table(table, tmp, compression="zstd", use_dictionary=False)
+    pq.write_table(table, tmp, row_group_size=row_group_size, **PARQUET_WRITE_ARGS)
     os.replace(tmp, path)
     return os.path.getsize(path)
 

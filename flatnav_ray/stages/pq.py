@@ -47,7 +47,8 @@ class ProductQuantizer:
         Vectors are L2-normalized first (the cosine serving contract)."""
         mat = _normalize(np.asarray(mat, dtype=np.float64))
         n, dim = mat.shape
-        assert dim % m == 0, f"dim {dim} not divisible by m {m}"
+        if dim % m:
+            raise ValueError(f"dim {dim} not divisible by m {m}")
         dsub = dim // m
         k = min(1 << n_bits, n)
         rng = np.random.Generator(np.random.PCG64(seed))

@@ -34,7 +34,7 @@ import pyarrow as pa
 import ray.data
 
 from ..config import IndexConfig
-from ..functions.codec import decode_postings, encode_segment_table
+from ..functions.codec import decode_postings, encode_segment_table, encode_varint
 from ..functions.hashes import splitmix64
 from ..functions.tokenize import term_frequencies
 from ..state.manifest import PartitionManifest, write_manifest
@@ -54,9 +54,6 @@ TERM_SEGMENT_SCHEMA = pa.schema(
         ("doc_blob", pa.binary()),
         ("tf_blob", pa.binary()),
         ("dl_blob", pa.binary()),
-        ("block_last_doc", pa.list_(pa.int64())),
-        ("block_doc_offs", pa.list_(pa.int32())),
-        ("block_tf_offs", pa.list_(pa.int32())),
     ]
 )
 
@@ -207,32 +204,17 @@ def _merge_term(group: pa.Table, block_size: int) -> pa.Table:
         dls = np.concatenate([v_dls[i].view(np.int32) for i in range(s, e)]).astype(np.int64)
         order = np.argsort(docs, kind="mergesort")  # k-way merge of sorted runs
         docs, tfs, dls = docs[order], tfs[order], dls[order]
-        term_arr = np.full(docs.size, terms[s], dtype=object)
-        cols, tb, _ = encode_segment_table(term_arr, docs, tfs, block_size=block_size)
-        # dl varint blob (term layout stores doc lengths inline)
-        from ..functions.codec import encode_varint
-
+        # one term: a constant term column makes the whole stream one list
+        cols, _, _ = encode_segment_table(
+            np.zeros(docs.size, dtype=np.int8), docs, tfs, block_size=block_size
+        )
         rows["term"].append(terms[s])
         rows["df"].append(int(docs.size))
         rows["doc_blob"].append(cols["doc_blob"][0].as_py())
         rows["tf_blob"].append(cols["tf_blob"][0].as_py())
+        # dl varint blob (term layout stores doc lengths inline)
         rows["dl_blob"].append(encode_varint(dls.astype(np.uint64)))
-        rows["block_last_doc"].append(cols["block_last_doc"][0].as_py())
-        rows["block_doc_offs"].append(cols["block_doc_offs"][0].as_py())
-        rows["block_tf_offs"].append(cols["block_tf_offs"][0].as_py())
-    return pa.table(
-        [
-            pa.array(rows["term"], type=pa.string()),
-            pa.array(rows["df"], type=pa.int32()),
-            pa.array(rows["doc_blob"], type=pa.binary()),
-            pa.array(rows["tf_blob"], type=pa.binary()),
-            pa.array(rows["dl_blob"], type=pa.binary()),
-            pa.array(rows["block_last_doc"], type=pa.list_(pa.int64())),
-            pa.array(rows["block_doc_offs"], type=pa.list_(pa.int32())),
-            pa.array(rows["block_tf_offs"], type=pa.list_(pa.int32())),
-        ],
-        schema=TERM_SEGMENT_SCHEMA,
-    )
+    return pa.table(rows, schema=TERM_SEGMENT_SCHEMA)
 
 
 def build_term_index(
@@ -567,7 +549,8 @@ class TermIndexSearcher:
 
         self.index_dir = index_dir
         self.stats = load_stats(index_dir)
-        assert self.stats.get("layout") == "term"
+        if self.stats.get("layout") != "term":
+            raise ValueError(f"{index_dir} is not a term-layout index")
 
     def search(self, queries: pa.Table, k: int = 10, k1: float | None = None, b: float | None = None) -> pa.Table:
         import pyarrow.dataset as pads

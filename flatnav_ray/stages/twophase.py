@@ -560,9 +560,8 @@ def _merge_prepare(grp: pa.Table, cfg: IndexConfig) -> _MergeCtx:
     elif cfg.docid_strategy != "hash":
         from .reorder import is_graph_strategy
 
-        assert is_graph_strategy(cfg.docid_strategy), (
-            f"unknown docid_strategy {cfg.docid_strategy!r}"
-        )
+        if not is_graph_strategy(cfg.docid_strategy):
+            raise ValueError(f"unknown docid_strategy {cfg.docid_strategy!r}")
         # identity placeholder (empty-postings partitions keep dense ids);
         # replaced by the real graph permutation (gorder / rcm / a
         # '+'-sequence of them) once postings are winnowed

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from flatnav_ray.functions.codec import (
+    BLOCK_SIZE,
     decode_postings,
     decode_varint,
-    encode_postings,
+    encode_segment_table,
     encode_varint,
 )
 
@@ -53,24 +54,27 @@ def test_varint_random_round_trip():
         assert np.array_equal(decode_varint(encode_varint(vals)), vals)
 
 
+def encode_one(ids, tfs, block_size=BLOCK_SIZE):
+    """One term's posting list through the segment encoder: its two blobs."""
+    cols, tb, te = encode_segment_table(np.zeros(ids.size, np.int8), ids, tfs, block_size)
+    assert cols["df"].to_pylist() == [ids.size] and tb.tolist() == [0] and te.tolist() == [ids.size]
+    return cols["doc_blob"][0].as_py(), cols["tf_blob"][0].as_py()
+
+
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1000, 5000])
 def test_postings_round_trip(n):
+    # ids up to 2**62: the encoder's uint64 delta path
     rng = np.random.default_rng(n)
     ids = np.sort(rng.choice(2**62, size=n, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 100, n).astype(np.int64)
-    ep = encode_postings(ids, tfs)
-    d, t = decode_postings(ep.doc_blob, ep.tf_blob)
+    d, t = decode_postings(*encode_one(ids, tfs))
     assert np.array_equal(d, ids)
     assert np.array_equal(t, tfs)
-    # block metadata invariants
-    nb = (n + 127) // 128
-    assert len(ep.block_last_doc) == nb
-    assert ep.block_last_doc[-1] == ids[-1]
 
 
 def test_dense_run_compression():
     """Dense doc_id runs should compress to ~1 byte per posting."""
     ids = np.arange(10_000, dtype=np.int64)
     tfs = np.ones(10_000, dtype=np.int64)
-    ep = encode_postings(ids, tfs)
-    assert len(ep.doc_blob) < 11_000
+    doc_blob, _ = encode_one(ids, tfs)
+    assert len(doc_blob) < 11_000

@@ -1,18 +1,24 @@
 """The segment format across versions, and its checks under `python -O`.
 
-A posting list is read from its df and its two blobs only. Segments written
-by an older version also carry per-block maxima (`block_max_tf`,
-`block_min_dl`) between `block_last_doc` and `block_doc_offs`; a stack
-whose base segments carry them and whose delta does not must serve the
-oracle's answers, and its compaction must keep those answers and write
-segments without them.
+A posting list is read from its df and its two blobs only, and every writer
+writes exactly those columns (`POSTING_COLUMNS`; the term layout adds
+`dl_blob`). Segments written by older versions carry more: three block
+lists (`block_last_doc`, `block_doc_offs`, `block_tf_offs`), and before
+that also per-block maxima (`block_max_tf`, `block_min_dl`) between
+`block_last_doc` and `block_doc_offs`. A stack whose base segments carry
+either old schema and whose delta does not must serve the oracle's answers,
+and its compaction must keep those answers and write segments without the
+old columns.
 
 The format and config checks raise `ValueError`, so they hold under
-`python -O` too: a segment row whose df disagrees with its blobs, a
-generation stack with no generation, a merge of indexes built with
-different block sizes, a positional sidecar built from another corpus and a
-sidecar partition too wide for its packed sort key all fail loud in a
-subprocess run with `-O`.
+`python -O` too: a segment row whose df disagrees with its blobs, an empty
+posting list given to the encoder, a generation stack with no generation, a
+merge of indexes built with different block sizes, an incremental add or
+delete the index cannot take, an unknown docid strategy, a term-layout
+searcher over a doc-layout index, a product quantizer whose dimension does
+not split, a positional sidecar built from another corpus and a sidecar
+partition too wide for its packed sort key all fail loud in a subprocess
+run with `-O`.
 """
 
 import glob
@@ -25,63 +31,74 @@ import sys
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from flatnav_ray.config import IndexConfig
-from flatnav_ray.functions.codec import decode_segment_postings
+from flatnav_ray.functions.codec import decode_segment_postings, encode_varint_with_lens
 from flatnav_ray.pipelines.build import build_index
-from flatnav_ray.stages.build import docmap_path, segment_path
+from flatnav_ray.stages.build import POSTING_COLUMNS, SEGMENT_SCHEMA, docmap_path, segment_path
 
 PARTS = 3
 BLOCK = 16  # several blocks per list on a small corpus
-MAXIMA = ["block_max_tf", "block_min_dl"]
+BLOCK_LISTS = [("block_last_doc", pa.int64()), ("block_doc_offs", pa.int32()),
+               ("block_tf_offs", pa.int32())]
+MAXIMA = [("block_max_tf", pa.int32()), ("block_min_dl", pa.int32())]
+OLD_COLUMNS = [n for n, _ in BLOCK_LISTS + MAXIMA]
 
-# the segment schema of the version that wrote the per-block maxima
-OLD_SEGMENT_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("df", pa.int32()),
-        ("doc_blob", pa.binary()),
-        ("tf_blob", pa.binary()),
-        ("block_last_doc", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int32())),
-        ("block_min_dl", pa.list_(pa.int32())),
-        ("block_doc_offs", pa.list_(pa.int32())),
-        ("block_tf_offs", pa.list_(pa.int32())),
-    ]
-)
+# the segment schemas older versions wrote: with the per-block maxima, and
+# the three block lists alone (the version that dropped the maxima)
+OLD_SEGMENT_SCHEMAS = {
+    name: pa.schema(list(SEGMENT_SCHEMA) + [(n, pa.list_(t)) for n, t in cols])
+    for name, cols in (
+        ("maxima", BLOCK_LISTS[:1] + MAXIMA + BLOCK_LISTS[1:]),
+        ("block_lists", BLOCK_LISTS),
+    )
+}
 
 
-def _with_maxima(ix: str, partition: int) -> None:
-    """Rewrite one segment the way the older version wrote it: per block of
-    `BLOCK` postings, the largest tf and the smallest doc length."""
+def _block_offsets(values: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Byte offset in a list's varint blob at which each block starts."""
+    lens = encode_varint_with_lens(values.astype(np.uint64))[1].astype(np.int64)
+    return (np.cumsum(lens) - lens)[starts].tolist()
+
+
+def _rewrite_old(ix: str, partition: int, schema: pa.Schema) -> None:
+    """Rewrite one segment the way an older version wrote it, every old
+    column computed from the decoded postings the way its encoder did: per
+    block of `BLOCK` postings, the last docmap position, the byte offsets of
+    the block in each blob, and (maxima schema) the largest tf and the
+    smallest doc length."""
     path = segment_path(ix, partition)
     seg = pq.read_table(path)
     lens = pq.read_table(docmap_path(ix, partition), columns=["doc_len"]).column(0).to_numpy()
     row_of, pos, tfs = decode_segment_postings(
         seg.column("doc_blob"), seg.column("tf_blob"), seg.column("df"), block_size=BLOCK
     )
-    dls = lens[pos].astype(np.int64)
-    max_tf, min_dl = [], []
+    old = {n: [] for n in OLD_COLUMNS}
     for r in range(seg.num_rows):
         sel = np.flatnonzero(row_of == r)
+        p, t = pos[sel], tfs[sel]
         starts = np.arange(0, sel.size, BLOCK)
-        max_tf.append(np.maximum.reduceat(tfs[sel], starts).astype(np.int32).tolist())
-        min_dl.append(np.minimum.reduceat(dls[sel], starts).astype(np.int32).tolist())
-    assert [len(b) for b in max_tf] == [len(b) for b in seg.column("block_last_doc").to_pylist()]
-    old = pa.table(
-        [seg.column(n) for n in ("term", "df", "doc_blob", "tf_blob", "block_last_doc")]
-        + [pa.array(max_tf, pa.list_(pa.int32())), pa.array(min_dl, pa.list_(pa.int32()))]
-        + [seg.column(n) for n in ("block_doc_offs", "block_tf_offs")],
-        schema=OLD_SEGMENT_SCHEMA,
-    )
-    pq.write_table(old, path)
+        deltas = np.diff(p, prepend=0)
+        deltas[starts] = p[starts]  # each block's first delta is absolute
+        old["block_last_doc"].append(p[np.minimum(starts + BLOCK, sel.size) - 1].tolist())
+        old["block_doc_offs"].append(_block_offsets(deltas, starts))
+        old["block_tf_offs"].append(_block_offsets(t, starts))
+        old["block_max_tf"].append(np.maximum.reduceat(t, starts).tolist())
+        old["block_min_dl"].append(np.minimum.reduceat(lens[p].astype(np.int64), starts).tolist())
+    # the offsets address the blobs as written
+    ends = [len(b) for b in seg.column("doc_blob").to_pylist()]
+    assert all(o[-1] < e for o, e in zip(old["block_doc_offs"], ends))
+    pq.write_table(pa.table({**{n: seg.column(n) for n in POSTING_COLUMNS}, **old})
+                   .select(schema.names).cast(schema), path)
 
 
 def _segment_names(path: str) -> list[str]:
     return pq.read_schema(path).names
 
 
-def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path):
+@pytest.mark.parametrize("old_schema", sorted(OLD_SEGMENT_SCHEMAS))
+def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path, old_schema):
     import ray.data
 
     from flatnav_ray.pipelines.build import prepare_batch
@@ -96,12 +113,14 @@ def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path):
     from flatnav_ray.sources.synth import PagesGenerator, queries_table
     from flatnav_ray.stages.build import dedup_latest
 
+    schema = OLD_SEGMENT_SCHEMAS[old_schema]
     gen = PagesGenerator(seed=81, vocab_size=800, mean_len=40, dup_rate=0.0)
     a, b = gen.chunk(0, 300), gen.chunk(1, 80)
     ix = str(tmp_path / "ix")
     build_index(ray.data.from_arrow(a), ix, IndexConfig(num_partitions=PARTS, block_size=BLOCK))
     for p in range(PARTS):
-        _with_maxima(ix, p)
+        assert _segment_names(segment_path(ix, p)) == POSTING_COLUMNS  # the build merge
+        _rewrite_old(ix, p, schema)
     # the delta re-adds 30 base urls (shadowing their base copies) and 40
     # base urls are deleted
     add_documents(ix, ray.data.from_arrow(pa.concat_tables([a.slice(0, 30), b])), mode="stack")
@@ -109,8 +128,8 @@ def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path):
     delete_documents(ix, urls=sorted(deleted))
     base, delta = list_generations(ix)
     for p in range(PARTS):
-        assert pq.read_schema(segment_path(base, p)).equals(OLD_SEGMENT_SCHEMA)
-        assert not set(MAXIMA) & set(_segment_names(segment_path(delta, p)))
+        assert pq.read_schema(segment_path(base, p)).equals(schema)
+        assert _segment_names(segment_path(delta, p)) == POSTING_COLUMNS  # the delta build
 
     docs = dedup_latest(prepare_batch(pa.concat_tables([a, b]), PARTS, None))
     docs = docs.filter(pa.array([u not in deleted for u in docs.column("url").to_pylist()]))
@@ -134,22 +153,43 @@ def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path):
     segs = glob.glob(os.path.join(ix, "segments", "part-*.parquet"))
     assert len(segs) == PARTS
     for p in segs:
-        names = _segment_names(p)
-        assert not set(MAXIMA) & set(names), names
+        assert _segment_names(p) == POSTING_COLUMNS  # the fold
     assert serve().equals(stacked)
 
 
+def test_build_partition_writes_the_posting_columns(tmp_path):
+    import pyarrow.compute as pc
+
+    from flatnav_ray.pipelines.build import prepare_batch
+    from flatnav_ray.sources.synth import PagesGenerator
+    from flatnav_ray.stages.build import build_partition
+
+    ix = str(tmp_path / "ix")
+    prep = prepare_batch(PagesGenerator(seed=86, vocab_size=300).chunk(0, 60), 2, None)
+    for p in range(2):
+        build_partition(prep.filter(pc.equal(prep.column("partition"), p)), ix, IndexConfig(num_partitions=2))
+        seg = pq.read_table(segment_path(ix, p))
+        assert seg.column_names == POSTING_COLUMNS and seg.num_rows > 0
+
+
 _UNDER_O = r"""
+import shutil
 import sys
+import tempfile
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-from flatnav_ray.functions.codec import decode_segment_postings
+from flatnav_ray.config import IndexConfig
+from flatnav_ray.functions.codec import decode_segment_postings, encode_segment_table
+from flatnav_ray.pipelines.ingest import add_documents, delete_documents
 from flatnav_ray.stages.build import segment_path
 from flatnav_ray.sources.synth import PagesGenerator
-from flatnav_ray.stages import positions
+from flatnav_ray.stages import positions, twophase
 from flatnav_ray.stages.compact import merge_indexes
+from flatnav_ray.stages.pq import ProductQuantizer
 from flatnav_ray.stages.search import StackedSearchSession, _ShardState
+from flatnav_ray.stages.termbuild import TermIndexSearcher
+from flatnav_ray.state.stats import load_stats, save_stats
 
 assert not __debug__, "run with python -O"
 ix, other = sys.argv[1], sys.argv[2]
@@ -198,6 +238,23 @@ class WideVocab:
 same_corpus = sidecar_partials(83)
 positions.union_vocab = lambda terms: (WideVocab(), np.zeros(len(terms), np.int64))
 raises(lambda: positions.merge_positions_partition(same_corpus, ix), "packed key overflow")
+
+raises(lambda: encode_segment_table(np.empty(0, np.int64), np.empty(0, np.int64),
+                                    np.empty(0, np.int64)), "at least one posting")
+raises(lambda: delete_documents(ix), "need urls or doc_ids")
+for key, value, match in (("layout", "term", "requires the doc layout"),
+                          ("docid_strategy", "dense_url", "requires docid_strategy='hash'")):
+    odd = tempfile.mkdtemp()
+    shutil.copytree(ix, odd, dirs_exist_ok=True)
+    save_stats(odd, {**load_stats(odd), key: value})
+    raises(lambda: add_documents(odd, None, mode="stack"), match)
+raises(lambda: TermIndexSearcher(ix), "not a term-layout index")
+spill = tempfile.mkdtemp()
+twophase.map_partial_spill(PagesGenerator(seed=85, vocab_size=300).chunk(0, 40), 1, None, spill)
+raises(lambda: twophase.merge_spilled_partition(
+    0, spill, tempfile.mkdtemp(), IndexConfig(num_partitions=1, docid_strategy="bogus")),
+    "unknown docid_strategy")
+raises(lambda: ProductQuantizer.train_matrix(np.ones((16, 6)), m=4), "not divisible")
 print("OK")
 """
 

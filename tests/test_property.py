@@ -15,7 +15,6 @@ from flatnav_ray.functions.codec import (
     decode_postings,
     decode_postings_rows,
     decode_varint,
-    encode_postings,
     encode_segment_table,
     encode_varint,
 )
@@ -49,14 +48,15 @@ def test_postings_roundtrip_any_block_size(ids, data, block_size):
         ),
         dtype=np.int64,
     )
-    enc = encode_postings(doc_ids, tfs, block_size=block_size)
-    assert enc.df == doc_ids.size
-    pos, tf = decode_postings(enc.doc_blob, enc.tf_blob, block_size=block_size)
+    cols, _, _ = encode_segment_table(
+        np.zeros(doc_ids.size, np.int8), doc_ids, tfs, block_size=block_size
+    )
+    assert cols["df"].to_pylist() == [doc_ids.size]
+    pos, tf = decode_postings(
+        cols["doc_blob"][0].as_py(), cols["tf_blob"][0].as_py(), block_size=block_size
+    )
     assert np.array_equal(pos, doc_ids)
     assert np.array_equal(tf, tfs)
-    # block metadata invariants
-    assert enc.block_last_doc[-1] == doc_ids[-1]
-    assert np.all(np.diff(enc.block_last_doc) > 0)
 
 
 def _segment(dfs, block_size, seed):
@@ -155,44 +155,6 @@ def test_multi_segment_rows_decode_equals_each_segments_own(block_size, data):
     assert np.array_equal(pos, np.concatenate([w[1] for w in want] or [e]))
     assert np.array_equal(tfs, np.concatenate([w[2] for w in want] or [e]))
     assert pos.dtype == tfs.dtype == np.int64
-
-
-def _per_block_decode(ep, mask):
-    """Each selected block on its own, through the written block offsets."""
-    d_ends = np.append(ep.block_doc_offs[1:], len(ep.doc_blob))
-    t_ends = np.append(ep.block_tf_offs[1:], len(ep.tf_blob))
-    docs, tfs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for b in np.flatnonzero(mask):
-        deltas = decode_varint(ep.doc_blob[ep.block_doc_offs[b] : d_ends[b]])
-        docs.append(np.cumsum(deltas.astype(np.int64)))
-        tfs.append(decode_varint(ep.tf_blob[ep.block_tf_offs[b] : t_ends[b]]).astype(np.int64))
-    return np.concatenate(docs), np.concatenate(tfs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 1200), st.sampled_from([4, 32, 128]), st.data())
-def test_written_block_offsets_decode_each_block(n, block_size, data):
-    # the block lists are still written (an older reader decodes selected
-    # blocks through them): each block's byte range holds its block_size
-    # postings, its first delta absolute, and its last doc id
-    rng = np.random.default_rng(n)
-    ids = np.sort(rng.choice(1 << 30, size=n, replace=False)).astype(np.int64)
-    tfs = rng.integers(1, 300, n).astype(np.int64)
-    ep = encode_postings(ids, tfs, block_size=block_size)
-    nb = len(ep.block_last_doc)
-    assert np.array_equal(ep.block_last_doc, ids[np.minimum(
-        np.arange(1, nb + 1) * block_size, n) - 1])
-    first, last = np.zeros(nb, bool), np.zeros(nb, bool)
-    first[0] = last[-1] = True  # the last block is partial unless n % block_size == 0
-    drawn = np.asarray(data.draw(st.lists(st.booleans(), min_size=nb, max_size=nb)))
-    for mask in (np.zeros(nb, bool), np.ones(nb, bool), first, last, drawn):
-        idx = np.concatenate([np.arange(b * block_size, min((b + 1) * block_size, n))
-                              for b in np.flatnonzero(mask)] or [np.empty(0, np.int64)])
-        got = _per_block_decode(ep, mask)
-        assert np.array_equal(got[0], ids[idx]) and np.array_equal(got[1], tfs[idx])
-    full = decode_postings(ep.doc_blob, ep.tf_blob, block_size=block_size)
-    assert np.array_equal(full[0], ids) and np.array_equal(full[1], tfs)
-    assert full[0].dtype == full[1].dtype == np.int64
 
 
 @settings(max_examples=200, deadline=None)

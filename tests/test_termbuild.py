@@ -42,6 +42,20 @@ class TestTermLayout:
         _, _, stats, _, _ = both_indexes
         assert stats["n_heavy_terms"] > 0  # Zipf head got salted
 
+    def test_segments_hold_the_posting_columns_and_dl_blob(self, both_indexes):
+        import glob
+        import os
+
+        import pyarrow.parquet as pq
+
+        from flatnav_ray.stages.build import POSTING_COLUMNS
+
+        _, term_ix, *_ = both_indexes
+        files = glob.glob(os.path.join(term_ix, "term_segments", "*.parquet"))
+        assert files
+        for f in files:
+            assert pq.read_schema(f).names == [*POSTING_COLUMNS, "dl_blob"]
+
     def test_canonical_postings_equal_doc_layout(self, both_indexes):
         doc_ix, term_ix, *_ = both_indexes
         a = canonical_postings(doc_ix)
