@@ -67,8 +67,9 @@ class QueryConfig:
     offset: int = 0
     # "taat"/"maxscore"/"wand": one cached exact disjunctive loop;
     # "and": that loop with every query term required (match ALL terms);
-    # "phrase": exact phrase (adjacent tokens, positional sidecar required —
-    # stages/positions.py build_position_sidecar)
+    # "phrase": that loop's "and" floor, whose survivors must hold the
+    # query's tokens in order (adjacent, or per phrase_slop); it reads the
+    # positional sidecar (stages/positions.py build_position_sidecar)
     method: str = "maxscore"
     # >0: a doc must match at least this many distinct query terms
     # (Lucene minimum_should_match analog; n_terms == conjunctive AND,
@@ -189,10 +190,9 @@ _QUERY_COLUMNS = {
 }
 
 # features served only by taat/maxscore/wand with min_should_match 0.
-# phrase reads each segment's positional sidecar, which these features do
-# not reach. method="and" and min_should_match score in the default loop:
+# method="and", min_should_match and phrase score in the default loop:
 # neg, must, after, sort_by, the filters and boosts pass through its
-# match-count floor there, but no oracle case checks those pairs yet, so
+# candidate filters there, but no oracle case checks those pairs yet, so
 # they stay refused; fuzzy and synonyms turn one query token into several
 # terms, which the floor would count apart
 _DEFAULT_PATH_ONLY = ("fuzzy_max_edits", "synonyms", "boosts", "filter_lang", "filter_len",

@@ -33,9 +33,10 @@ generations, form one `_ShardGroup` (docmaps end to end, one dead mask, one
 scratch set, one term-contribution cache), so taat/maxscore/wand cost one decode
 pass, one score call and one top-k per query per worker — the reference's
 one pass over one flat arena (Index.h:56,177-178). method="and" and
-min_should_match run in that loop as a match-count floor. phrase reads
-each segment's positional sidecar, so it runs per member `_ShardState`
-(`_ShardGroup.partials`, the one search step of tasks and actors).
+min_should_match run in that loop as a match-count floor, and phrase as
+the "and" floor plus a positional check of its survivors: a method only
+decides which candidates survive (`_ShardGroup.partials`, the one search
+step of tasks and actors).
 
 Scoring: per-term BM25 contributions are query-independent (idf, tf, doc_len
 are all fixed at index time), so each decoded term is scored ONCE and cached;
@@ -638,11 +639,14 @@ class _ShardState:
         least `need` of the query's posting lists — every query term for
         "and" (a corpus-absent term still counts, so nothing matches), `msm`
         otherwise (Lucene minimum_should_match; SURVEY.md §2.7, the grafted
-        set-intersect). The floor only filters candidates, so a survivor's
-        score is its disjunctive score bit for bit. method="phrase":
-        positional verification (`search_one_phrase`). All exact. Which
-        features combine with which method is decided before any shard runs
-        (`QueryConfig.check`)."""
+        set-intersect). method="phrase" is the "and" floor over the
+        phrase's distinct terms followed by a positional check of the floor's
+        survivors (`_phrase_survivors`, `slop`). The floor and the check only
+        filter candidates, so a survivor's score is its disjunctive score bit
+        for bit. All exact. Which features combine with which method is
+        decided before any shard runs (`QueryConfig.check`); phrase raises
+        on a shard with dead documents, whose positional sidecar counts
+        them."""
         q_out: list[np.ndarray] = []
         d_out: list[np.ndarray] = []
         s_out: list[np.ndarray] = []
@@ -671,7 +675,11 @@ class _ShardState:
             sort_vals = getattr(self, "_len_f", None)
             if sort_vals is None:  # ints <= 2^53: exact as doubles
                 sort_vals = self._len_f = self.docmap_lens.astype(np.float64)
-        if method != "phrase" and syn_lists is None:
+        phrase = method == "phrase"
+        if phrase and self._dead_pos is not None:
+            raise ValueError("phrase search reads the positional sidecar, which "
+                             "counts dead documents; compact the index first")
+        if syn_lists is None:
             # every term the query loop can look up (scored, negated, must):
             # decoded and scored in one pass instead of one per term
             self.fill_contrib(plan.term_idf, plan, scorer)
@@ -681,113 +689,114 @@ class _ShardState:
             fmask = lm if fmask is None else (fmask & lm)
         for qi in range(len(plan.query_ids)):
             qid = int(plan.query_ids[qi])
-            if method == "phrase":
-                docs, ssc, n_cand, n_blocks = self.search_one_phrase(plan, qi, scorer, slop)
+            need = len(plan.query_terms[qi]) if method in ("and", "phrase") else msm
+            entries = []
+            n_blocks = 0
+            if syn_lists is not None:
+                # synonym mode: one entry per GROUP (pooled tf, max df);
+                # group order is the sorted members tuple — the pinned
+                # accumulation order, same discipline as plain terms
+                for members, qtf in syn_lists[qi]:
+                    hit = self.group_contrib(tuple(members), plan, scorer)
+                    if hit is None:
+                        continue
+                    entries.append((qtf, hit[0], hit[1]))
+                    n_blocks += hit[2]
             else:
-                need = len(plan.query_terms[qi]) if method == "and" else msm
-                entries = []
-                n_blocks = 0
-                if syn_lists is not None:
-                    # synonym mode: one entry per GROUP (pooled tf, max df);
-                    # group order is the sorted members tuple — the pinned
-                    # accumulation order, same discipline as plain terms
-                    for members, qtf in syn_lists[qi]:
-                        hit = self.group_contrib(tuple(members), plan, scorer)
-                        if hit is None:
-                            continue
-                        entries.append((qtf, hit[0], hit[1]))
-                        n_blocks += hit[2]
-                else:
-                    for term, qtf in plan.query_terms[qi]:
-                        if plan.term_idf.get(term, 0.0) <= 0.0:
-                            continue
-                        hit = self.term_contrib(term, plan, scorer)
-                        if hit is None:
-                            continue
-                        # Lucene term^boost: scales the term's contribution
-                        # after tf saturation (weight rides the existing
-                        # qtf multiply — float-exact, one multiply per term)
-                        w = qtf * boosts[term] if boosts and term in boosts else qtf
-                        entries.append((w, hit[0], hit[1]))
-                        n_blocks += hit[2]
-                if not entries or len(entries) < need:
-                    continue
-                # negation: mark excluded docmap rows in the shared touched
-                # scratch (O(df_neg) set + reset); survivors' scores are
-                # untouched — the NOT operator filters candidates only
-                nparts: list[np.ndarray] = []
-                for nt in (neg_lists[qi] if neg_lists is not None else ()):
-                    nhit = self.term_contrib(nt, plan, scorer)
-                    if nhit is not None and nhit[0].size:
-                        nparts.append(nhit[0])
-                        self._touched[nhit[0]] = True
-                if nparts:
-                    self._neg_dirty = nparts
-                excl = self._touched if nparts else None
-                aft = after_list[qi] if after_list is not None else None
-                musts = must_lists[qi] if must_lists is not None else ()
-                if len(entries) == 1 and not musts:
-                    qtf, pos, contrib = entries[0]
-                    if fmask is not None:  # slices: the cached arrays stay intact
-                        sel = fmask[pos]
-                        pos, contrib = pos[sel], contrib[sel]
-                    if excl is not None:
-                        sel = ~excl[pos]
-                        pos, contrib = pos[sel], contrib[sel]
-                    sc = contrib if qtf == 1 else qtf * contrib
-                    if sort_vals is not None:  # rank by attribute, not score
-                        sc = sort_vals[pos]
-                    ids = self.docmap_ids[pos]
-                    if aft is not None:  # strictly after the cursor in
-                        # (score desc, doc_id asc) — exact float compare is
-                        # safe: scores are a pure function of (term, tf, dl)
-                        av, ad = aft
-                        m = (sc < av) | ((sc == av) & (ids > ad))
-                        sc, ids = sc[m], ids[m]
-                    docs, ssc = topk_select(sc, ids, plan.k)
-                    n_cand = pos.size
-                else:
-                    cand = self._union_positions([e[1] for e in entries])
-                    scores[cand] = 0.0
-                    self._scores_dirty = cand
-                    for qtf, pos, contrib in entries:
-                        if qtf == 1:
-                            scores[pos] += contrib
-                        else:
-                            scores[pos] += qtf * contrib
-                    # the and / min_should_match floor: candidates keep the
-                    # docs found in at least `need` of the query's lists
-                    cand_sel = _matching([e[1] for e in entries], need) if need > 1 else cand
-                    # boolean MUST: candidates restrict to docs containing
-                    # EVERY must term (a must term absent here matches
-                    # nothing); must terms already scored above
-                    if musts:
-                        mlists = [h[0] for mt in musts
-                                  if (h := self.term_contrib(mt, plan, scorer)) is not None]
-                        cand_sel = _matching([cand_sel, *mlists], 1 + len(musts))
-                    # filtered search selects from masked candidates; the
-                    # scratch reset below still covers EVERY touched row
-                    if fmask is not None:
-                        cand_sel = cand_sel[fmask[cand_sel]]
-                    if excl is not None:
-                        cand_sel = cand_sel[~excl[cand_sel]]
-                    csc = (
-                        sort_vals[cand_sel] if sort_vals is not None
-                        else scores[cand_sel]
-                    )
-                    cids = self.docmap_ids[cand_sel]
-                    if aft is not None:
-                        av, ad = aft
-                        m = (csc < av) | ((csc == av) & (cids > ad))
-                        csc, cids = csc[m], cids[m]
-                    docs, ssc = topk_select(csc, cids, plan.k)
-                    scores[cand] = 0.0  # keep the shared scratch all-zeros
-                    self._scores_dirty = None
-                    n_cand = cand.size
-                for np_ in nparts:  # keep the shared scratch all-False
-                    self._touched[np_] = False
-                self._neg_dirty = None
-            if not isinstance(docs, np.ndarray) or docs.size == 0:
+                for term, qtf in plan.query_terms[qi]:
+                    if plan.term_idf.get(term, 0.0) <= 0.0:
+                        continue
+                    hit = self.term_contrib(term, plan, scorer)
+                    if hit is None:
+                        continue
+                    # Lucene term^boost: scales the term's contribution
+                    # after tf saturation (weight rides the existing
+                    # qtf multiply — float-exact, one multiply per term)
+                    w = qtf * boosts[term] if boosts and term in boosts else qtf
+                    entries.append((w, hit[0], hit[1]))
+                    n_blocks += hit[2]
+            if not entries or len(entries) < need:
+                continue
+            # negation: mark excluded docmap rows in the shared touched
+            # scratch (O(df_neg) set + reset); survivors' scores are
+            # untouched — the NOT operator filters candidates only
+            nparts: list[np.ndarray] = []
+            for nt in (neg_lists[qi] if neg_lists is not None else ()):
+                nhit = self.term_contrib(nt, plan, scorer)
+                if nhit is not None and nhit[0].size:
+                    nparts.append(nhit[0])
+                    self._touched[nhit[0]] = True
+            if nparts:
+                self._neg_dirty = nparts
+            excl = self._touched if nparts else None
+            aft = after_list[qi] if after_list is not None else None
+            musts = must_lists[qi] if must_lists is not None else ()
+            # a phrase of one distinct term may repeat it (`the the`)
+            if len(entries) == 1 and not musts and not phrase:
+                qtf, pos, contrib = entries[0]
+                if fmask is not None:  # slices: the cached arrays stay intact
+                    sel = fmask[pos]
+                    pos, contrib = pos[sel], contrib[sel]
+                if excl is not None:
+                    sel = ~excl[pos]
+                    pos, contrib = pos[sel], contrib[sel]
+                sc = contrib if qtf == 1 else qtf * contrib
+                if sort_vals is not None:  # rank by attribute, not score
+                    sc = sort_vals[pos]
+                ids = self.docmap_ids[pos]
+                if aft is not None:  # strictly after the cursor in
+                    # (score desc, doc_id asc) — exact float compare is
+                    # safe: scores are a pure function of (term, tf, dl)
+                    av, ad = aft
+                    m = (sc < av) | ((sc == av) & (ids > ad))
+                    sc, ids = sc[m], ids[m]
+                docs, ssc = topk_select(sc, ids, plan.k)
+                n_cand = pos.size
+            else:
+                cand = self._union_positions([e[1] for e in entries])
+                scores[cand] = 0.0
+                self._scores_dirty = cand
+                for qtf, pos, contrib in entries:
+                    if qtf == 1:
+                        scores[pos] += contrib
+                    else:
+                        scores[pos] += qtf * contrib
+                # the and / min_should_match floor: candidates keep the
+                # docs found in at least `need` of the query's lists
+                cand_sel = _matching([e[1] for e in entries], need) if need > 1 else cand
+                # boolean MUST: candidates restrict to docs containing
+                # EVERY must term (a must term absent here matches
+                # nothing); must terms already scored above
+                if musts:
+                    mlists = [h[0] for mt in musts
+                              if (h := self.term_contrib(mt, plan, scorer)) is not None]
+                    cand_sel = _matching([cand_sel, *mlists], 1 + len(musts))
+                if phrase:
+                    cand_sel = self._phrase_survivors(cand_sel, plan.query_seqs[qi],
+                                                      plan, scorer, slop)
+                # filtered search selects from masked candidates; the
+                # scratch reset below still covers EVERY touched row
+                if fmask is not None:
+                    cand_sel = cand_sel[fmask[cand_sel]]
+                if excl is not None:
+                    cand_sel = cand_sel[~excl[cand_sel]]
+                csc = (
+                    sort_vals[cand_sel] if sort_vals is not None
+                    else scores[cand_sel]
+                )
+                cids = self.docmap_ids[cand_sel]
+                if aft is not None:
+                    av, ad = aft
+                    m = (csc < av) | ((csc == av) & (cids > ad))
+                    csc, cids = csc[m], cids[m]
+                docs, ssc = topk_select(csc, cids, plan.k)
+                scores[cand] = 0.0  # keep the shared scratch all-zeros
+                self._scores_dirty = None
+                n_cand = cand.size
+            for np_ in nparts:  # keep the shared scratch all-False
+                self._touched[np_] = False
+            self._neg_dirty = None
+            if docs.size == 0:
                 continue
             q_out.append(np.full(docs.size, qid, dtype=np.int64))
             d_out.append(docs)
@@ -1093,7 +1102,6 @@ class _ShardState:
         rows only — k x Q docs, each with a handful of short position lists,
         so the classic merge + two-pointer sweep is result-side work, not a
         posting-stream loop. Requires the positional sidecar."""
-        self._load_positions()
         scorer = SCORERS["bm25"]
         dpos = int(np.searchsorted(self.docmap_ids, doc_id))
         if dpos >= self.docmap_ids.size or self.docmap_ids[dpos] != doc_id:
@@ -1106,10 +1114,7 @@ class _ShardState:
             j = int(np.searchsorted(hit[0], dpos))
             if j >= hit[0].size or hit[0][j] != dpos:
                 continue  # term not in this doc: not required for coverage
-            tp = self._term_positions(term)
-            if tp is None:
-                continue
-            offs, flat = tp
+            offs, flat = self._term_positions(term)
             lists.append(flat[offs[j]: offs[j + 1]])
         if not lists:
             return (-1, 0)
@@ -1291,66 +1296,47 @@ class _ShardState:
         self._poffs_off, self._poffs_vals = _lv(t.column("pos_offs"))
         self._pflat_off, self._pflat_vals = _lv(t.column("pos_flat"))
 
-    def _term_positions(self, term: str):
-        """(pos_offs df+1, pos_flat) views for one term, aligned row-for-row
-        with the term's posting order in the main segment (docmap-position
-        ascending over the identical winner set — positions.py invariant)."""
-        i = self._pos_row.get(term)
-        if i is None:
-            return None
-        return (
-            self._poffs_vals[self._poffs_off[i]: self._poffs_off[i + 1]],
-            self._pflat_vals[self._pflat_off[i]: self._pflat_off[i + 1]],
-        )
-
-    def search_one_phrase(self, plan: QueryPlan, qi: int, scorer, slop: int = 0):
-        """Exact phrase retrieval: conjunctive posting-list intersection over
-        the phrase's distinct terms, then positional adjacency verification
-        against the sidecar, fully vectorized — candidate position sets are
-        packed (candidate_rank << 32 | token_position) and each phrase step
-        is one searchsorted membership probe per allowed gap (slop=0: exactly
-        one probe at +1; slop=s: ordered per-gap proximity, probes +1..+1+s —
-        the Lucene slop analog).
-
-        Survivor docs score exactly like the disjunctive path (pinned
-        lexicographic accumulation over the phrase's distinct terms with
-        phrase term counts as qtf), so phrase scores are bit-identical to the
-        same doc's TAAT score for the bag-of-words query."""
-        empty = np.empty(0, dtype=np.int64)
-        seq = plan.query_seqs[qi] if plan.query_seqs else []
-        if not seq:
-            return empty, empty.astype(np.float64), 0, 0
-        entries: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-        n_blocks = 0
-        for term, _qtf in plan.query_terms[qi]:
-            if plan.term_idf.get(term, 0.0) <= 0.0:
-                return empty, empty.astype(np.float64), 0, 0
-            hit = self.term_contrib(term, plan, scorer)
-            if hit is None:
-                return empty, empty.astype(np.float64), 0, n_blocks
-            entries[term] = hit
-            n_blocks += hit[2]
-        isect = _matching([hit[0] for hit in entries.values()], len(entries))
-        if isect.size == 0:
-            return empty, empty.astype(np.float64), 0, n_blocks
+    def _term_positions(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(pos_offs, pos_flat) of a term this shard holds: per posting, in
+        posting order (docmap-position ascending over the identical winner
+        set — positions.py invariant), the range of its token positions in
+        pos_flat. Raises when the sidecar's row does not hold one range per
+        posting the segment stores (a sidecar of another segment)."""
         self._load_positions()
+        df = int(self._df[self._row(term)])
+        i = self._pos_row.get(term)
+        offs = (self._poffs_vals[self._poffs_off[i]: self._poffs_off[i + 1]]
+                if i is not None else np.empty(0, dtype=np.int64))
+        if offs.size - 1 != df:
+            raise ValueError(
+                f"the positional sidecar of partition {self.partition} in {self.index_dir} "
+                f"does not match its segment: term {term!r} has {max(offs.size - 1, 0)} "
+                f"position lists for {df} postings; rebuild it with build_position_sidecar"
+            )
+        return offs, self._pflat_vals[self._pflat_off[i]: self._pflat_off[i + 1]]
+
+    def _phrase_survivors(self, cand: np.ndarray, seq: list[str], plan: QueryPlan,
+                          scorer, slop: int) -> np.ndarray:
+        """The candidates `cand` (ascending positions of docs holding every
+        term of `seq`) in which the tokens of `seq` occur in order, each at
+        most 1+slop positions after the one before (slop=0: adjacent; the
+        Lucene slop analog) — the positional check of method="phrase".
+        A candidate's positions of a term are packed (candidate_rank << 32 |
+        token_position), so each phrase step is one searchsorted membership
+        probe per allowed gap."""
+        if cand.size == 0:
+            return cand
 
         def packed(term: str) -> np.ndarray:
-            tp = self._term_positions(term)
-            if tp is None:
-                return np.empty(0, dtype=np.int64)
-            offs, flat = tp
-            j = np.searchsorted(entries[term][0], isect)  # candidate -> row
+            offs, flat = self._term_positions(term)
+            # candidate -> its posting in the term's list
+            j = np.searchsorted(self.term_contrib(term, plan, scorer)[0], cand)
             starts, ends = offs[j], offs[j + 1]
             lens = (ends - starts).astype(np.int64)
             tot = int(lens.sum())
-            if tot == 0:
-                return np.empty(0, dtype=np.int64)
-            doc_rep = np.repeat(np.arange(isect.size, dtype=np.int64), lens)
+            doc_rep = np.repeat(np.arange(cand.size, dtype=np.int64), lens)
             base = np.repeat(starts, lens)
-            run = np.arange(tot, dtype=np.int64) - np.repeat(
-                np.cumsum(lens) - lens, lens
-            )
+            run = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
             return (doc_rep << np.int64(32)) | flat[base + run]
 
         # `cur` tracks the packed position of the LAST matched token per
@@ -1369,16 +1355,7 @@ class _ShardState:
                 valid[valid] = step[j[valid]] == probe[valid]
                 hits.append(probe[valid])
             cur = hits[0] if len(hits) == 1 else np.unique(np.concatenate(hits))
-        if cur.size == 0:
-            return empty, empty.astype(np.float64), 0, n_blocks
-        keep = isect[np.unique(cur >> np.int64(32))]
-        out = np.zeros(keep.size, dtype=np.float64)
-        for term, qtf in plan.query_terms[qi]:  # lexicographic (pinned order)
-            pos, contrib = entries[term][0], entries[term][1]
-            idx = np.searchsorted(pos, keep)
-            out += contrib[idx] if qtf == 1 else qtf * contrib[idx]
-        docs, ssc = topk_select(out, self.docmap_ids[keep], plan.k)
-        return docs, ssc, int(keep.size), n_blocks
+        return cand[np.unique(cur >> np.int64(32))]
 
     def _rescore_exact(self, plan: QueryPlan, qi: int, docs: np.ndarray, scorer) -> np.ndarray:
         """Re-accumulate scores for a small doc set from the terms' cached
@@ -1433,10 +1410,11 @@ class _ShardGroup(_ShardState):
     group rows. The top-k equals the members' own top-k merged: positions
     are disjoint per member, each doc accumulates its terms in the same
     lexicographic order and `topk_select` keeps the (score desc, doc_id asc)
-    order. The and / min_should_match match counts are exact over the
-    group: a live doc has one copy in one member (shadowed copies drop at
-    decode) and partitions are disjoint across workers. Phrase runs on the
-    members (`partials`)."""
+    order. The and / min_should_match / phrase match counts are exact over
+    the group: a live doc has one copy in one member (shadowed copies drop
+    at decode) and partitions are disjoint across workers. Phrase reads a
+    term's positions in group order (`_term_positions`: the members'
+    sidecar rows end to end)."""
 
     def __init__(self, members: list[_ShardState], block_size: int):
         self.members = members
@@ -1469,16 +1447,14 @@ class _ShardGroup(_ShardState):
         self._by_id: tuple[np.ndarray, np.ndarray] | None = None
         self._init_caches()
 
-    def partials(self, plan: QueryPlan, cfg: QueryConfig, with_urls: bool = True) -> list[pa.Table]:
-        """The worker's partial top-k tables for `plan` — the one search
-        step of one-shot tasks and session actors: one table over the whole
-        group, or one per member state for phrase (it reads each segment's
-        positional sidecar)."""
-        args = (plan, SCORERS[cfg.scorer], cfg.method, cfg.min_should_match,
-                cfg.phrase_slop, cfg.filter_lang, cfg.sort_by, _len_bounds(cfg), with_urls)
-        if cfg.method == "phrase":
-            return [st.search_batch(*args) for st in self.members]
-        return [self.search_batch(*args)]
+    def partials(self, plan: QueryPlan, cfg: QueryConfig, with_urls: bool = True) -> pa.Table:
+        """The worker's partial top-k table for `plan`, one over the whole
+        group for every method — the one search step of one-shot tasks and
+        session actors."""
+        return self.search_batch(
+            plan, SCORERS[cfg.scorer], cfg.method, cfg.min_should_match, cfg.phrase_slop,
+            cfg.filter_lang, cfg.sort_by, _len_bounds(cfg), with_urls,
+        )
 
     def _row(self, term: str) -> int | None:
         i = self.term_row.get(term)
@@ -1519,6 +1495,17 @@ class _ShardGroup(_ShardState):
         )
         pos = pos + self._base[mem][pair_of]
         return self._drop_dead(np.array(owner, dtype=np.int64)[pair_of], pos, tfs)
+
+    def _term_positions(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(pos_offs, pos_flat) of `term` in group posting order: each
+        member's sidecar row (checked against its segment row) in member
+        order, the order `_decode_rows` lays out the term's postings, with
+        the offsets rebased."""
+        parts = [self.members[j]._term_positions(term) for j in self._pairs[self._row(term)][0]]
+        if len(parts) == 1:
+            return parts[0]
+        lens = np.concatenate([np.diff(offs) for offs, _ in parts])
+        return np.concatenate(([0], np.cumsum(lens))), np.concatenate([f for _, f in parts])
 
     def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
         # built on first use: the concatenated docmap is not id-sorted. A
@@ -1636,8 +1623,7 @@ def explain_rows(
 class ShardSearcher:
     """The search op of a one-shot task (pipelines/query.py): the partial
     top-k of the task's partitions, which the task loaded once — as one
-    `_ShardGroup` (one top-k per query per task), phrase one top-k per
-    partition."""
+    `_ShardGroup`, one top-k per query per task for every method."""
 
     def __init__(self, plan: QueryPlan, query_cfg: QueryConfig):
         self.plan = plan
@@ -1646,8 +1632,7 @@ class ShardSearcher:
     def __call__(self, states: list[_ShardState]) -> pa.Table:
         if not states:
             return _empty_partials(True)
-        group = _ShardGroup(states, states[0].block_size)
-        return pa.concat_tables(group.partials(self.plan, self.cfg))
+        return _ShardGroup(states, states[0].block_size).partials(self.plan, self.cfg)
 
 
 def _len_bounds(cfg: QueryConfig) -> tuple[int | None, int | None] | None:
@@ -1860,9 +1845,9 @@ def _shard_actor_cls():
 
         Its member states — one per (generation, partition) it serves — form
         one `_ShardGroup`, built once per `load`: a query batch, live df
-        and url lookups are one group call each, so the actor's cost per
-        query does not grow with its generation and partition count; phrase
-        runs per member and the actor merges it.
+        and url lookups are one group call each, for every method, so the
+        actor's cost per query does not grow with its generation and
+        partition count.
 
         A session call is one `search_packed` per actor: the actor counts
         the df of the terms the session has not cached over its own group,
@@ -1954,10 +1939,7 @@ def _shard_actor_cls():
                     for t, n in part.items():
                         df[t] += n
                 plan.set_df(df)
-            outs = [t for t in self.group.partials(plan, query_cfg, with_urls) if len(t)]
-            if len(outs) > 1:
-                outs = [merge_topk_table(pa.concat_tables(outs), plan.k)]
-            t = outs[0] if outs else _empty_partials(with_urls)
+            t = self.group.partials(plan, query_cfg, with_urls)
             reply = (
                 t.column("query_id").to_numpy(),
                 t.column("doc_id").to_numpy(),

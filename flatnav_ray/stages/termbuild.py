@@ -41,6 +41,7 @@ from ..state.manifest import PartitionManifest, write_manifest
 from ..state.stats import load_stats, save_stats
 from .build import (
     DOCMAP_SCHEMA,
+    PARQUET_WRITE_ARGS,
     POSTING_COLUMNS,
     _atomic_write_parquet,
     dedup_latest,
@@ -335,7 +336,7 @@ def build_term_index(
 
     if os.path.isdir(seg_dir):
         shutil.rmtree(seg_dir)
-    final.sort("term").write_parquet(seg_dir)
+    final.sort("term").write_parquet(seg_dir, **PARQUET_WRITE_ARGS)
 
     # stats from docmap manifests (written by the dedup stage)
     n_docs = sum_dl = 0

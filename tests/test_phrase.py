@@ -7,35 +7,20 @@ reference /root/reference/python-bindings/unit_tests/test_utils.py:57-91).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from flatnav_ray.config import IndexConfig, QueryConfig
+from flatnav_ray.config import QueryConfig
 from flatnav_ray.functions.tokenize import tokenize_py
-from flatnav_ray.pipelines.build import build_index, prepare_batch
+from flatnav_ray.pipelines.build import prepare_batch
 from flatnav_ray.pipelines.oracle import brute_force_topk
 from flatnav_ray.pipelines.query import search_to_table
-from flatnav_ray.sources.synth import pages_table
 from flatnav_ray.stages.build import dedup_latest, segment_path
-from flatnav_ray.stages.positions import build_position_sidecar, positions_path
-
-
-@pytest.fixture(scope="module")
-def phrase_index(tmp_path_factory):
-    import ray.data
-
-    # small vocabulary -> bigrams repeat across docs (non-trivial top-k)
-    pages = pages_table(600, seed=11, vocab_size=400, mean_len=40)
-    pdir = tmp_path_factory.mktemp("phrase_pages")
-    pq.write_table(pages, str(pdir / "p0.parquet"))
-    ix = str(tmp_path_factory.mktemp("phrase_ix") / "ix")
-    cfg = IndexConfig(num_partitions=4)
-    build_index(ray.data.read_parquet(str(pdir)), ix, cfg)
-    man = build_position_sidecar(ray.data.read_parquet(str(pdir)), ix, cfg)
-    assert len(man) >= 1 and not man.column("skipped").to_pylist()[0]
-    return ix, cfg, pages
+from flatnav_ray.stages.positions import positions_path
 
 
 def _corpus_docs(pages: pa.Table, parts: int) -> pa.Table:
@@ -54,10 +39,31 @@ def _occurring_phrases(pages: pa.Table, n: int, length: int) -> pa.Table:
         if len(out) == n:
             break
     assert len(out) == n
+    return _queries(out)
+
+
+def _repeated_phrases(pages: pa.Table, n: int) -> pa.Table:
+    """`the the`, `the w000133 the`, then `a a` and `a b a` windows lifted
+    from doc texts: phrases that repeat a token, so they have fewer distinct
+    terms than positions."""
+    out = ["the the", "the w000133 the"]
+    for t in pages.column("text").to_pylist():
+        toks = tokenize_py(t)
+        for i in range(len(toks) - 2):
+            if toks[i] == toks[i + 1]:
+                out.append(f"{toks[i]} {toks[i]}")
+            elif toks[i] == toks[i + 2]:
+                out.append(" ".join(toks[i: i + 3]))
+        if len(out) >= n:
+            break
+    return _queries(out[:n])
+
+
+def _queries(texts: list[str]) -> pa.Table:
     return pa.table(
         {
-            "query_id": pa.array(np.arange(n, dtype=np.int64)),
-            "text": pa.array(out, type=pa.string()),
+            "query_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+            "text": pa.array(texts, type=pa.string()),
         }
     )
 
@@ -84,6 +90,28 @@ class TestPhrase:
         np.testing.assert_allclose(
             out.column("score").to_numpy(), gt.column("score").to_numpy(), rtol=0, atol=1e-12
         )
+
+    def test_misaligned_sidecar_raises(self, phrase_index, tmp_path):
+        """A sidecar whose rows do not hold one position list per stored
+        posting (here: another partition's sidecar) fails the search."""
+        import shutil
+
+        from flatnav_ray.pipelines.ingest import open_session
+
+        ix, _, pages = phrase_index
+        bad = str(tmp_path / "ix")
+        shutil.copytree(ix, bad)
+        shutil.copyfile(positions_path(bad, 0), positions_path(bad, 1))
+        queries = _occurring_phrases(pages, 12, 2)
+        cfg = QueryConfig(k=10, method="phrase")
+        with pytest.raises(ValueError, match="positional sidecar of partition 1"):
+            search_to_table(bad, queries, cfg)
+        sess = open_session(bad, num_actors=1)
+        try:
+            with pytest.raises(ValueError, match="positional sidecar of partition 1"):
+                sess.search(queries, cfg)
+        finally:
+            sess.shutdown()
 
     def test_non_adjacent_terms_do_not_match(self, phrase_index):
         """Two terms that both exist but are never adjacent -> empty result
@@ -170,8 +198,10 @@ class TestPhrase:
 
     def test_slop_matches_oracle_and_widens(self, phrase_index):
         """phrase_slop=s (per-gap proximity): rank-identical to the slop
-        oracle; slop=0 equals exact adjacency; wider slop's match set is a
-        superset (monotone)."""
+        oracle, also for phrases that repeat a token (one distinct term at
+        two positions: `the the` needs two `the`s in a row) and one-token
+        phrases (their term's docs); slop=0 equals exact adjacency; wider
+        slop's match set is a superset (monotone)."""
         ix, cfg, pages = phrase_index
         docs = _corpus_docs(pages, cfg.num_partitions)
         # skip-gram queries (tokens 3 and 5 of a doc): guaranteed slop-1 hits
@@ -182,22 +212,18 @@ class TestPhrase:
                 out_texts.append(f"{toks[3]} {toks[5]}")
             if len(out_texts) == 10:
                 break
-        queries = pa.table(
-            {
-                "query_id": pa.array(np.arange(len(out_texts), dtype=np.int64)),
-                "text": pa.array(out_texts, type=pa.string()),
-            }
-        )
-        for slop in (0, 1, 2):
-            out = search_to_table(
-                ix, queries, QueryConfig(k=20, method="phrase", phrase_slop=slop)
-            )
-            gt = brute_force_topk(docs, queries, k=20, phrase=True, phrase_slop=slop)
+        queries = _queries(out_texts)
+        one = _queries([t.split(" ")[0] for t in out_texts[:6]])
+        for q, slop in itertools.product((queries, _repeated_phrases(pages, 12), one), (0, 1, 2)):
+            out = search_to_table(ix, q, QueryConfig(k=20, method="phrase", phrase_slop=slop))
+            gt = brute_force_topk(docs, q, k=20, phrase=True, phrase_slop=slop)
+            assert out.column("query_id").to_pylist() == gt.column("query_id").to_pylist()
             assert out.column("doc_id").to_pylist() == gt.column("doc_id").to_pylist()
             np.testing.assert_allclose(
                 out.column("score").to_numpy(), gt.column("score").to_numpy(),
                 rtol=0, atol=1e-12,
             )
+            assert len(out) > 0
         # superset property holds on UNtruncated match sets (k larger than
         # any match count; a truncated top-k can drop low-scoring slop-0
         # matches once slop=1 admits higher-scoring docs)

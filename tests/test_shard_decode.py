@@ -7,8 +7,8 @@
   absent terms.
 * A `_ShardGroup` scores all of those states as one shard; its top-k must
   equal the members' own partials merged, for every scorer and query
-  feature of the taat/maxscore path and for the and / min_should_match
-  match-count floor, and its live df the members' sum.
+  feature of the taat/maxscore path, for the and / min_should_match
+  match-count floor and for phrase, and its live df the members' sum.
 * The `docs_scored` / `blocks_decoded` columns of `search_partials` (the
   reference's distance-computation counters, Index.h:83-84) must equal a
   direct count over the segment files.
@@ -264,16 +264,40 @@ def test_group_topk_equals_member_merge(stacked, scorer_name):
                 want.select(["query_id", "doc_id", "score"])), (name, method, floor)
 
 
-def test_group_partials_one_table_but_for_phrase(stacked):
-    # every method but phrase scores the whole group at once: one table for
-    # the group, not one per member
+def test_group_partials_one_table(stacked, phrase_index):
+    # every method scores the whole group at once: one table for the group,
+    # not one per member
     states = stacked()
     assert len(states) > 1
     group = _ShardGroup(states, 128)
     plan = _plan(states, "bm25", _queries())
     for kw in ({"method": "taat"}, {"method": "maxscore"}, {"method": "wand"},
                {"method": "and"}, {"min_should_match": 2}):
-        assert len(group.partials(plan, QueryConfig(**kw))) == 1, kw
+        assert isinstance(group.partials(plan, QueryConfig(**kw)), pa.Table), kw
+    # phrase included: on an index with its positional sidecar, the group's
+    # answer is the members' own answers merged
+    ix, cfg, pages = phrase_index
+    states = [_ShardState(ix, p, 128) for p in range(cfg.num_partitions)]
+    group = _ShardGroup(states, 128)
+    texts = [" ".join(t[3:5]) for t in map(tokenize_py, pages.column("text").to_pylist()[:40])]
+    q = pa.table({"query_id": pa.array(np.arange(40, dtype=np.int64)), "text": pa.array(texts)})
+    plan = _plan(states, "bm25", q)
+    cols = ["query_id", "doc_id", "url", "score"]
+    for slop in (0, 1, 2):
+        want = merge_topk_table(pa.concat_tables(
+            [st.search_batch(plan, SCORERS["bm25"], "phrase", slop=slop) for st in states]
+        ), plan.k).select(cols)
+        got = group.partials(plan, QueryConfig(method="phrase", phrase_slop=slop))
+        assert isinstance(got, pa.Table) and len(want) >= 50, slop
+        assert got.select(cols).equals(want), slop
+
+
+def test_phrase_refuses_dead_documents(stacked):
+    # the positional sidecar counts dead documents: phrase must not answer
+    states = stacked()
+    plan = _plan(states, "bm25", _queries())
+    with pytest.raises(ValueError, match="dead documents"):
+        _ShardGroup(states, 128).search_batch(plan, SCORERS["bm25"], "phrase")
 
 
 def test_group_live_term_dfs_sums_members(stacked):

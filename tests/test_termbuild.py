@@ -55,6 +55,13 @@ class TestTermLayout:
         assert files
         for f in files:
             assert pq.read_schema(f).names == [*POSTING_COLUMNS, "dl_blob"]
+            # the one writer setting of every index file: zstd, no dictionary
+            md = pq.ParquetFile(f).metadata
+            for g in range(md.num_row_groups):
+                for c in range(md.num_columns):
+                    col = md.row_group(g).column(c)
+                    assert col.compression == "ZSTD", (f, col.path_in_schema)
+                    assert not col.has_dictionary_page, (f, col.path_in_schema)
 
     def test_canonical_postings_equal_doc_layout(self, both_indexes):
         doc_ix, term_ix, *_ = both_indexes
