@@ -1978,42 +1978,33 @@ def term_vectors_sample(sf_dir: str, modulus: int = 20, residue: int = 3) -> pa.
 
         import pyarrow.parquet as _pq
 
-        from ..functions.codec import decode_postings
-        from ..stages.build import docmap_path, segment_path
+        from ..functions.codec import decode_segment_postings, packed_tf
+        from ..stages.build import POSTING_COLUMNS, docmap_path, segment_path
 
         outs = []
         for part in batch.column("partition").to_pylist():
             seg = segment_path(ix, int(part))
             if not _os.path.exists(seg):
                 continue
-            t = _pq.read_table(seg).combine_chunks()
+            t = packed_tf(_pq.read_table(seg, columns=POSTING_COLUMNS))
             dm = _pq.read_table(docmap_path(ix, int(part)), columns=["doc_id"])
             dm_ids = dm.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
             sampled = dm_ids % modulus == residue
             if not sampled.any():
                 continue
-            terms_l, docs_l, tfs_l = [], [], []
-            for i in range(len(t)):
-                pos, tf = decode_postings(
-                    t.column("doc_blob")[i].as_py(),
-                    t.column("tf_blob")[i].as_py(),
-                    block_size=block_size,
-                )
-                hit = sampled[pos]
-                if hit.any():
-                    k = int(hit.sum())
-                    terms_l.extend([t.column("term")[i].as_py()] * k)
-                    docs_l.append(dm_ids[pos[hit]])
-                    tfs_l.append(tf[hit])
-            if docs_l:
+            # every posting list at once: term row, docmap position, tf
+            row_of, pos, tf = decode_segment_postings(
+                t.column("doc_blob"), t.column("tf_blob"), t.column("df"),
+                block_size=block_size,
+            )
+            hit = sampled[pos]
+            if hit.any():
                 outs.append(
                     pa.table(
                         {
-                            "doc_id": pa.array(np.concatenate(docs_l), type=pa.int64()),
-                            "term": pa.array(terms_l, type=pa.string()),
-                            "tf": pa.array(
-                                np.concatenate(tfs_l).astype(np.int64), type=pa.int64()
-                            ),
+                            "doc_id": pa.array(dm_ids[pos[hit]], type=pa.int64()),
+                            "term": t.column("term").take(pa.array(row_of[hit])),
+                            "tf": pa.array(tf[hit], type=pa.int64()),
                         }
                     )
                 )

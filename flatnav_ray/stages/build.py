@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from ..functions.codec import encode_segment_table
+from ..functions.codec import TF_CODEC, TF_CODEC_KEY, encode_segment_table
 from ..functions.hashes import stable_hash64
 from ..functions.tokenize import term_frequencies
 from ..state.manifest import PartitionManifest, write_manifest
@@ -39,7 +39,9 @@ SEGMENT_SCHEMA = pa.schema(
         ("df", pa.int32()),
         ("doc_blob", pa.binary()),
         ("tf_blob", pa.binary()),
-    ]
+    ],
+    # the tf codec tag every segment file carries (functions/codec.py)
+    metadata={TF_CODEC_KEY: TF_CODEC},
 )
 
 
@@ -111,11 +113,18 @@ def dedup_latest(group: pa.Table) -> pa.Table:
     return sorted_t.filter(pa.array(first))
 
 
-# how every index file is written: no dictionary pages (a segment's or the
-# term_stats file's terms are all distinct, so the dictionary page overflows
-# and falls back and only adds bytes; a docmap's urls nearly so); zstd does
-# the compression
-PARQUET_WRITE_ARGS = {"compression": "zstd", "use_dictionary": False}
+# how every index file is written: zstd; a dictionary page for `df` only (its
+# values repeat across terms; a segment's or the term_stats file's terms are
+# all distinct, so their dictionary page overflows and only adds bytes, a
+# docmap's urls nearly so, and one for `tf_blob` did not pay); the sorted
+# `term` column front-coded (DELTA_BYTE_ARRAY: each term stores the length of
+# the prefix it shares with the one before). A table without a named column
+# ignores its setting, and readers decode both with no option
+PARQUET_WRITE_ARGS = {
+    "compression": "zstd",
+    "use_dictionary": ["df"],
+    "column_encoding": {"term": "DELTA_BYTE_ARRAY"},
+}
 
 
 def _atomic_write_parquet(table: pa.Table, path: str, row_group_size: int | None = None) -> int:

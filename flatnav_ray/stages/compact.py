@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from ..functions.codec import decode_segment_postings, encode_segment_table
+from ..functions.codec import decode_segment_postings, encode_segment_table, packed_tf
 from ..functions.tokenize import union_vocab
 from ..state.manifest import PartitionManifest, write_manifest
 from ..state.stats import load_stats, save_stats
@@ -64,9 +64,10 @@ def _merge_one(partition: int, src_dirs: list[str], out_dir: str, cfg: IndexConf
         if not os.path.exists(dmp):
             continue
         dm = pq.ParquetFile(dmp).read(use_threads=False)
-        seg = pq.ParquetFile(segment_path(src, partition)).read(
+        # either tf codec in, the packed one out
+        seg = packed_tf(pq.ParquetFile(segment_path(src, partition)).read(
             columns=POSTING_COLUMNS, use_threads=False
-        )
+        ))
         # bulk-decode the whole segment (no per-term Python); positions
         # index the source's full docmap
         posts.append(decode_segment_postings(

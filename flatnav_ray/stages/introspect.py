@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.codec import decode_postings
+from ..functions.codec import decode_segment_postings, packed_tf
 
 
 def _segment_files(index_dir: str) -> list[str]:
@@ -34,28 +34,24 @@ def canonical_postings(index_dir: str, block_size: int = 128) -> pa.Table:
     through each partition's docmap."""
     terms, docs, tfs = [], [], []
     for f in _segment_files(index_dir):
-        t = pq.read_table(f)
+        t = packed_tf(pq.read_table(f))
         dm = pq.read_table(
             os.path.join(index_dir, "docmap", os.path.basename(f)), columns=["doc_id"]
         )
         dm_ids = dm.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        for i in range(len(t)):
-            p, tf = decode_postings(
-                t.column("doc_blob")[i].as_py(),
-                t.column("tf_blob")[i].as_py(),
-                block_size=block_size,
-            )
-            term = t.column("term")[i].as_py()
-            terms.extend([term] * p.size)
-            docs.append(dm_ids[p])
-            tfs.append(tf)
+        row_of, p, tf = decode_segment_postings(
+            t.column("doc_blob"), t.column("tf_blob"), t.column("df"), block_size=block_size
+        )
+        terms.append(t.column("term").combine_chunks().take(pa.array(row_of)))
+        docs.append(dm_ids[p])
+        tfs.append(tf)
     if not docs:
         return pa.table(
             {"term": pa.array([], pa.string()), "doc_id": pa.array([], pa.int64()), "tf": pa.array([], pa.int64())}
         )
     out = pa.table(
         {
-            "term": pa.array(terms, type=pa.string()),
+            "term": pa.concat_arrays(terms),
             "doc_id": pa.array(np.concatenate(docs), type=pa.int64()),
             "tf": pa.array(np.concatenate(tfs), type=pa.int64()),
         }

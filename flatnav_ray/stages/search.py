@@ -61,7 +61,7 @@ import pyarrow.parquet as pq
 
 from ..config import QueryConfig
 from ..functions.bm25 import SCORERS, idf as idf_fn, topk_select
-from ..functions.codec import binary_views, decode_postings_rows
+from ..functions.codec import binary_views, decode_postings_rows, packed_tf
 from ..functions.codec import decode_postings  # noqa: F401  perfbench/tracing.py traces it here
 from ..functions.tokenize import tokenize_py
 from .build import POSTING_COLUMNS, docmap_path, segment_path
@@ -342,8 +342,10 @@ class _ShardState:
         self.partition = partition
         self._terms_filter = terms_filter
         filters = [("term", "in", terms_filter)] if terms_filter is not None else None
-        t = pq.read_table(segment_path(index_dir, partition), columns=POSTING_COLUMNS,
-                          filters=filters).combine_chunks()
+        # a legacy (varint tf) segment is transcoded here, once: serving has
+        # one tf decoder
+        t = packed_tf(pq.read_table(segment_path(index_dir, partition), columns=POSTING_COLUMNS,
+                                    filters=filters).combine_chunks())
         # the dictionary: an Arrow column (the wildcard scans), its str list
         # (sorted: merge writes segment rows in global-vocab order, so
         # bisect range scans work) and term -> row. The list comes through
@@ -459,19 +461,20 @@ class _ShardState:
             self._gcontrib.clear()
             self._stats_key = key
 
-    def _decode_rows(self, rows: np.ndarray | None):
-        """(index into `rows`, docmap position, tf) per live posting of the
-        segment rows `rows` (every row when None) — one bulk decode,
-        shadowed docs dropped."""
+    def _decode_rows(self, rows: np.ndarray | None, with_tf: bool = True):
+        """(index into `rows`, docmap position, tf or None without
+        `with_tf`) per live posting of the segment rows `rows` (every row
+        when None) — one bulk decode, shadowed docs dropped."""
         return self._drop_dead(*decode_postings_rows(
             self._df, self._doc_offs, self._doc_vals, self._tf_offs, self._tf_vals,
-            rows, self.block_size,
+            rows, self.block_size, with_tf=with_tf,
         ))
 
     def _drop_dead(self, row_of, pos, tfs):
         if self._dead_pos is not None:
             keep = ~self._dead_pos[pos]
-            row_of, pos, tfs = row_of[keep], pos[keep], tfs[keep]
+            row_of, pos = row_of[keep], pos[keep]
+            tfs = tfs[keep] if tfs is not None else None
         return row_of, pos, tfs
 
     def fill_contrib(self, terms, plan: QueryPlan, scorer) -> None:
@@ -573,7 +576,8 @@ class _ShardState:
             if t not in self._live_df and (i := self._row(t)) is not None
         }
         if todo:
-            row_of, _, _ = self._decode_rows(np.array(list(todo.values()), dtype=np.int64))
+            row_of, _, _ = self._decode_rows(np.array(list(todo.values()), dtype=np.int64),
+                                             with_tf=False)
             self._live_df.update(zip(todo, np.bincount(row_of, minlength=len(todo)).tolist()))
         return [self._live_df.get(t, 0) for t in terms]
 
@@ -585,7 +589,7 @@ class _ShardState:
         i = self.term_row.get(term)
         if i is None:
             return np.empty(0, dtype=np.int64)
-        return self.docmap_ids[self._decode_rows(np.array([i]))[1]]
+        return self.docmap_ids[self._decode_rows(np.array([i]), with_tf=False)[1]]
 
     def _lang_mask(self, lang: str) -> np.ndarray:
         """Boolean docmap-row mask for one lang (filtered search) — computed
@@ -988,7 +992,7 @@ class _ShardState:
         is the documented cost of exact significant_terms — ES bounds it by
         sampling instead; exactness is what makes this SQL-checkable."""
         # every dictionary term is visited: decode the whole segment at once
-        row_of, pos, _ = self._decode_rows(None)
+        row_of, pos, _ = self._decode_rows(None, with_tf=False)
         ends = np.searchsorted(row_of, np.arange(1, len(self._terms_list) + 1)).tolist()
         dec = dict(zip(self._terms_list, np.split(pos, ends[:-1])))
         empty = np.empty(0, dtype=np.int64)
@@ -1262,7 +1266,7 @@ class _ShardState:
         """|union of postings| over dictionary rows — shared by the prefix
         and infix wildcard scans (shards hold disjoint docs, so counts sum
         exactly across the cluster)."""
-        _, pos, _ = self._decode_rows(np.asarray(term_indices, dtype=np.int64))
+        _, pos, _ = self._decode_rows(np.asarray(term_indices, dtype=np.int64), with_tf=False)
         return int(np.unique(pos).size)
 
     # ---- exact phrase path (method="phrase") ----
@@ -1445,6 +1449,8 @@ class _ShardGroup(_ShardState):
         self._bl_off: list[int] = [0]
         self._urls: pa.Array | None = None
         self._by_id: tuple[np.ndarray, np.ndarray] | None = None
+        # term -> its group positions (_term_positions)
+        self._positions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._init_caches()
 
     def partials(self, plan: QueryPlan, cfg: QueryConfig, with_urls: bool = True) -> pa.Table:
@@ -1477,10 +1483,11 @@ class _ShardGroup(_ShardState):
         self._bl_off.append(self._bl_off[-1] + nb)
         return i
 
-    def _decode_rows(self, rows: np.ndarray):
-        """(index into `rows`, group position, tf) per live posting of the
-        group rows `rows`: every member's segment row of each, in one
-        decode pass, term-major and position-ascending within a term."""
+    def _decode_rows(self, rows: np.ndarray, with_tf: bool = True):
+        """(index into `rows`, group position, tf or None without
+        `with_tf`) per live posting of the group rows `rows`: every member's
+        segment row of each, in one decode pass, term-major and
+        position-ascending within a term."""
         ms: list[int] = []
         rs: list[int] = []
         owner: list[int] = []
@@ -1491,7 +1498,8 @@ class _ShardGroup(_ShardState):
             owner += [j] * len(m)
         mem = np.array(ms, dtype=np.int64)
         pair_of, pos, tfs = decode_postings_rows(
-            *self._views, np.array(rs, dtype=np.int64), self.block_size, members=mem
+            *self._views, np.array(rs, dtype=np.int64), self.block_size, members=mem,
+            with_tf=with_tf,
         )
         pos = pos + self._base[mem][pair_of]
         return self._drop_dead(np.array(owner, dtype=np.int64)[pair_of], pos, tfs)
@@ -1500,12 +1508,21 @@ class _ShardGroup(_ShardState):
         """(pos_offs, pos_flat) of `term` in group posting order: each
         member's sidecar row (checked against its segment row) in member
         order, the order `_decode_rows` lays out the term's postings, with
-        the offsets rebased."""
+        the offsets rebased. Laid out once per term and cached (the
+        positions are the files'; bounded like `_contrib`)."""
+        hit = self._positions.get(term)
+        if hit is not None:
+            return hit
         parts = [self.members[j]._term_positions(term) for j in self._pairs[self._row(term)][0]]
         if len(parts) == 1:
-            return parts[0]
-        lens = np.concatenate([np.diff(offs) for offs, _ in parts])
-        return np.concatenate(([0], np.cumsum(lens))), np.concatenate([f for _, f in parts])
+            hit = parts[0]
+        else:
+            lens = np.concatenate([np.diff(offs) for offs, _ in parts])
+            hit = np.concatenate(([0], np.cumsum(lens))), np.concatenate([f for _, f in parts])
+        if len(self._positions) > 100_000:
+            self._positions.clear()
+        self._positions[term] = hit
+        return hit
 
     def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
         # built on first use: the concatenated docmap is not id-sorted. A
@@ -1675,34 +1692,32 @@ def merge_topk_table(partials: pa.Table, k: int) -> pa.Table:
     ships partials without urls — 8 B x 3 columns per row instead of the
     ~80 B/row the string column made them — and the session resolves urls
     for the final winners only (lookup_urls)."""
-    has_url = "url" in partials.column_names
-    if len(partials) == 0:
-        cols = {
-            "query_id": pa.array([], type=pa.int64()),
-            "rank": pa.array([], type=pa.int32()),
-            "doc_id": pa.array([], type=pa.int64()),
-        }
-        if has_url:
-            cols["url"] = pa.array([], type=pa.string())
-        cols["score"] = pa.array([], type=pa.float64())
-        return pa.table(cols)
     qid = partials.column("query_id").to_numpy(zero_copy_only=False)
     score = partials.column("score").to_numpy(zero_copy_only=False)
     doc = partials.column("doc_id").to_numpy(zero_copy_only=False)
-    order = np.lexsort((doc, -score, qid))
-    qs = qid[order]
-    new_q = np.concatenate(([True], qs[1:] != qs[:-1]))
-    grp_start = np.maximum.accumulate(np.where(new_q, np.arange(qs.size), 0))
-    rank = np.arange(qs.size) - grp_start
+    url = partials.column("url") if "url" in partials.column_names else None
+    return _ranked_table(qid, doc, score, url, np.lexsort((doc, -score, qid)), k)
+
+
+def _ranked_table(qid, doc, score, url, order, k: int) -> pa.Table:
+    """The merged answer of partial rows whose (query_id, -score, doc_id)
+    order is `order` (an index array; None when the rows are in it
+    already): each query's first k rows with their rank, as
+    (query_id, rank, doc_id, [url], score)."""
+    qs = qid if order is None else qid[order]
+    new_q = np.ones(qs.size, dtype=bool)
+    new_q[1:] = qs[1:] != qs[:-1]
+    at = np.arange(qs.size)
+    rank = at - np.maximum.accumulate(np.where(new_q, at, 0))
     keep = rank < k
-    sel = order[keep]
+    sel = np.flatnonzero(keep) if order is None else order[keep]
     cols = {
         "query_id": pa.array(qid[sel], type=pa.int64()),
         "rank": pa.array(rank[keep].astype(np.int32), type=pa.int32()),
         "doc_id": pa.array(doc[sel], type=pa.int64()),
     }
-    if has_url:
-        cols["url"] = partials.column("url").take(pa.array(sel))
+    if url is not None:
+        cols["url"] = url.take(pa.array(sel, type=pa.int64()))
     cols["score"] = pa.array(score[sel], type=pa.float64())
     return pa.table(cols)
 
@@ -1765,6 +1780,20 @@ def _partials_table(replies: list[bytes]) -> pa.Table:
         cols["url"] = pa.array([u for p in parts for u in p[3]], type=pa.string())
     cols["score"] = col(2, np.float64)
     return pa.table(cols)
+
+
+def _reply_topk(reply: bytes, k: int) -> pa.Table | None:
+    """A lone actor's `search_packed` reply as the call's answer, with no
+    re-sort: `merge_topk_table`'s table of it when its rows are already in
+    (query_id, -score, doc_id) order, else None."""
+    qid, doc, score, urls = pickle.loads(reply)
+    if qid.size > 1:
+        dq, ds = np.diff(qid), np.diff(score)
+        same = dq == 0
+        if (dq < 0).any() or (ds[same] > 0).any() or (np.diff(doc)[same & (ds == 0)] <= 0).any():
+            return None
+    url = pa.array(urls, type=pa.string()) if urls is not None else None
+    return _ranked_table(qid, doc, score, url, None, k)
 
 
 def _merge_partial_range(refs, lo, hi, k: int) -> pa.Table:
@@ -2229,7 +2258,10 @@ class SearchSession:
                 merged = pa.concat_tables(outs)
             else:
                 *replies, df = ray.get(futs + dfs[:1])  # the call's one wait
-                merged = merge_topk_table(_partials_table(replies), query_cfg.k)
+                # one actor: its reply is the answer when in rank order
+                merged = _reply_topk(replies[0], query_cfg.k) if len(replies) == 1 else None
+                if merged is None:
+                    merged = merge_topk_table(_partials_table(replies), query_cfg.k)
             return merged, df
 
         merged, df = self._on_actors(merged_topk)

@@ -34,7 +34,15 @@ import pyarrow as pa
 import ray.data
 
 from ..config import IndexConfig
-from ..functions.codec import decode_postings, encode_segment_table, encode_varint
+from ..functions.codec import (
+    TF_CODEC,
+    TF_CODEC_KEY,
+    decode_postings,
+    decode_segment_postings,
+    encode_segment_table,
+    encode_varint,
+    packed_tf,
+)
 from ..functions.hashes import splitmix64
 from ..functions.tokenize import term_frequencies
 from ..state.manifest import PartitionManifest, write_manifest
@@ -55,8 +63,12 @@ TERM_SEGMENT_SCHEMA = pa.schema(
         ("doc_blob", pa.binary()),
         ("tf_blob", pa.binary()),
         ("dl_blob", pa.binary()),
-    ]
+    ],
+    metadata={TF_CODEC_KEY: TF_CODEC},
 )
+# the same rows in flight between Ray Data stages, untagged: Ray Data hashes
+# block schemas and cannot hash a metadata dict; the write adds the tag
+_TERM_ROWS_SCHEMA = TERM_SEGMENT_SCHEMA.remove_metadata()
 
 POSTING_SCHEMA = pa.schema(
     [
@@ -185,7 +197,7 @@ def _merge_term(group: pa.Table, block_size: int) -> pa.Table:
     import pyarrow.compute as pc
 
     if len(group) == 0:
-        return TERM_SEGMENT_SCHEMA.empty_table()
+        return _TERM_ROWS_SCHEMA.empty_table()
     from .twophase import _bin_row_views
 
     grp = group.take(pc.sort_indices(group, sort_keys=[("term", "ascending"), ("salt", "ascending")]))
@@ -215,7 +227,7 @@ def _merge_term(group: pa.Table, block_size: int) -> pa.Table:
         rows["tf_blob"].append(cols["tf_blob"][0].as_py())
         # dl varint blob (term layout stores doc lengths inline)
         rows["dl_blob"].append(encode_varint(dls.astype(np.uint64)))
-    return pa.table(rows, schema=TERM_SEGMENT_SCHEMA)
+    return pa.table(rows, schema=_TERM_ROWS_SCHEMA)
 
 
 def build_term_index(
@@ -257,8 +269,14 @@ def build_term_index(
         fn_kwargs={"num_partitions": cfg.num_partitions, "langs": cfg.langs},
     )
     prepared.context.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    prepared.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    prepared.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
+    # the hash shuffle/aggregate actors' CPU per partition: 0.05, but never
+    # so much that the actors of the three shuffles in flight (repartition
+    # and the two groupbys) hold the CPU the map and shuffle tasks need (1
+    # each): on a 1-CPU cluster they hold none, else the build never starts
+    cpus = float(ray.cluster_resources().get("CPU", 1))
+    share = min(0.05, max(0.0, cpus - 1) / (3 * cfg.num_partitions))
+    prepared.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = share
+    prepared.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = share
     postings = prepared.repartition(
         num_blocks=cfg.num_partitions, keys=["partition"], sort=False
     ).map_batches(
@@ -336,7 +354,8 @@ def build_term_index(
 
     if os.path.isdir(seg_dir):
         shutil.rmtree(seg_dir)
-    final.sort("term").write_parquet(seg_dir, **PARQUET_WRITE_ARGS)
+    # the schema carries the tf codec tag into every file's metadata
+    final.sort("term").write_parquet(seg_dir, schema=TERM_SEGMENT_SCHEMA, **PARQUET_WRITE_ARGS)
 
     # stats from docmap manifests (written by the dedup stage)
     n_docs = sum_dl = 0
@@ -378,19 +397,16 @@ def canonical_term_postings(index_dir: str, block_size: int = 128) -> pa.Table:
     files = [os.path.join(seg_dir, f) for f in sorted(os.listdir(seg_dir)) if f.endswith(".parquet")]
     terms, docs, tfs = [], [], []
     for f in files:
-        t = pq.read_table(f)
-        for i in range(len(t)):
-            d, tf = decode_postings(
-                t.column("doc_blob")[i].as_py(),
-                t.column("tf_blob")[i].as_py(),
-                block_size=block_size,
-            )
-            terms.extend([t.column("term")[i].as_py()] * d.size)
-            docs.append(d)
-            tfs.append(tf)
+        t = packed_tf(pq.read_table(f, columns=POSTING_COLUMNS))
+        row_of, d, tf = decode_segment_postings(
+            t.column("doc_blob"), t.column("tf_blob"), t.column("df"), block_size=block_size
+        )
+        terms.append(t.column("term").combine_chunks().take(pa.array(row_of)))
+        docs.append(d)
+        tfs.append(tf)
     out = pa.table(
         {
-            "term": pa.array(terms, type=pa.string()),
+            "term": pa.concat_arrays(terms) if terms else pa.array([], type=pa.string()),
             "doc_id": pa.array(np.concatenate(docs) if docs else np.empty(0, np.int64), type=pa.int64()),
             "tf": pa.array(np.concatenate(tfs) if tfs else np.empty(0, np.int64), type=pa.int64()),
         }
@@ -562,7 +578,7 @@ class TermIndexSearcher:
         b = b if b is not None else float(self.stats["b"])
         needed = sorted({t for x in queries.column("text").to_pylist() for t in tokenize_py(x)})
         seg = pads.dataset(os.path.join(self.index_dir, "term_segments"), format="parquet")
-        tbl = (
+        tbl = packed_tf(
             seg.to_table(columns=[*POSTING_COLUMNS, "dl_blob"],
                          filter=pads.field("term").isin(needed))
             if needed

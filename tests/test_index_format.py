@@ -2,16 +2,19 @@
 
 A posting list is read from its df and its two blobs only, and every writer
 writes exactly those columns (`POSTING_COLUMNS`; the term layout adds
-`dl_blob`). Segments written by older versions carry more: three block
-lists (`block_last_doc`, `block_doc_offs`, `block_tf_offs`), and before
-that also per-block maxima (`block_max_tf`, `block_min_dl`) between
-`block_last_doc` and `block_doc_offs`. A stack whose base segments carry
-either old schema and whose delta does not must serve the oracle's answers,
-and its compaction must keep those answers and write segments without the
-old columns.
+`dl_blob`), with a bit-packed `tf_blob` and the tf codec tag in the file's
+key-value metadata. Segments written by older versions have no tag and a
+varint `tf_blob` (one varint per posting), and the oldest carry more
+columns: three block lists (`block_last_doc`, `block_doc_offs`,
+`block_tf_offs`), and before that also per-block maxima (`block_max_tf`,
+`block_min_dl`) between `block_last_doc` and `block_doc_offs`. A stack whose
+base segments carry any old schema and whose delta does not must serve the
+oracle's answers, and its compaction must keep those answers and write
+tagged, packed segments without the old columns.
 
 The format and config checks raise `ValueError`, so they hold under
-`python -O` too: a segment row whose df disagrees with its blobs, an empty
+`python -O` too: a segment row whose df disagrees with its blobs, a
+segment whose tf codec tag is unknown, an empty
 posting list given to the encoder, a generation stack with no generation, a
 merge of indexes built with different block sizes, an incremental add or
 delete the index cannot take, an unknown docid strategy, a term-layout
@@ -34,7 +37,12 @@ import pyarrow.parquet as pq
 import pytest
 
 from flatnav_ray.config import IndexConfig
-from flatnav_ray.functions.codec import decode_segment_postings, encode_varint_with_lens
+from flatnav_ray.functions.codec import (
+    TF_CODEC,
+    TF_CODEC_KEY,
+    decode_segment_postings,
+    encode_varint_with_lens,
+)
 from flatnav_ray.pipelines.build import build_index
 from flatnav_ray.stages.build import POSTING_COLUMNS, SEGMENT_SCHEMA, docmap_path, segment_path
 
@@ -45,13 +53,16 @@ BLOCK_LISTS = [("block_last_doc", pa.int64()), ("block_doc_offs", pa.int32()),
 MAXIMA = [("block_max_tf", pa.int32()), ("block_min_dl", pa.int32())]
 OLD_COLUMNS = [n for n, _ in BLOCK_LISTS + MAXIMA]
 
-# the segment schemas older versions wrote: with the per-block maxima, and
-# the three block lists alone (the version that dropped the maxima)
+# the segment schemas older versions wrote, all untagged with a varint tf
+# stream: with the per-block maxima, the three block lists alone (the
+# version that dropped the maxima), and the posting columns alone (the
+# version that dropped the block lists)
 OLD_SEGMENT_SCHEMAS = {
     name: pa.schema(list(SEGMENT_SCHEMA) + [(n, pa.list_(t)) for n, t in cols])
     for name, cols in (
         ("maxima", BLOCK_LISTS[:1] + MAXIMA + BLOCK_LISTS[1:]),
         ("block_lists", BLOCK_LISTS),
+        ("varint_tf", []),
     )
 }
 
@@ -62,18 +73,32 @@ def _block_offsets(values: np.ndarray, starts: np.ndarray) -> list[int]:
     return (np.cumsum(lens) - lens)[starts].tolist()
 
 
+def _varint_rows(tfs: np.ndarray, dfs: np.ndarray) -> pa.Array:
+    """The varint tf column older versions wrote: per row its df tfs, one
+    LEB128 varint each."""
+    blob, lens = encode_varint_with_lens(tfs.astype(np.uint64))
+    ends = np.cumsum(lens.astype(np.int64))[np.cumsum(dfs) - 1]
+    offs = np.concatenate(([0], ends)).astype(np.int32)
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), dfs.size, [None, pa.py_buffer(offs), pa.py_buffer(blob)]
+    )
+
+
 def _rewrite_old(ix: str, partition: int, schema: pa.Schema) -> None:
-    """Rewrite one segment the way an older version wrote it, every old
-    column computed from the decoded postings the way its encoder did: per
-    block of `BLOCK` postings, the last docmap position, the byte offsets of
-    the block in each blob, and (maxima schema) the largest tf and the
-    smallest doc length."""
+    """Rewrite one segment the way an older version wrote it: no tf codec
+    tag, a varint `tf_blob`, and every old column computed from the decoded
+    postings the way its encoder did: per block of `BLOCK` postings, the last
+    docmap position, the byte offsets of the block in each blob, and (maxima
+    schema) the largest tf and the smallest doc length."""
     path = segment_path(ix, partition)
     seg = pq.read_table(path)
+    assert seg.schema.metadata[TF_CODEC_KEY] == TF_CODEC
     lens = pq.read_table(docmap_path(ix, partition), columns=["doc_len"]).column(0).to_numpy()
     row_of, pos, tfs = decode_segment_postings(
         seg.column("doc_blob"), seg.column("tf_blob"), seg.column("df"), block_size=BLOCK
     )
+    dfs = seg.column("df").to_numpy().astype(np.int64)
+    varint_tf = _varint_rows(tfs, dfs)
     old = {n: [] for n in OLD_COLUMNS}
     for r in range(seg.num_rows):
         sel = np.flatnonzero(row_of == r)
@@ -87,10 +112,12 @@ def _rewrite_old(ix: str, partition: int, schema: pa.Schema) -> None:
         old["block_max_tf"].append(np.maximum.reduceat(t, starts).tolist())
         old["block_min_dl"].append(np.minimum.reduceat(lens[p].astype(np.int64), starts).tolist())
     # the offsets address the blobs as written
-    ends = [len(b) for b in seg.column("doc_blob").to_pylist()]
-    assert all(o[-1] < e for o, e in zip(old["block_doc_offs"], ends))
-    pq.write_table(pa.table({**{n: seg.column(n) for n in POSTING_COLUMNS}, **old})
-                   .select(schema.names).cast(schema), path)
+    for blob, key in ((seg.column("doc_blob"), "block_doc_offs"), (varint_tf, "block_tf_offs")):
+        ends = [len(b) for b in blob.to_pylist()]
+        assert all(o[-1] < e for o, e in zip(old[key], ends))
+    cols = {**{n: seg.column(n) for n in POSTING_COLUMNS}, "tf_blob": varint_tf, **old}
+    pq.write_table(pa.table(cols).select(schema.names).cast(schema), path)
+    assert TF_CODEC_KEY not in (pq.read_schema(path).metadata or {})
 
 
 def _segment_names(path: str) -> list[str]:
@@ -129,7 +156,9 @@ def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path, old_sch
     base, delta = list_generations(ix)
     for p in range(PARTS):
         assert pq.read_schema(segment_path(base, p)).equals(schema)
+        assert TF_CODEC_KEY not in (pq.read_schema(segment_path(base, p)).metadata or {})
         assert _segment_names(segment_path(delta, p)) == POSTING_COLUMNS  # the delta build
+        assert pq.read_schema(segment_path(delta, p)).metadata[TF_CODEC_KEY] == TF_CODEC
 
     docs = dedup_latest(prepare_batch(pa.concat_tables([a, b]), PARTS, None))
     docs = docs.filter(pa.array([u not in deleted for u in docs.column("url").to_pylist()]))
@@ -154,6 +183,7 @@ def test_old_base_and_new_delta_serve_and_compact(ray_session, tmp_path, old_sch
     assert len(segs) == PARTS
     for p in segs:
         assert _segment_names(p) == POSTING_COLUMNS  # the fold
+        assert pq.read_schema(p).metadata[TF_CODEC_KEY] == TF_CODEC
     assert serve().equals(stacked)
 
 
@@ -180,12 +210,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 from flatnav_ray.config import IndexConfig
-from flatnav_ray.functions.codec import decode_segment_postings, encode_segment_table
+from flatnav_ray.functions.codec import TF_CODEC_KEY, decode_segment_postings, encode_segment_table
 from flatnav_ray.pipelines.ingest import add_documents, delete_documents
 from flatnav_ray.stages.build import segment_path
 from flatnav_ray.sources.synth import PagesGenerator
 from flatnav_ray.stages import positions, twophase
-from flatnav_ray.stages.compact import merge_indexes
+from flatnav_ray.stages.compact import _merge_one, merge_indexes
 from flatnav_ray.stages.pq import ProductQuantizer
 from flatnav_ray.stages.search import StackedSearchSession, _ShardState
 from flatnav_ray.stages.termbuild import TermIndexSearcher
@@ -255,6 +285,11 @@ raises(lambda: twophase.merge_spilled_partition(
     0, spill, tempfile.mkdtemp(), IndexConfig(num_partitions=1, docid_strategy="bogus")),
     "unknown docid_strategy")
 raises(lambda: ProductQuantizer.train_matrix(np.ones((16, 6)), m=4), "not divisible")
+seg = pq.read_table(segment_path(ix, 1))
+pq.write_table(seg.replace_schema_metadata({TF_CODEC_KEY: b"packed-v9"}), segment_path(ix, 1))
+raises(lambda: _ShardState(ix, 1, 128), "unknown tf codec 'packed-v9'")
+raises(lambda: _merge_one(1, [ix], tempfile.mkdtemp(), IndexConfig(num_partitions=2)),
+       "unknown tf codec")
 print("OK")
 """
 

@@ -328,3 +328,49 @@ def test_rows_come_back_in_query_rank_order(indexes, monkeypatch, order, path):
     assert got.equals(
         want.take(pc.sort_indices(want, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
     )
+
+
+def test_one_actor_reply_is_the_answer_when_ranked(indexes, monkeypatch):
+    """With one actor the driver ranks the reply it has instead of merging
+    it again, when the reply is in (query_id, -score, doc_id) order with at
+    most k rows per query; otherwise it merges. Either way the answer is
+    the one two actors give."""
+    from flatnav_ray.pipelines.ingest import open_session
+    from flatnav_ray.stages import search
+
+    dirs, cases = indexes
+    merges = []
+    real_merge = search.merge_topk_table
+
+    def counting_merge(*args, **kwargs):
+        merges.append(1)
+        return real_merge(*args, **kwargs)
+
+    queries = cases["maxscore"][0]
+    shuffled = queries.take(pa.array(np.random.default_rng(65).permutation(len(queries))))
+    want = _answers(dirs["stack"], {"q": (queries, QueryConfig(k=10))}, 2)["q"]
+    sess = open_session(dirs["stack"], num_actors=1)
+    try:
+        monkeypatch.setattr(search, "merge_topk_table", counting_merge)
+        assert sess.search(queries, QueryConfig(k=10)).equals(want) and not merges
+        assert sess.search(shuffled, QueryConfig(k=10)).equals(want) and merges
+    finally:
+        sess.shutdown()
+
+
+def test_reply_topk_refuses_unranked_replies():
+    import pickle
+
+    from flatnav_ray.stages.search import _partials_table, _reply_topk, merge_topk_table
+
+    def reply(q, d, s, urls=None):
+        return pickle.dumps((np.array(q, np.int64), np.array(d, np.int64),
+                             np.array(s, np.float64), urls))
+
+    ranked = reply([1, 1, 1, 4], [7, 2, 5, 3], [3.0, 2.0, 2.0, 9.0], ["a", "b", "c", "d"])
+    empty = reply([], [], [])
+    for r, k in ((ranked, 3), (ranked, 2), (empty, 3)):  # k = 2 keeps query 1's first two
+        assert _reply_topk(r, k).equals(merge_topk_table(_partials_table([r]), k))
+    assert _reply_topk(reply([4, 1], [3, 7], [9.0, 3.0]), 3) is None  # query order
+    assert _reply_topk(reply([1, 1], [2, 7], [2.0, 3.0]), 3) is None  # score order
+    assert _reply_topk(reply([1, 1], [5, 2], [2.0, 2.0]), 3) is None  # tie by doc_id

@@ -48,6 +48,7 @@ class TestTermLayout:
 
         import pyarrow.parquet as pq
 
+        from flatnav_ray.functions.codec import TF_CODEC, TF_CODEC_KEY
         from flatnav_ray.stages.build import POSTING_COLUMNS
 
         _, term_ix, *_ = both_indexes
@@ -55,13 +56,17 @@ class TestTermLayout:
         assert files
         for f in files:
             assert pq.read_schema(f).names == [*POSTING_COLUMNS, "dl_blob"]
-            # the one writer setting of every index file: zstd, no dictionary
+            assert pq.read_schema(f).metadata[TF_CODEC_KEY] == TF_CODEC
+            # the one writer setting of every index file: zstd, a dictionary
+            # for df only, the term column front-coded
             md = pq.ParquetFile(f).metadata
             for g in range(md.num_row_groups):
                 for c in range(md.num_columns):
                     col = md.row_group(g).column(c)
-                    assert col.compression == "ZSTD", (f, col.path_in_schema)
-                    assert not col.has_dictionary_page, (f, col.path_in_schema)
+                    name = col.path_in_schema
+                    assert col.compression == "ZSTD", (f, name)
+                    assert col.has_dictionary_page == (name == "df"), (f, name)
+                    assert ("DELTA_BYTE_ARRAY" in col.encodings) == (name == "term"), (f, name)
 
     def test_canonical_postings_equal_doc_layout(self, both_indexes):
         doc_ix, term_ix, *_ = both_indexes
